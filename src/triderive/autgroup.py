@@ -21,6 +21,7 @@ queries alone, and ``convert_form`` moves between the two layouts.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -348,7 +349,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
     f_coeffs: dict[int, Fraction] = {}
     for i in range(1, order + 1):
         alpha = (0,) * (n - 2) + (i,)
-        w = residual(alpha, n, Fraction(1, _fact(i)))
+        w = residual(alpha, n, Fraction(1, math.factorial(i)))
         c = _phi_extract(w, n - 1)
         if c:
             f_coeffs[i] = c
@@ -371,7 +372,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
     for i in range(2, n):
         coeffs: dict[int, Fraction] = {}
         for j in range(1, order + 1):
-            scale = Fraction(1, _fact(j))
+            scale = Fraction(1, math.factorial(j))
             alpha = (0,) * (i - 2) + (j,)
             w = _apply_unit_series(f_inv, residual(alpha, i, scale))
             if peel_shift is not None:
@@ -382,13 +383,6 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
         e_list.append(OpSeries("E", i - 1, order, coeffs))
 
     return GnElem(n, "A", t, tau, s, f, e_list)
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 # -- changing coordinate layouts --------------------------------------------------

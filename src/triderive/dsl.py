@@ -53,6 +53,7 @@ class _Token:
 
 
 _SYMBOLS = {"+", "-", "*", "/", "^", "[", "]", ";", ","}
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -64,9 +65,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             end = pos
-            while end < length and text[end].isdigit():
+            while end < length and text[end] in _DIGITS:
                 end += 1
             tokens.append(_Token("int", text[pos:end], pos, end))
             pos = end
@@ -137,7 +138,7 @@ class _Parser:
         if self.peek().kind == "/":
             self.next()
             den = self.expect("int", "a denominator")
-            if den.text == "0":
+            if not int(den.text):
                 raise SemanticError("zero denominator", den.start, den.end)
             return Fraction(int(num.text), int(den.text))
         return Fraction(int(num.text))
@@ -444,12 +445,19 @@ def parse_series(text: str, kind: str = "F", var: int = 1,
 
 
 def _rat_from_json(value: Any, what: str) -> Fraction:
+    """A JSON rational: an integer, or a string holding a signed rational
+    of the text grammar.  Booleans, floats, decimals and exponents are
+    refused."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            p = _Parser(value)
+            sign = p.sign()
+            out = p.rational()
+            p.done()
+        except (ParseError, SemanticError):
             raise DomainError(f"{what}: bad rational {value!r}")
-    if isinstance(value, int):
+        return sign * out
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"{what}: rationals are written as strings")
 

@@ -5,6 +5,16 @@ length ``nvars`` to nonzero Fraction coefficients.  All operations are
 exact and return fresh objects; instances are never mutated after
 construction.
 
+Products and substitutions share one integer kernel.  Each operand is
+rewritten as integer numerators over one common denominator, the inner
+loop adds and multiplies plain ints, and one Fraction is built per
+output monomial rather than one per term pair.  A substitution takes the
+lcm of its per-term denominators first, so every term lands on the same
+denominator.  The powers of the images it needs are kept, in that
+integer form, by the image set it is given: a triangular automorphism
+holds one such set for its lifetime, so repeated substitutions by the
+same map compute each power once.
+
 Total degrees are guarded by a module-level cap so that runaway growth in
 composed substitutions fails loudly instead of consuming the machine.
 """
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DegreeCapError, DomainError
@@ -180,25 +191,9 @@ class Poly:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
         _check_cap(self.total_degree() + other.total_degree(), "product")
-        # Clearing denominators keeps the inner loop in plain integers:
-        # one normalization per output monomial, not one per term pair.
-        d1 = math.lcm(*(c.denominator for c in self.terms.values()))
-        d2 = math.lcm(*(c.denominator for c in other.terms.values()))
-        left = [(e, c.numerator * (d1 // c.denominator))
-                for e, c in self.terms.items()]
-        right = [(e, c.numerator * (d2 // c.denominator))
-                 for e, c in other.terms.items()]
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in left:
-            for e2, c2 in right:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc[exps] = acc.get(exps, 0) + c1 * c2
-        den = d1 * d2
-        if den == 1:
-            return _make(self.nvars,
-                         {e: Fraction(c) for e, c in acc.items() if c})
-        return _make(self.nvars,
-                     {e: Fraction(c, den) for e, c in acc.items() if c})
+        d1, left = _int_terms(self)
+        d2, right = _int_terms(other)
+        return _from_ints(self.nvars, _mul_ints(left, right), d1 * d2)
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
@@ -249,52 +244,49 @@ class Poly:
         if not self.terms:
             target = images[0].nvars if images else self.nvars
             return Poly(target)
-        target = images[0].nvars
-        for im in images:
-            if im.nvars != target:
-                raise DomainError("substitution images live in different rings")
-        degs = [im.total_degree() for im in images]
-        # variables mapped to themselves contribute a bare monomial factor
-        fixed = [False] * self.nvars
-        if target == self.nvars:
-            for i, im in enumerate(images):
-                if len(im.terms) == 1:
-                    (exps, c), = im.terms.items()
-                    fixed[i] = c == 1 and sum(exps) == 1 and exps[i] == 1
-        power_cache: list[dict[int, Poly]] = [{} for _ in images]
-
-        def power(i: int, e: int) -> Poly:
-            cached = power_cache[i].get(e)
-            if cached is None:
-                cached = images[i] ** e
-                power_cache[i][e] = cached
-            return cached
-
-        acc: dict[tuple[int, ...], Fraction] = {}
+        if not isinstance(images, _Images):
+            images = _Images(images)
+        degs = images.degs
+        fixed = images.fixed
+        # First pass: check every term against the cap before any product
+        # is formed, and collect the denominators to put them over one.
+        plan = []
+        dens = []
         for exps, c in self.terms.items():
-            bound = sum(e * max(d, 0) for e, d in zip(exps, degs))
-            _check_cap(bound, "substitution")
-            head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
-                if target == self.nvars else (0,) * target
-            term: Poly | None = None
+            _check_cap(sum(map(mul, exps, degs)), "substitution")
+            den = c.denominator
+            factors = []
             for i, e in enumerate(exps):
                 if e and not fixed[i]:
-                    q = power(i, e)
-                    term = q if term is None else term * q
-            pieces = {head: c} if term is None else {
-                tuple(h + f for h, f in zip(head, e2)): c * c2
-                for e2, c2 in term.terms.items()}
-            for key, val in pieces.items():
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = val
+                    pden, pairs = images.power(i, e)
+                    den *= pden
+                    factors.append(pairs)
+            head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
+                if any(exps[i] for i in images.fixed_at) else None
+            plan.append((head, c.numerator, den, factors))
+            dens.append(den)
+        common = math.lcm(*dens)
+        # Second pass: integer products, accumulated over ``common``.  A
+        # key that cancels is dropped at once, as Fraction sums would be.
+        acc: dict[tuple[int, ...], int] = {}
+        for head, num, den, factors in plan:
+            scale = num * (common // den)
+            if not factors:
+                pieces = [(head or (0,) * images.target, 1)]
+            else:
+                pieces = factors[0]
+                for pairs in factors[1:]:
+                    pieces = [item for item in _mul_ints(pieces, pairs).items()
+                              if item[1]]
+                if head is not None:
+                    pieces = [(tuple(map(add, head, e)), v) for e, v in pieces]
+            for key, v in pieces:
+                s = acc.get(key, 0) + scale * v
+                if s:
+                    acc[key] = s
                 else:
-                    s = prev + val
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-        return _make(target, acc)
+                    del acc[key]
+        return _from_ints(images.target, acc, common)
 
     def embed(self, nvars: int) -> Poly:
         """Reinterpret in a ring with more variables (padding exponents)."""
@@ -333,33 +325,73 @@ def _make(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
     return p
 
 
+def _int_terms(p: Poly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(den, [(exps, num), ...]) with each coefficient num/den, in term
+    order; den is the lcm of the coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator))
+                 for e, c in p.terms.items()]
+
+
+def _mul_ints(left: Sequence[tuple[tuple[int, ...], int]],
+              right: Sequence[tuple[tuple[int, ...], int]]
+              ) -> dict[tuple[int, ...], int]:
+    """Product of two integer term lists; cancelled keys stay as zeros."""
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, c1 in left:
+        for e2, c2 in right:
+            exps = tuple(map(add, e1, e2))
+            acc[exps] = acc.get(exps, 0) + c1 * c2
+    return acc
+
+
+def _from_ints(nvars: int, acc: dict[tuple[int, ...], int], den: int) -> Poly:
+    """The polynomial with coefficients acc[e] / den, zeros dropped."""
+    if den == 1:
+        return _make(nvars, {e: Fraction(c) for e, c in acc.items() if c})
+    return _make(nvars, {e: Fraction(c, den) for e, c in acc.items() if c})
+
+
+class _Images(tuple):
+    """Substitution images, with what Poly.substitute derives from them.
+
+    Holds each image's total degree, which variables are mapped to
+    themselves (they contribute a bare monomial factor), and, computed on
+    demand, the powers of the images in integer form.  The cap check in
+    substitute bounds every requested exponent of an image of positive
+    degree by DEGREE_CAP, and so the number of powers kept per image.
+    """
+
+    def __new__(cls, images: Iterable[Poly]) -> _Images:
+        self = super().__new__(cls, images)
+        target = self[0].nvars
+        if any(im.nvars != target for im in self):
+            raise DomainError("substitution images live in different rings")
+        self.target = target
+        self.degs = [max(im.total_degree(), 0) for im in self]
+        fixed = [False] * len(self)
+        if target == len(self):
+            for i, im in enumerate(self):
+                if len(im.terms) == 1:
+                    (exps, c), = im.terms.items()
+                    fixed[i] = c == 1 and sum(exps) == 1 and exps[i] == 1
+        self.fixed = fixed
+        self.fixed_at = [i for i, f in enumerate(fixed) if f]
+        self._powers: list[dict[int, tuple]] = [{} for _ in self]
+        return self
+
+    def power(self, i: int, e: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+        """images[i] ** e as (den, integer term list)."""
+        cached = self._powers[i].get(e)
+        if cached is None:
+            cached = _int_terms(self[i] ** e)
+            self._powers[i][e] = cached
+        return cached
+
+
 def phi_projection(p: Poly) -> Fraction:
     """Constant-term projection onto the ground field."""
     return p.constant_term()
-
-
-def phi_projection_series(p: Poly) -> Fraction:
-    """Same projection computed the slow way, as the composition over all
-    variables of sum_k (-1)^k x_i^k/k! d^k/dx_i^k.
-
-    Each inner sum kills every monomial with a positive x_i exponent and
-    fixes the rest, so the composite agrees with phi_projection; keeping
-    both implementations lets the test suite check that.
-    """
-    out = p
-    for i in range(1, p.nvars + 1):
-        acc = Poly(p.nvars)
-        xi = Poly.var(p.nvars, i)
-        deriv = out
-        factor = Poly.const(p.nvars, 1)
-        k = 0
-        while deriv:
-            acc = acc + factor * deriv
-            deriv = deriv.diff(i)
-            k += 1
-            factor = factor * xi.scale(Fraction(-1, k))
-        out = acc
-    return out.constant_term()
 
 
 def format_monomial(exps: Sequence[int]) -> str:
@@ -402,6 +434,3 @@ def iter_exponents(nvars: int, max_total: int) -> Iterator[tuple[int, ...]]:
         for tail in iter_exponents(nvars - 1, max_total - head):
             yield (head,) + tail
 
-
-def factorial(k: int) -> Fraction:
-    return Fraction(math.factorial(k))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError
 from .lie import LieElem, bracket
-from .poly import Poly, RatLike, rat, rat_str
+from .poly import Poly, RatLike, _Images, rat, rat_str
 
 
 class TriAut:
@@ -103,12 +103,17 @@ class TriAut:
 
     def image(self, i: int) -> Poly:
         """The polynomial this map sends x_i to."""
-        return Poly.var(self.n, i).scale(self.lam[i - 1]) + self.a[i - 1]
+        if not 1 <= i <= self.n:
+            raise DomainError(f"variable index {i} out of range 1..{self.n}")
+        return self.images()[i - 1]
 
     def images(self) -> tuple[Poly, ...]:
+        """All images, built once.  The tuple also keeps the powers that
+        substitutions by this map compute, since the map never changes."""
         cached = self._images
         if cached is None:
-            cached = tuple(self.image(i) for i in range(1, self.n + 1))
+            cached = _Images(Poly.var(self.n, i).scale(lam) + a
+                             for i, (lam, a) in enumerate(zip(self.lam, self.a), start=1))
             object.__setattr__(self, "_images", cached)
         return cached
 
@@ -181,10 +186,7 @@ def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
     coefficient is sigma(u(sigma^(-1)(x_j)))."""
     if sigma.n != u.n:
         raise DomainError(f"mixed ranks: {sigma.n} vs {u.n}")
-    inv = sigma.invert()
-    coeffs = []
-    for j in range(1, sigma.n + 1):
-        coeffs.append(sigma.apply(u.apply_to(inv.image(j))))
+    coeffs = [sigma.apply(u.apply_to(q)) for q in sigma.invert().images()]
     try:
         return LieElem.from_coefficients(coeffs)
     except DomainError as exc:

@@ -1,5 +1,7 @@
-"""Shared hypothesis profile and value strategies for the test suite."""
+"""Shared hypothesis profile, value strategies and seeded generators for
+the test suite."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -60,3 +62,47 @@ def triangular_auts(n: int, max_total: int = 2) -> st.SearchStrategy[TriAut]:
     lams = st.lists(rationals(span=3, nonzero=True), min_size=n, max_size=n)
     return st.tuples(unipotent_auts(n, max_total), lams).map(
         lambda pair: TriAut(list(pair[0].a), pair[1]))
+
+
+def rand_poly(rng: random.Random, nvars: int, max_terms: int = 4,
+              max_total: int = 3, max_var: int | None = None) -> Poly:
+    """A seeded sparse polynomial with rational coefficients; max_var
+    restricts it to the subring on x1..xk."""
+    used = nvars if max_var is None else max_var
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_total) if used else 0):
+            exps[rng.randrange(used)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                                      rng.randint(1, 6))
+    return Poly(nvars, terms)
+
+
+def rand_triaut(rng: random.Random, n: int, max_total: int = 2) -> TriAut:
+    """A seeded triangular automorphism with rational scales."""
+    parts = [rand_poly(rng, n, 1, 0, 0)]
+    parts += [rand_poly(rng, n, 3, max_total, i) for i in range(1, n)]
+    lams = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+            for _ in range(n)]
+    return TriAut(parts, lams)
+
+
+def sympy_terms(expr, symbols) -> dict:
+    """Exponent tuple -> Fraction map of a sympy expression, expanded."""
+    import sympy
+
+    return {exps: Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(expr, *symbols).as_dict().items() if c}
+
+
+def to_sympy(p: Poly, symbols):
+    import sympy
+
+    out = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for sym, e in zip(symbols, exps):
+            mono *= sym ** e
+        out += mono
+    return out

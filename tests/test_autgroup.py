@@ -1,13 +1,17 @@
 """The automorphism group in canonical coordinates: action, product, inverse."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
+from conftest import rand_poly
+from triderive import (AutoAction, DomainError, GnElem, InternalError,
+                       LieElem, OpSeries,
                        Poly, TriAut, act, bracket, commutator, convert_form,
                        decompose, exp_ad_auto, exp_map, gn_inverse,
                        multiply_formula, torus_apply)
+from triderive.autgroup import _phi_extract
 from triderive.lie import standard_generators
 
 
@@ -122,6 +126,34 @@ class TestDecompose:
         torpedo = AutoAction(2, lambda u: u + LieElem.d(2, 2))
         with pytest.raises(DomainError):
             decompose(torpedo)
+
+
+class TestPhiExtract:
+    """The bracket resummation in decompose against the direct reading:
+    the constant left in the d_n coefficient once x_m := 0."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_direct_reading(self, seed):
+        rng = random.Random(f"phi:{seed}")
+        n = rng.randint(2, 4)
+        m = rng.randint(1, n - 1)
+        xm = Poly.var(n, m)
+        # every nonconstant monomial carries x_m, so x_m := 0 leaves a constant
+        q = Poly.const(n, rand_poly(rng, n, 1, 0).constant_term())
+        for _ in range(rng.randint(0, 4)):
+            q = q + xm ** rng.randint(1, 3) * rand_poly(rng, n, 2, 2, n - 1)
+        w = LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [q])
+        direct = q.set_var_to_zero(m)
+        assert direct == Poly.const(n, direct.constant_term())
+        assert _phi_extract(w, m) == direct.constant_term()
+
+    def test_rejects_what_the_direct_reading_leaves_nonconstant(self):
+        # (2*x1*x2 + x1) d3 keeps x1 d3 after x2 := 0
+        w = LieElem.basis(3, (1, 1), 3, 2) + LieElem.basis(3, (1, 0), 3)
+        with pytest.raises(InternalError):
+            _phi_extract(w, 2)
+        with pytest.raises(DomainError):
+            _phi_extract(LieElem.d(3, 1), 2)
 
 
 class TestConvertForm:

@@ -31,6 +31,16 @@ class TestPolyText:
         with pytest.raises(SemanticError):
             parse_poly("x3", 2)
 
+    def test_zero_denominator_in_any_spelling(self):
+        for text in ("1/0", "1/00"):
+            with pytest.raises(SemanticError):
+                parse_poly(text, 1)
+
+    def test_only_ascii_digits(self):
+        for text in ("x1^²", "٣*x1"):
+            with pytest.raises(ParseError):
+                parse_poly(text, 1)
+
     def test_parse_error_span(self):
         with pytest.raises(ParseError) as info:
             parse_poly("x1 + + x2", 2)
@@ -117,16 +127,18 @@ class TestSeriesText:
 class TestGnElemJson:
     def payload(self):
         return {
-            "n": 3, "form": "A", "t": ["2", "1", "3"],
+            "n": 3, "form": "A", "t": ["2", "-1/3", "3"],
             "tau": {"a": ["0", "x1^2", "x1*x2"], "lambda": ["1", "1", "1"]},
-            "s": ["1/2"],
-            "f": {"order": 6, "coeffs": {"1": "1/2"}},
+            "s": ["-7/2"],
+            "f": {"order": 6, "coeffs": {"1": "1/2", "2": "-5"}},
             "e": [{"i": 2, "order": 6, "coeffs": {"2": "1"}}],
         }
 
     def test_round_trip(self):
         g = gnelem_from_json(self.payload())
-        assert gnelem_from_json(gnelem_to_json(g)) == g
+        printed = gnelem_to_json(g)
+        assert gnelem_from_json(printed) == g
+        assert gnelem_to_json(gnelem_from_json(printed)) == printed
         assert parse_gnelem(print_value(g)) == g
 
     def test_missing_field(self):
@@ -145,6 +157,32 @@ class TestGnElemJson:
         data["t"] = [1.5, "1", "1"]
         with pytest.raises(DomainError):
             gnelem_from_json(data)
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, "1.5", "1e3", "0x10", "1/0", "1/00", "1/-2",
+        "--1", "", "1/", "inf", "nan", "½", "²", "٣"])
+    def test_rationals_outside_the_grammar_rejected(self, value):
+        for field in ("t", "s", "tau.lambda", "f"):
+            data = self.payload()
+            if field == "t":
+                data["t"] = [value, "1", "1"]
+            elif field == "s":
+                data["s"] = [value]
+            elif field == "tau.lambda":
+                data["tau"]["lambda"] = ["1", value, "1"]
+            else:
+                data["f"]["coeffs"] = {"1": value}
+            with pytest.raises(DomainError) as info:
+                gnelem_from_json(data)
+            assert str(info.value).startswith(f"{field}: ")
+
+    def test_rationals_of_the_grammar_accepted(self):
+        data = self.payload()
+        data["t"] = [2, "-3/4", " 5 / 6 "]
+        data["s"] = ["+7"]
+        g = gnelem_from_json(data)
+        assert g.t == (2, Fraction(-3, 4), Fraction(5, 6))
+        assert g.s == (7,)
 
     def test_feed_series_indices_checked(self):
         data = self.payload()

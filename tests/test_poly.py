@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic, calculus and substitution."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import polys, rationals
+from conftest import polys, rand_poly, rationals, sympy_terms, to_sympy
 from triderive import DegreeCapError, DomainError, Poly, phi_projection, rat, rat_str
 from triderive.poly import format_poly, iter_exponents
 
@@ -167,6 +168,12 @@ class TestSubstitution:
         with pytest.raises(DomainError):
             Poly.var(2, 1).substitute([Poly.var(2, 1), Poly.var(3, 1)])
 
+    def test_cancellation_leaves_no_zero_terms(self):
+        # x2 - x1^2 at x2 := x2 + x1^2 is x2; the x1^2 terms cancel
+        p = Poly.var(2, 2) - Poly.var(2, 1) ** 2
+        q = p.substitute([Poly.var(2, 1), Poly.var(2, 2) + Poly.var(2, 1) ** 2])
+        assert q.terms == {(0, 1): Fraction(1)}
+
     def test_embed_and_set_var_to_zero(self):
         p = Poly.var(2, 1) * Poly.var(2, 2)
         q = p.embed(4)
@@ -174,10 +181,68 @@ class TestSubstitution:
         assert q.set_var_to_zero(2) == Poly.zero(4)
 
 
+class TestSympyOracle:
+    """The integer kernel against sympy, on seeded rational inputs."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"mul:{seed}")
+        n = rng.randint(1, 4)
+        syms = sympy.symbols(f"x1:{n + 1}")
+        p, q = rand_poly(rng, n, 6, 4), rand_poly(rng, n, 6, 4)
+        expected = sympy_terms(to_sympy(p, syms) * to_sympy(q, syms), syms)
+        assert (p * q).terms == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_substitution(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"substitute:{seed}")
+        n = rng.randint(1, 4)
+        target = rng.choice([n, rng.randint(1, 4)])
+        syms = sympy.symbols(f"x1:{max(n, target) + 1}")
+        p = rand_poly(rng, n, 5, 4)
+        images = [rand_poly(rng, target, 3, 2) for _ in range(n)]
+        if target == n:
+            k = rng.randrange(n)
+            images[k] = Poly.var(n, k + 1)  # a variable mapped to itself
+        expr = to_sympy(p, syms[:n]).subs(
+            {s: to_sympy(im, syms[:target]) for s, im in zip(syms, images)},
+            simultaneous=True)
+        assert p.substitute(images).terms == sympy_terms(expr, syms[:target])
+
+
+def _phi_projection_series(p: Poly) -> Fraction:
+    """The constant-term projection computed the slow way, as the
+    composition over all variables of sum_k (-1)^k x_i^k/k! d^k/dx_i^k.
+
+    Each inner sum kills every monomial with a positive x_i exponent and
+    fixes the rest, so the composite agrees with phi_projection.
+    """
+    out = p
+    for i in range(1, p.nvars + 1):
+        acc = Poly(p.nvars)
+        xi = Poly.var(p.nvars, i)
+        deriv = out
+        factor = Poly.const(p.nvars, 1)
+        k = 0
+        while deriv:
+            acc = acc + factor * deriv
+            deriv = deriv.diff(i)
+            k += 1
+            factor = factor * xi.scale(Fraction(-1, k))
+        out = acc
+    return out.constant_term()
+
+
 class TestProjectionAndFormat:
     def test_phi_projection_is_constant_term(self):
         p = Poly.const(2, 3) + Poly.var(2, 1)
         assert phi_projection(p) == 3
+
+    @given(polys(3))
+    def test_phi_projection_matches_series_oracle(self, p):
+        assert phi_projection(p) == _phi_projection_series(p)
 
     def test_sorted_terms_descending_graded_lex(self):
         p = x(2) + x(1) ** 2 + Poly.const(3, 1)

@@ -1,14 +1,18 @@
 """Triangular automorphisms: group laws, exp/log, conjugation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from conftest import lie_elems, triangular_auts, unipotent_auts
-from triderive import (DomainError, LieElem, Poly, TriAut, bracket,
-                       conjugate_derivation, exp_ad_apply, exp_map, log_map,
-                       normalize_mod_shn, reconstruct_from_frames)
+from conftest import (lie_elems, rand_poly, rand_triaut, sympy_terms,
+                      to_sympy, triangular_auts, unipotent_auts)
+from triderive import (AutoAction, DegreeCapError, DomainError, LieElem, Poly,
+                       TriAut, bracket, conjugate_derivation, decompose,
+                       exp_ad_apply, exp_map, log_map, normalize_mod_shn,
+                       reconstruct_from_frames)
+from triderive.dsl import parse_triaut
 from triderive.triaut import format_triaut, split_ct_shift
 
 
@@ -59,6 +63,50 @@ class TestGroupLaws:
         p = Poly.var(3, 1) + Poly.var(3, 2)
         q = Poly.var(3, 2) * Poly.var(3, 3)
         assert sigma.apply(p * q) == sigma.apply(p) * sigma.apply(q)
+
+
+class TestSubstitutionKernel:
+    """apply keeps the powers of the images on the map between calls."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_apply_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"apply:{seed}")
+        n = rng.randint(2, 4)
+        syms = sympy.symbols(f"x1:{n + 1}")
+        sigma = rand_triaut(rng, n)
+        images = {s: lam * s + to_sympy(a, syms)
+                  for s, lam, a in zip(syms, sigma.lam, sigma.a)}
+        for _ in range(3):
+            p = rand_poly(rng, n, 5, 4)
+            expr = to_sympy(p, syms).subs(images, simultaneous=True)
+            assert sigma.apply(p).terms == sympy_terms(expr, syms)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_apply_matches_a_fresh_substitution(self, seed):
+        rng = random.Random(f"repeat:{seed}")
+        n = rng.randint(2, 4)
+        sigma = rand_triaut(rng, n)
+        ps = [rand_poly(rng, n, 5, 4) for _ in range(4)]
+        for p in ps + ps[::-1] + [p * p for p in ps]:
+            assert sigma.apply(p) == p.substitute(list(sigma.images()))
+        assert sigma.images() == tuple(
+            Poly.var(n, i).scale(lam) + a
+            for i, (lam, a) in enumerate(zip(sigma.lam, sigma.a), start=1))
+
+    def test_image_index_checked(self):
+        with pytest.raises(DomainError):
+            TriAut.identity(2).image(0)
+
+    def test_rank4_action_over_the_cap_is_pinned(self):
+        # A known defect: conjugation succeeds on this map, the probes of
+        # decompose do not.  The per-term bound is checked before any
+        # arithmetic, and its message names the degree it would reach.
+        sigma = parse_triaut("[0,x1^2,x1*x2^2,x3^2;2,1,3,1]")
+        with pytest.raises(DegreeCapError) as info:
+            decompose(AutoAction.from_triaut(sigma))
+        assert str(info.value) == \
+            "substitution would reach total degree 65, over the cap 64"
 
 
 class TestExpLog:
