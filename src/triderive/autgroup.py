@@ -249,31 +249,17 @@ def exp_ad_auto(u: LieElem) -> AutoAction:
 
 
 def _phi_extract(w: LieElem, m: int) -> Fraction:
-    """Project a d_n-supported element to the coefficient of d_n that
-    survives killing x_m, computed by the resummation
-    sum_k (-1)^k x_m^k / k! ad(d_m)^k.
+    """Project a d_n-supported element to the constant left in its d_n
+    coefficient once x_m := 0.
 
-    The straight reading (substitute x_m := 0 in the d_n coefficient)
-    agrees; the test suite checks the equivalence.
+    The test suite checks this reading against the bracket resummation
+    sum_k (-1)^k x_m^k / k! ad(d_m)^k.
     """
     n = w.n
     for _, j in w.terms:
         if j != n:
             raise DomainError("projection expects a top-coefficient element")
-    dm = LieElem.d(n, m)
-    xm = Poly.var(n, m)
-    acc = LieElem.zero(n)
-    cur = w
-    factor = Poly.const(n, 1)
-    k = 0
-    while cur:
-        contrib = cur.coefficient_poly(n) * factor
-        acc = acc + LieElem.from_coefficients(
-            [Poly.zero(n)] * (n - 1) + [contrib])
-        cur = bracket(dm, cur)
-        k += 1
-        factor = factor * xm.scale(Fraction(-1, k))
-    out = acc.coefficient_poly(n)
+    out = w.coefficient_poly(n).set_var_to_zero(m)
     const = out.constant_term()
     if out != Poly.const(n, const):
         raise InternalError("projection left more than a constant behind")

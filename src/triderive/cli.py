@@ -85,14 +85,15 @@ def _resolve(text: str) -> str:
     return text
 
 
-def _element(text: str, n: int | None) -> GnElem:
+def _element(text: str, n: int | None, order: int) -> GnElem:
     """A group element operand: JSON coordinates, or a triangular
-    automorphism in bracket notation taken as its conjugation action."""
+    automorphism in bracket notation taken as its conjugation action,
+    decomposed through the given series order."""
     text = _resolve(text)
     if text.lstrip().startswith("{"):
         return parse_gnelem(text)
     sigma = parse_triaut(text, n)
-    return decompose(AutoAction.from_triaut(sigma))
+    return decompose(AutoAction.from_triaut(sigma), order=order)
 
 
 def _emit(value: Any, kind: str, fmt: str) -> None:
@@ -122,6 +123,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.order is not None and args.order < 1:
         raise DomainError("series order must be at least 1")
     command = args.command
+    order = args.order if args.order is not None else DEFAULT_ORDER
 
     if command == "bracket":
         u = parse_lie(_resolve(args.left), n)
@@ -142,27 +144,26 @@ def _run(args: argparse.Namespace) -> int:
         frames = [parse_lie(_resolve(chunk), rank) for chunk in args.frame]
         _emit(reconstruct_from_frames(frames), "triaut", args.format)
     elif command == "act":
-        g = _element(args.element, n)
+        g = _element(args.element, n, order)
         u = parse_lie(_resolve(args.derivation), g.n)
         _emit(act(g, u), "lie", args.format)
     elif command == "decompose":
         text = _resolve(args.element)
-        order = args.order if args.order is not None else DEFAULT_ORDER
         if text.lstrip().startswith("{"):
             action = AutoAction.from_gnelem(parse_gnelem(text))
         else:
             action = AutoAction.from_triaut(parse_triaut(text, n))
         _emit(decompose(action, order=order), "gnelem", args.format)
     elif command == "mul":
-        g = _element(args.left, n)
-        h = _element(args.right, n)
+        g = _element(args.left, n, order)
+        h = _element(args.right, n, order)
         product = multiply_formula(convert_form(g, "B", args.order),
                                    convert_form(h, "B", args.order))
         if g.form == "A":
             product = convert_form(product, "A", args.order)
         _emit(product, "gnelem", args.format)
     elif command == "inv":
-        g = _element(args.element, n)
+        g = _element(args.element, n, order)
         _emit(gn_inverse(g, args.order), "gnelem", args.format)
     elif command == "ord":
         _emit(ord_of_element(parse_lie(_resolve(args.derivation), n)),

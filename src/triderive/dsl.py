@@ -5,7 +5,7 @@ Grammar (whitespace insignificant, no implicit multiplication):
     rational  := INT | INT "/" POSINT
     monomial  := factor ("*" factor)*          factor := rational | "x"INT["^"INT]
     poly      := ["+"|"-"] monomial (("+"|"-") monomial)*
-    lie term  := [monomial "*"] "d"INT         summed like poly terms
+    lie term  := [monomial "*"] "d"INT | "0"   summed like poly terms
     triaut    := "[" poly ("," poly)* [";" rational ("," rational)*] "]"
     ordinal   := ("w"["^"INT]["*"INT] | INT) joined by "+"
     series    := like poly but in the single symbol "D"
@@ -29,7 +29,7 @@ from .autgroup import GnElem
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
-from .poly import Poly, format_poly, rat_str
+from .poly import Poly, _add_terms, format_poly, rat_str
 from .series import OpSeries, format_series
 from .triaut import TriAut, format_triaut
 
@@ -246,9 +246,12 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
         start = tok.start
         sgn = p.sign()
         coeff, exps, d_tok = _parse_monomial(p, n, stop_on_d=True)
+        first = False
         if d_tok is None:
-            tok = p.peek()
-            raise ParseError("term is missing its d-part", start, tok.start)
+            if coeff or exps:
+                tok = p.peek()
+                raise ParseError("term is missing its d-part", start, tok.start)
+            continue  # a bare zero, as the zero derivation prints
         index = int(d_tok.text[1:])
         if index < 1:
             raise SemanticError("derivation indices start at 1",
@@ -256,10 +259,9 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
         raw.append((coeff * sgn, exps, index, start, d_tok.end))
         max_d = max(max_d, index)
         max_x = max(max_x, max(exps, default=0))
-        first = False
     p.done()
     rank = n if n is not None else max(max_d, max_x + 1, 2)
-    terms: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    terms: list[tuple[tuple[tuple[int, ...], int], Fraction]] = []
     for coeff, exps, index, start, end in raw:
         if index > rank:
             raise SemanticError(f"d{index} exceeds rank {rank}", start, end)
@@ -267,14 +269,10 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
             reason = ("coefficient of d1 must be constant" if index == 1 else
                       f"coefficient of d{index} may only use x1..x{index - 1}")
             raise SemanticError(reason, start, end)
-        alpha = tuple(exps.get(i, 0) for i in range(1, index))
-        key = (alpha, index)
-        total = terms.get(key, Fraction(0)) + coeff
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
-    return LieElem(rank, terms)
+        if coeff:
+            alpha = tuple(exps.get(i, 0) for i in range(1, index))
+            terms.append(((alpha, index), coeff))
+    return LieElem(rank, _add_terms({}, terms))
 
 
 # -- triangular automorphisms ----------------------------------------------------------

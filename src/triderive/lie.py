@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import Poly, Rat, RatLike, iter_exponents, rat
+from .poly import (Poly, Rat, RatLike, _add_terms, _format_terms,
+                   format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -133,14 +134,7 @@ class LieElem:
 
     def __add__(self, other: LieElem) -> LieElem:
         self._require_same_rank(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return _make(self.n, terms)
+        return _make(self.n, _add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> LieElem:
         return _make(self.n, {k: -c for k, c in self.terms.items()})
@@ -392,21 +386,9 @@ def center_solve(n: int, max_degree: int) -> list[LieElem]:
 
 def format_lie(u: LieElem) -> str:
     """Canonical text: terms in descending basis order, e.g. "3*x1*d2 + d2"."""
-    if not u.terms:
-        return "0"
-    from .poly import format_monomial, rat_str
-
-    chunks: list[str] = []
+    terms = []
     for key in sorted(u.terms, key=key_sort_key, reverse=True):
         alpha, i = key
-        coeff = u.terms[key]
         mono = format_monomial(alpha)
-        mag = abs(coeff)
-        body = f"d{i}" if not mono else f"{mono}*d{i}"
-        if mag != 1:
-            body = f"{rat_str(mag)}*{body}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+        terms.append((f"{mono}*d{i}" if mono else f"d{i}", u.terms[key]))
+    return _format_terms(terms)

@@ -22,28 +22,43 @@ composed substitutions fails loudly instead of consuming the machine.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import DegreeCapError, DomainError
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
+_K = TypeVar("_K")
 
 # Maximum total degree any operation may produce.  Reassign to loosen or
 # tighten; operations check bounds before doing the expensive work.
 DEGREE_CAP = 64
 
 
+# A rational as text: optional sign, ASCII digits, optional "/" denominator.
+_RAT_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(value: RatLike | str) -> Rat:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or "p/q" string to an exact rational.
+
+    A string is an optional sign and ASCII digits, optionally followed by
+    "/" and a nonzero denominator of ASCII digits; nothing else, not even
+    surrounding spaces, is accepted.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        match = _RAT_TEXT.fullmatch(value)
+        if match is not None:
+            num, den = match.groups()
+            if den is None or int(den):
+                return Fraction(int(num), int(den or 1))
     raise DomainError(f"not a rational: {value!r}")
 
 
@@ -160,18 +175,8 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._require_same_ring(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = c
-            else:
-                s = prev + c
-                if s:
-                    terms[exps] = s
-                else:
-                    del terms[exps]
-        return _make(self.nvars, terms)
+        return _make(self.nvars,
+                     _add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> Poly:
         return _make(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -241,9 +246,11 @@ class Poly:
         if len(images) != self.nvars:
             raise DomainError(
                 f"need {self.nvars} substitution images, got {len(images)}")
+        if not images:
+            # A constant in no variables: no image names another ring.
+            return self
         if not self.terms:
-            target = images[0].nvars if images else self.nvars
-            return Poly(target)
+            return Poly(images[0].nvars)
         if not isinstance(images, _Images):
             images = _Images(images)
         degs = images.degs
@@ -323,6 +330,24 @@ def _make(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _add_terms(acc: dict[_K, Fraction],
+               items: Iterable[tuple[_K, Fraction]]) -> dict[_K, Fraction]:
+    """Add each (key, nonzero coefficient) pair into acc, dropping every
+    key whose sum is zero, and return acc.  The sparse sum of
+    polynomials, derivations and series."""
+    for key, c in items:
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = c
+        else:
+            s = prev + c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
 
 
 def _int_terms(p: Poly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -406,11 +431,16 @@ def format_monomial(exps: Sequence[int]) -> str:
 
 def format_poly(p: Poly) -> str:
     """Canonical text: terms in descending graded-lex order."""
-    if not p.terms:
-        return "0"
+    return _format_terms((format_monomial(exps), coeff)
+                         for exps, coeff in p.sorted_terms())
+
+
+def _format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Signed sum of (monomial text, coefficient) pairs in the given order,
+    e.g. "-x1^2 + 3/2*x2 - 1".  The empty monomial is the unit; no terms
+    print as "0"."""
     chunks: list[str] = []
-    for exps, coeff in p.sorted_terms():
-        mono = format_monomial(exps)
+    for mono, coeff in terms:
         mag = abs(coeff)
         if not mono:
             body = rat_str(mag)
@@ -422,7 +452,7 @@ def format_poly(p: Poly) -> str:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
 
 
 def iter_exponents(nvars: int, max_total: int) -> Iterator[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, TruncationError
-from .poly import Poly, RatLike, rat, rat_str
+from .poly import Poly, RatLike, _add_terms, _format_terms, rat
 
 KINDS = ("F", "FP", "E")
 
@@ -237,13 +237,7 @@ class OpSeries:
         if self.kind != "E" or other.kind != "E":
             raise DomainError("coefficient-wise sums are for no-constant series")
         order = _min_order(self.order, other.order)
-        coeffs = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            s = coeffs.get(deg, Fraction(0)) + c
-            if s:
-                coeffs[deg] = s
-            else:
-                del coeffs[deg]
+        coeffs = _add_terms(dict(self.coeffs), other.coeffs.items())
         if order is not None:
             coeffs = {d: c for d, c in coeffs.items() if d <= order}
         return OpSeries("E", self.var, order, coeffs)
@@ -313,18 +307,7 @@ def factor_shift(f: OpSeries, order: int | None = None) -> tuple[Fraction, OpSer
 
 def format_series(s: OpSeries) -> str:
     """Canonical text in the symbol D, ascending degree, e.g. "1 + 1/2*D^2"."""
-    chunks: list[str] = []
-    if s.kind != "E":
-        chunks.append("1")
+    terms = [] if s.kind == "E" else [("", Fraction(1))]
     for deg in sorted(s.coeffs):
-        c = s.coeffs[deg]
-        mono = "D" if deg == 1 else f"D^{deg}"
-        mag = abs(c)
-        body = mono if mag == 1 else f"{rat_str(mag)}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not chunks:
-        return "0"
-    return " ".join(chunks)
+        terms.append(("D" if deg == 1 else f"D^{deg}", s.coeffs[deg]))
+    return _format_terms(terms)

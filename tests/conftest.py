@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from triderive import LieElem, Poly, TriAut
+from triderive import LieElem, OpSeries, Poly, TriAut
 
 settings.register_profile(
     "suite",
@@ -62,6 +62,15 @@ def triangular_auts(n: int, max_total: int = 2) -> st.SearchStrategy[TriAut]:
     lams = st.lists(rationals(span=3, nonzero=True), min_size=n, max_size=n)
     return st.tuples(unipotent_auts(n, max_total), lams).map(
         lambda pair: TriAut(list(pair[0].a), pair[1]))
+
+
+def unit_series(order: int = 6, kind: str = "F") -> st.SearchStrategy[OpSeries]:
+    """Series in D = d/dx1 through ``order``; despite the name, kind "E"
+    gives series with no constant term."""
+    lowest = 2 if kind == "FP" else 1
+    return st.dictionaries(
+        st.integers(lowest, order), rationals(span=3, nonzero=True), max_size=3,
+    ).map(lambda coeffs: OpSeries(kind, 1, order, coeffs))
 
 
 def rand_poly(rng: random.Random, nvars: int, max_terms: int = 4,

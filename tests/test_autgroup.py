@@ -128,9 +128,28 @@ class TestDecompose:
             decompose(torpedo)
 
 
+def phi_resummation(w: LieElem, m: int) -> Poly:
+    """Oracle for _phi_extract: the d_n coefficient of
+    sum_k (-1)^k x_m^k / k! ad(d_m)^k w, built from brackets.  By Taylor's
+    formula it is that coefficient with x_m := 0."""
+    n = w.n
+    dm = LieElem.d(n, m)
+    xm = Poly.var(n, m)
+    acc = Poly.zero(n)
+    cur = w
+    factor = Poly.const(n, 1)
+    k = 0
+    while cur:
+        acc = acc + cur.coefficient_poly(n) * factor
+        cur = bracket(dm, cur)
+        k += 1
+        factor = factor * xm.scale(Fraction(-1, k))
+    return acc
+
+
 class TestPhiExtract:
-    """The bracket resummation in decompose against the direct reading:
-    the constant left in the d_n coefficient once x_m := 0."""
+    """The direct reading in decompose, the constant left in the d_n
+    coefficient once x_m := 0, against the bracket resummation."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_direct_reading(self, seed):
@@ -145,11 +164,17 @@ class TestPhiExtract:
         w = LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [q])
         direct = q.set_var_to_zero(m)
         assert direct == Poly.const(n, direct.constant_term())
+        assert phi_resummation(w, m) == direct
         assert _phi_extract(w, m) == direct.constant_term()
+        # the resummation is the substitution for any d_n coefficient
+        r = rand_poly(rng, n, 4, 3, n - 1)
+        v = LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [r])
+        assert phi_resummation(v, m) == r.set_var_to_zero(m)
 
     def test_rejects_what_the_direct_reading_leaves_nonconstant(self):
         # (2*x1*x2 + x1) d3 keeps x1 d3 after x2 := 0
         w = LieElem.basis(3, (1, 1), 3, 2) + LieElem.basis(3, (1, 0), 3)
+        assert phi_resummation(w, 2) == Poly.var(3, 1)
         with pytest.raises(InternalError):
             _phi_extract(w, 2)
         with pytest.raises(DomainError):

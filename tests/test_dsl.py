@@ -3,8 +3,11 @@
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from conftest import lie_elems, polys, unipotent_auts, unit_series
 from triderive import (DomainError, GnElem, LieElem, OpSeries, ParseError,
                        Poly, SemanticError, TriAut, gnelem_from_json,
                        gnelem_to_json, parse, print_value)
@@ -57,6 +60,13 @@ class TestLieText:
         assert parse_lie("d2", 2) == LieElem.d(2, 2)
         assert parse_lie("2*x1^3*d2 - d1", 2) == (
             LieElem.basis(2, (3,), 2, 2) + LieElem.d(2, 1).scale(-1))
+
+    def test_zero(self):
+        assert parse_lie("0", 3) == LieElem.zero(3)
+        assert parse_lie("0 - d1", 2) == LieElem.d(2, 1).scale(-1)
+        for text in ("1", "x1", "0*x1", "d1 + 2"):
+            with pytest.raises(ParseError):
+                parse_lie(text, 2)
 
     def test_coefficient_ring_enforced(self):
         with pytest.raises(SemanticError) as info:
@@ -122,6 +132,59 @@ class TestSeriesText:
             parse_series("2 + D", "F", 1, 4)
         with pytest.raises(SemanticError):
             parse_series("1 + D", "E", 1, 4)
+
+
+class TestPrinterRoundTrip:
+    """One term printer serves polynomials, derivations, maps and series:
+    what it prints parses back to the value, and prints the same again."""
+
+    @staticmethod
+    def assert_round_trip(value, parse_text):
+        text = print_value(value)
+        back = parse_text(text)
+        assert back == value
+        assert print_value(back) == text
+
+    @given(polys(3))
+    def test_polys(self, p):
+        self.assert_round_trip(p, lambda text: parse_poly(text, 3))
+
+    @given(lie_elems(3))
+    def test_lie_elems(self, u):
+        self.assert_round_trip(u, lambda text: parse_lie(text, 3))
+
+    @given(unipotent_auts(3))
+    def test_unipotent_auts(self, sigma):
+        self.assert_round_trip(sigma, lambda text: parse_triaut(text, 3))
+
+    @given(st.sampled_from(["F", "FP", "E"]).flatmap(
+        lambda kind: unit_series(kind=kind)))
+    def test_series(self, s):
+        self.assert_round_trip(
+            s, lambda text: parse_series(text, s.kind, s.var, s.order))
+
+    @pytest.mark.parametrize("kind, text", [
+        ("poly", "-x1^2 + x2"),
+        ("poly", "-x1 - x2 + 1"),
+        ("poly", "-3/2"),
+        ("poly", "1"),
+        ("poly", "0"),
+        ("lie", "-d4"),
+        ("lie", "-d1 - 1/2*x1*x3^2*d4"),
+        ("lie", "0"),
+        ("lie", "x1*d2 - 2*d2"),
+        ("triaut", "[-1, -x1 ; -1, 2/3]"),
+        ("series-F", "1 - D + 1/2*D^3"),
+        ("series-E", "-D + 1/2*D^3"),
+        ("series-E", "-7/2*D^2"),
+        ("series-E", "0"),
+    ])
+    def test_pinned_signs_and_magnitudes(self, kind, text):
+        if kind.startswith("series-"):
+            value = parse_series(text, kind[len("series-"):], 1, 6)
+        else:
+            value = parse(kind, text)
+        assert print_value(value) == text
 
 
 class TestGnElemJson:

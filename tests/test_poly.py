@@ -164,6 +164,11 @@ class TestSubstitution:
         with pytest.raises(DomainError):
             Poly.var(2, 1).substitute([Poly.var(2, 1)])
 
+    def test_constant_in_no_variables(self):
+        # no image names a target ring: the constant stays in its own ring
+        assert Poly(0, {(): 5}).substitute([]) == Poly.const(0, 5)
+        assert Poly(0).substitute([]) == Poly.zero(0)
+
     def test_mixed_image_rings(self):
         with pytest.raises(DomainError):
             Poly.var(2, 1).substitute([Poly.var(2, 1), Poly.var(3, 1)])
@@ -261,7 +266,16 @@ class TestProjectionAndFormat:
 
     def test_rat_round_trip(self):
         assert rat("3/4") == Fraction(3, 4)
+        assert rat("-5/3") == Fraction(-5, 3)
+        assert rat("+7") == 7
+        assert rat("0/9") == 0
         assert rat_str(Fraction(-5, 3)) == "-5/3"
         assert rat_str(Fraction(7)) == "7"
+        for value in (Fraction(-5, 3), Fraction(7), Fraction(0)):
+            assert rat(rat_str(value)) == value
         with pytest.raises(DomainError):
             rat(1.5)
+        for text in ("1e3", " 1.5 ", "1.5", "1_000", "١٢", "1/0", "1/00",
+                     "1/-2", "--1", "", "/2", "3/", " 7", "7 ", "inf", "½"):
+            with pytest.raises(DomainError):
+                rat(text)

@@ -6,15 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import rationals
+from conftest import unit_series
 from triderive import DomainError, OpSeries, Poly, TruncationError, factor_shift
-
-
-def unit_series(order: int = 6, kind: str = "F") -> st.SearchStrategy[OpSeries]:
-    lowest = 2 if kind == "FP" else 1
-    return st.dictionaries(
-        st.integers(lowest, order), rationals(span=3, nonzero=True), max_size=3,
-    ).map(lambda coeffs: OpSeries(kind, 1, order, coeffs))
 
 
 class TestConstruction:
