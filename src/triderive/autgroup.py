@@ -56,9 +56,14 @@ def _shift_aut(n: int, mus: Sequence[Fraction]) -> TriAut:
 
 
 class GnElem:
-    """Immutable group element in canonical coordinates (Form A or B)."""
+    """Immutable group element in canonical coordinates (Form A or B).
 
-    __slots__ = ("n", "form", "t", "tau", "s", "f", "e")
+    A Form A element builds its frame map tau . s once, on the first
+    ``act`` that needs it, and keeps it for its lifetime, together with
+    the caches that conjugation fills on that map.
+    """
+
+    __slots__ = ("n", "form", "t", "tau", "s", "f", "e", "_frame")
 
     def __init__(self, n: int, form: str, t: Sequence[RatLike], tau: TriAut,
                  s: Sequence[RatLike] | None, f: OpSeries,
@@ -109,6 +114,7 @@ class GnElem:
         object.__setattr__(self, "s", svals)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "e", evals)
+        object.__setattr__(self, "_frame", None)
 
     @staticmethod
     def identity(n: int, form: str = "A") -> GnElem:
@@ -141,6 +147,17 @@ class GnElem:
         if not self.f.agrees_with(other.f, through):
             return False
         return all(a.agrees_with(b, through) for a, b in zip(self.e, other.e))
+
+    def _frame_map(self) -> TriAut:
+        """The Form A triangular factor tau . s as one map, built once."""
+        frame = self._frame
+        if frame is None:
+            assert self.s is not None
+            frame = self.tau
+            if any(self.s):
+                frame = frame.compose(_shift_aut(self.n, self.s))
+            object.__setattr__(self, "_frame", frame)
+        return frame
 
     def __repr__(self) -> str:
         return (f"GnElem(n={self.n}, form={self.form!r}, t={self.t}, "
@@ -178,17 +195,19 @@ def _apply_unit_series(f: OpSeries, u: LieElem) -> LieElem:
 
 
 def act(g: GnElem, u: LieElem) -> LieElem:
-    """Evaluate the automorphism on a derivation, factor by factor."""
+    """Evaluate the automorphism on a derivation, factor by factor.
+
+    In Form A the shift and the triangular part act through one
+    conjugation by the frame map tau . s, which g builds once and keeps.
+    """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
     if g.form == "A":
         w = _apply_feeds(g.e, u)
         w = _apply_unit_series(g.f, w)
-        assert g.s is not None
-        if any(g.s):
-            w = conjugate_derivation(_shift_aut(g.n, g.s), w)
-        if not g.tau.is_identity():
-            w = conjugate_derivation(g.tau, w)
+        frame = g._frame_map()
+        if not frame.is_identity():
+            w = conjugate_derivation(frame, w)
         return torus_apply(g.t, w)
     w = _apply_unit_series(g.f, u)
     w = _apply_feeds(g.e, w)
@@ -389,8 +408,7 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     tt = TriAut.torus(g.t)
     if target == "B":
         lam1, fp = factor_shift(g.f, order)
-        assert g.s is not None
-        inner = g.tau.compose(_shift_aut(n, g.s))
+        inner = g._frame_map()
         if lam1:
             inner = inner.compose(TriAut.one_shift(n, n - 1, lam1))
         tau_b = normalize_mod_shn(tt.compose(inner).compose(tt.invert()))

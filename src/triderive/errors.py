@@ -19,6 +19,12 @@ class DomainError(TriderivError):
 class DegreeCapError(DomainError):
     """A polynomial operation would exceed the configured degree cap."""
 
+    def __init__(self, message: str, degree: int | None = None,
+                 cap: int | None = None):
+        super().__init__(message)
+        self.degree = degree
+        self.cap = cap
+
 
 class TruncationError(TriderivError):
     """A series query needs coefficients beyond the stored order."""

@@ -72,7 +72,8 @@ def rat_str(value: Rat) -> str:
 def _check_cap(degree: int, context: str) -> None:
     if degree > DEGREE_CAP:
         raise DegreeCapError(
-            f"{context} would reach total degree {degree}, over the cap {DEGREE_CAP}")
+            f"{context} would reach total degree {degree}, over the cap {DEGREE_CAP}",
+            degree, DEGREE_CAP)
 
 
 class Poly:

@@ -24,7 +24,7 @@ from .poly import Poly, RatLike, _Images, rat, rat_str
 class TriAut:
     """Immutable triangular automorphism of the rank-n polynomial ring."""
 
-    __slots__ = ("n", "a", "lam", "_images", "_inv")
+    __slots__ = ("n", "a", "lam", "_images", "_inv", "_jac_inv")
 
     def __init__(self, a: Sequence[Poly], lam: Sequence[RatLike] | None = None):
         n = len(a)
@@ -50,6 +50,7 @@ class TriAut:
         object.__setattr__(self, "lam", lams)
         object.__setattr__(self, "_images", None)
         object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_jac_inv", None)
 
     # -- constructors ---------------------------------------------------
 
@@ -148,6 +149,32 @@ class TriAut:
         object.__setattr__(inv, "_inv", self)
         return inv
 
+    def _inverse_jacobian(self) -> tuple[tuple[Poly, ...], ...]:
+        """The inverse Jacobian M of this map, row j holding M[j][i] for
+        i <= j: M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j),
+        and M[j][j] = 1/lambda_j.  Built once, by forward substitution in
+        J M = 1 (J = the Jacobian of sigma, lower triangular with the
+        lambdas on its diagonal), which needs products but no inversion
+        and no substitution."""
+        cached = self._jac_inv
+        if cached is None:
+            n = self.n
+            rows: list[tuple[Poly, ...]] = []
+            for j in range(n):
+                grad = [self.a[j].diff(k + 1) for k in range(j)]
+                row = []
+                for i in range(j):
+                    acc = Poly.zero(n)
+                    for k in range(i, j):
+                        if grad[k] and rows[k][i]:
+                            acc = acc + grad[k] * rows[k][i]
+                    row.append(acc.scale(-1 / self.lam[j]))
+                row.append(Poly.const(n, 1 / self.lam[j]))
+                rows.append(tuple(row))
+            cached = tuple(rows)
+            object.__setattr__(self, "_jac_inv", cached)
+        return cached
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriAut):
             return NotImplemented
@@ -182,11 +209,30 @@ def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
 
 
 def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
-    """The derivation sigma u sigma^(-1), coordinate-wise: its d_j
-    coefficient is sigma(u(sigma^(-1)(x_j)))."""
+    """The derivation sigma u sigma^(-1).
+
+    Its d_j coefficient is sigma(u(q_j)) with q_j = sigma^(-1)(x_j).  By
+    the chain rule that is sum_{i <= j} M[j][i] sigma(p_i), where p_i is
+    the d_i coefficient of u and M[j][i] = sigma(d q_j / d x_i) is the
+    inverse Jacobian of sigma, a lower-triangular matrix with diagonal
+    1/lambda_j.  sigma caches M, next to its images and their powers, so
+    a conjugation substitutes only the nonzero coefficients of u and
+    multiplies each into one column of M.
+    """
     if sigma.n != u.n:
         raise DomainError(f"mixed ranks: {sigma.n} vs {u.n}")
-    coeffs = [sigma.apply(u.apply_to(q)) for q in sigma.invert().images()]
+    n = sigma.n
+    jac = sigma._inverse_jacobian()
+    coeffs = [Poly.zero(n)] * n
+    for i in sorted({i for _, i in u.terms}):
+        image = sigma.apply(u.coefficient_poly(i))
+        lam = sigma.lam[i - 1]
+        diag = image if lam == 1 else image.scale(1 / lam)
+        coeffs[i - 1] = coeffs[i - 1] + diag
+        for j in range(i, n):
+            m = jac[j][i - 1]
+            if m:
+                coeffs[j] = coeffs[j] + m * image
     try:
         return LieElem.from_coefficients(coeffs)
     except DomainError as exc:

@@ -216,6 +216,28 @@ class TestSympyOracle:
             simultaneous=True)
         assert p.substitute(images).terms == sympy_terms(expr, syms[:target])
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diff(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"diff:{seed}")
+        n = rng.randint(1, 4)
+        syms = sympy.symbols(f"x1:{n + 1}")
+        p = rand_poly(rng, n, 6, 5)
+        for i, s in enumerate(syms, start=1):
+            expected = sympy_terms(sympy.diff(to_sympy(p, syms), s), syms)
+            assert p.diff(i).terms == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_power(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"pow:{seed}")
+        n = rng.randint(1, 4)
+        syms = sympy.symbols(f"x1:{n + 1}")
+        p = rand_poly(rng, n, 3, 3)
+        for k in range(6):
+            expected = sympy_terms(sympy.expand(to_sympy(p, syms) ** k), syms)
+            assert (p ** k).terms == expected
+
 
 def _phi_projection_series(p: Poly) -> Fraction:
     """The constant-term projection computed the slow way, as the

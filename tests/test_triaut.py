@@ -12,7 +12,7 @@ from triderive import (AutoAction, DegreeCapError, DomainError, LieElem, Poly,
                        TriAut, bracket, conjugate_derivation, decompose,
                        exp_ad_apply, exp_map, log_map, normalize_mod_shn,
                        reconstruct_from_frames)
-from triderive.dsl import parse_triaut
+from triderive.dsl import parse_lie, parse_triaut
 from triderive.triaut import format_triaut, split_ct_shift
 
 
@@ -107,6 +107,8 @@ class TestSubstitutionKernel:
             decompose(AutoAction.from_triaut(sigma))
         assert str(info.value) == \
             "substitution would reach total degree 65, over the cap 64"
+        assert info.value.degree == 65
+        assert info.value.cap == 64
 
 
 class TestExpLog:
@@ -131,6 +133,88 @@ class TestExpLog:
     def test_one_parameter_subgroup(self):
         u = LieElem.basis(3, (1, 2), 3) + LieElem.basis(3, (1,), 2)
         assert exp_map(u).compose(exp_map(u.scale(-1))).is_identity()
+
+
+def conjugate_by_substitution(sigma: TriAut, u: LieElem) -> LieElem:
+    """The conjugation sigma u sigma^(-1) straight from its definition,
+    the oracle of the inverse-Jacobian kernel: the d_j coefficient is
+    sigma(u(sigma^(-1)(x_j)))."""
+    return LieElem.from_coefficients(
+        [sigma.apply(u.apply_to(q)) for q in sigma.invert().images()])
+
+
+def rand_lie(rng: random.Random, n: int) -> LieElem:
+    """A seeded derivation with a coefficient on every d_i."""
+    return LieElem.from_coefficients(
+        [rand_poly(rng, n, 2, 2, i - 1) for i in range(1, n + 1)])
+
+
+class TestConjugationKernel:
+    """conjugate_derivation goes through the cached inverse Jacobian."""
+
+    @given(triangular_auts(3), lie_elems(3))
+    def test_matches_the_definition(self, sigma, u):
+        assert conjugate_derivation(sigma, u) == conjugate_by_substitution(sigma, u)
+
+    @given(triangular_auts(4, max_total=1), lie_elems(4, max_degree=2))
+    def test_matches_the_definition_at_rank4(self, sigma, u):
+        assert conjugate_derivation(sigma, u) == conjugate_by_substitution(sigma, u)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("d1", "1/2*d1 - x1*d2 - 1/6*x2*d3 + 1/3*x1^2*d3 + 1/3*x2*x3*d4"
+               " - 2/3*x1^2*x3*d4"),
+        ("d2", "d2 - 1/3*x1*d3 + 2/3*x1*x3*d4"),
+        ("x1*x2*d3", "2/3*x1*x2*d3 + 2/3*x1^3*d3 - 4/3*x1*x2*x3*d4"
+                     " - 4/3*x1^3*x3*d4"),
+        ("d1 + x1*d2 - 3*x3^2*d4", None),
+    ])
+    def test_pinned_rank4_torus_map(self, text, expected):
+        sigma = parse_triaut("[0,x1^2,x1*x2,x3^2;2,1,3,1]")
+        u = parse_lie(text, 4)
+        got = conjugate_derivation(sigma, u)
+        assert got == conjugate_by_substitution(sigma, u)
+        if expected is not None:
+            assert str(got) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inverse_jacobian_is_built_once(self, seed):
+        rng = random.Random(f"jacobian:{seed}")
+        n = rng.randint(2, 4)
+        sigma = rand_triaut(rng, n)
+        assert sigma._jac_inv is None
+        conjugate_derivation(sigma, rand_lie(rng, n))
+        jac = sigma._jac_inv
+        for _ in range(3):
+            u = rand_lie(rng, n)
+            assert conjugate_derivation(sigma, u) == conjugate_by_substitution(sigma, u)
+            assert sigma._jac_inv is jac
+        # M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j).
+        for j, q in enumerate(sigma.invert().images(), start=1):
+            assert jac[j - 1] == tuple(sigma.apply(q.diff(i))
+                                       for i in range(1, j + 1))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"conjugate:{seed}")
+        n = rng.randint(2, 4)
+        syms = sympy.symbols(f"x1:{n + 1}")
+        sigma = rand_triaut(rng, n)
+        u = rand_lie(rng, n)
+        forward = {s: lam * s + to_sympy(a, syms)
+                   for s, lam, a in zip(syms, sigma.lam, sigma.a)}
+        # sigma^(-1)(x_j) = (x_j - a_j(sigma^(-1)(x_1), ...)) / lambda_j
+        inverse: dict = {}
+        for s, lam, a in zip(syms, sigma.lam, sigma.a):
+            inverse[s] = sympy.expand(
+                (s - to_sympy(a, syms).subs(inverse, simultaneous=True)) / lam)
+        coeffs = [to_sympy(p, syms) for p in u.coefficient_polys()]
+        got = conjugate_derivation(sigma, u).coefficient_polys()
+        for j, s in enumerate(syms):
+            q = inverse[s]
+            uq = sum(c * sympy.diff(q, x) for c, x in zip(coeffs, syms))
+            expr = sympy.expand(sympy.sympify(uq).subs(forward, simultaneous=True))
+            assert got[j].terms == sympy_terms(expr, syms)
 
 
 class TestConjugation:
