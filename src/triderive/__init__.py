@@ -11,8 +11,7 @@ from .triaut import (TriAut, conjugate_derivation, exp_map, log_map,
                      normalize_mod_shn, reconstruct_from_frames)
 from .series import OpSeries, factor_shift
 from .autgroup import (AutoAction, GnElem, act, commutator, convert_form,
-                       decompose, exp_ad_auto, gn_inverse, multiply_formula,
-                       torus_apply)
+                       decompose, exp_ad_auto, gn_inverse, multiply_formula)
 from .dsl import gnelem_from_json, gnelem_to_json, parse, print_value
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "OpSeries", "factor_shift",
     "GnElem", "AutoAction", "act", "decompose", "convert_form",
     "multiply_formula", "gn_inverse", "commutator", "exp_ad_auto",
-    "torus_apply",
     "parse", "print_value", "gnelem_from_json", "gnelem_to_json",
 ]
 

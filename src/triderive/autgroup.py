@@ -15,8 +15,11 @@ one.  Two coordinate layouts are supported:
 
 Form A is what the black-box decomposition produces; Form B is where
 the closed multiplication formula lives.  ``act`` evaluates either form
-on a derivation, ``decompose`` recovers Form A coordinates from action
-queries alone, and ``convert_form`` moves between the two layouts.
+on a derivation: the series factors act on coefficients, and the whole
+triangular factor (t . tau . s in Form A, tau . t in Form B) acts as one
+automorphism, the element's frame map, through one conjugation.
+``decompose`` recovers Form A coordinates from action queries alone,
+and ``convert_form`` moves between the two layouts.
 """
 
 from __future__ import annotations
@@ -34,33 +37,13 @@ from .triaut import (TriAut, conjugate_derivation, exp_map, normalize_mod_shn,
                      reconstruct_from_frames, split_ct_shift)
 
 
-def torus_apply(lams: Sequence[Fraction], u: LieElem) -> LieElem:
-    """Action of the coordinate scaling x_k -> lam_k x_k on a derivation:
-    x^a d_i picks up lam^a / lam_i."""
-    if len(lams) != u.n:
-        raise DomainError("need one scale per coordinate")
-    terms = {}
-    for (alpha, i), c in u.terms.items():
-        factor = 1 / lams[i - 1]
-        for k, a in enumerate(alpha):
-            if a:
-                factor *= lams[k] ** a
-        terms[(alpha, i)] = c * factor
-    return LieElem(u.n, terms)
-
-
-def _shift_aut(n: int, mus: Sequence[Fraction]) -> TriAut:
-    """Shift of x1..x_{n-2} by the given constants, as an automorphism."""
-    parts = [Poly.const(n, m) for m in mus] + [Poly.zero(n), Poly.zero(n)]
-    return TriAut(parts)
-
-
 class GnElem:
     """Immutable group element in canonical coordinates (Form A or B).
 
-    A Form A element builds its frame map tau . s once, on the first
-    ``act`` that needs it, and keeps it for its lifetime, together with
-    the caches that conjugation fills on that map.
+    The element builds its frame map, the whole triangular factor (torus
+    included) as one automorphism, once, on the first ``act`` that needs
+    it, and keeps it for its lifetime, together with the caches that
+    conjugation fills on that map.
     """
 
     __slots__ = ("n", "form", "t", "tau", "s", "f", "e", "_frame")
@@ -149,13 +132,17 @@ class GnElem:
         return all(a.agrees_with(b, through) for a, b in zip(self.e, other.e))
 
     def _frame_map(self) -> TriAut:
-        """The Form A triangular factor tau . s as one map, built once."""
+        """The triangular factor as one map, built once: t . tau . s in
+        Form A, tau . t in Form B."""
         frame = self._frame
         if frame is None:
-            assert self.s is not None
-            frame = self.tau
-            if any(self.s):
-                frame = frame.compose(_shift_aut(self.n, self.s))
+            tt = TriAut.torus(self.t)
+            if self.s is None:
+                frame = self.tau.compose(tt)
+            else:
+                frame = tt.compose(self.tau)
+                if any(self.s):
+                    frame = frame.compose(TriAut.shift(self.s + (0, 0)))
             object.__setattr__(self, "_frame", frame)
         return frame
 
@@ -195,25 +182,22 @@ def _apply_unit_series(f: OpSeries, u: LieElem) -> LieElem:
 
 
 def act(g: GnElem, u: LieElem) -> LieElem:
-    """Evaluate the automorphism on a derivation, factor by factor.
+    """Evaluate the automorphism on a derivation.
 
-    In Form A the shift and the triangular part act through one
-    conjugation by the frame map tau . s, which g builds once and keeps.
+    The series factors act first, in the order of g's form; then the
+    whole triangular factor (torus, triangular part and, in Form A, the
+    shift) acts through one conjugation by the frame map, which g builds
+    once and keeps.
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
     if g.form == "A":
-        w = _apply_feeds(g.e, u)
-        w = _apply_unit_series(g.f, w)
-        frame = g._frame_map()
-        if not frame.is_identity():
-            w = conjugate_derivation(frame, w)
-        return torus_apply(g.t, w)
-    w = _apply_unit_series(g.f, u)
-    w = _apply_feeds(g.e, w)
-    w = torus_apply(g.t, w)
-    if not g.tau.is_identity():
-        w = conjugate_derivation(g.tau, w)
+        w = _apply_unit_series(g.f, _apply_feeds(g.e, u))
+    else:
+        w = _apply_feeds(g.e, _apply_unit_series(g.f, u))
+    frame = g._frame_map()
+    if not frame.is_identity():
+        w = conjugate_derivation(frame, w)
     return w
 
 
@@ -285,10 +269,6 @@ def _phi_extract(w: LieElem, m: int) -> Fraction:
     return const
 
 
-def _unit_key(i: int, n: int) -> tuple[tuple[int, ...], int]:
-    return ((0,) * (i - 1), i)
-
-
 def _spot_check(action: AutoAction, rng: random.Random, pairs: int = 20) -> None:
     """Cheap sanity probes: the action must be linear and respect brackets
     on random generator pairs before we trust it with a decomposition."""
@@ -307,54 +287,43 @@ def _spot_check(action: AutoAction, rng: random.Random, pairs: int = 20) -> None
             raise DomainError("action does not respect brackets on generators")
 
 
-def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
-              validate: bool = True) -> GnElem:
+def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     """Recover Form A coordinates of an automorphism from action queries.
 
-    Only standard generators are probed.  Series data is recovered through
-    the given order; everything else is exact.  Raises DomainError when
-    the probes show the black box is not an automorphism action of the
-    expected triangular shape.
+    Only standard generators are probed, after a spot check of linearity
+    and brackets on random generator pairs.  The images of d_1..d_n fix
+    the torus and the triangular part together, as the frame map t . tau;
+    the series factors are read off what remains once the frame map is
+    conjugated away.  Series data is recovered through the given order;
+    everything else is exact.  Raises DomainError when the probes show
+    the black box is not an automorphism action of the expected
+    triangular shape.
     """
     n = action.n
     if order < 1:
         raise DomainError("order must be at least 1")
-    if validate:
-        _spot_check(action, random.Random(7042))
+    _spot_check(action, random.Random(7042))
 
-    # Torus block: the image of d_i determines 1/lambda_i.
-    images = [action(LieElem.d(n, i)) for i in range(1, n + 1)]
-    lams: list[Fraction] = []
-    for i, w in enumerate(images, start=1):
-        c = w.terms.get(_unit_key(i, n))
-        if not c:
-            raise DomainError(f"image of d{i} lost its d{i} component")
-        for (alpha, j), _ in w.terms.items():
-            if j < i or (j == i and any(alpha)):
-                raise DomainError(f"image of d{i} is not lower triangular")
-        lams.append(1 / c)
-    t = tuple(lams)
-    tinv = tuple(1 / c for c in t)
-
-    # Triangular block: rescale the frame to unit leading terms and solve.
-    frames = [torus_apply(tinv, w) for w in images]
-    tau = reconstruct_from_frames(frames)
+    # The images of d_i are the frame of t . tau, scaled by 1/t_i.
+    tt_tau = reconstruct_from_frames(
+        [action(LieElem.d(n, i)) for i in range(1, n + 1)])
+    t = tt_tau.lam
+    tau = TriAut.torus(tuple(1 / c for c in t)).compose(tt_tau)
     if not tau.is_ct():
         raise InternalError("frame reconstruction left constant terms")
-
-    tt_tau = TriAut.torus(t).compose(tau)
     peel_tt = tt_tau.invert()
 
-    def residual(alpha: tuple[int, ...], i: int, scale: Fraction) -> LieElem:
-        """(t tau)^(-1)-conjugated image of scale * x^alpha d_i."""
+    def residual(peel: TriAut, alpha: tuple[int, ...], i: int,
+                 scale: Fraction) -> LieElem:
+        """The image of scale * x^alpha d_i, conjugated by peel."""
         w = action(LieElem.basis(n, alpha, i)).scale(scale)
-        return conjugate_derivation(peel_tt, w)
+        return conjugate_derivation(peel, w)
 
     # Unit series: probe x_{n-1}^i d_n and project.
     f_coeffs: dict[int, Fraction] = {}
     for i in range(1, order + 1):
         alpha = (0,) * (n - 2) + (i,)
-        w = residual(alpha, n, Fraction(1, math.factorial(i)))
+        w = residual(peel_tt, alpha, n, Fraction(1, math.factorial(i)))
         c = _phi_extract(w, n - 1)
         if c:
             f_coeffs[i] = c
@@ -365,12 +334,16 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
     mus: list[Fraction] = []
     for i in range(1, n - 1):
         alpha = (0,) * (i - 1) + (1,)
-        w = _apply_unit_series(f_inv, residual(alpha, i + 1, Fraction(1)))
+        w = _apply_unit_series(f_inv,
+                               residual(peel_tt, alpha, i + 1, Fraction(1)))
         if w.terms.get((alpha, i + 1)) != 1:
             raise DomainError(f"image of x{i}*d{i + 1} is not shift-shaped")
-        mus.append(w.terms.get(_unit_key(i + 1, n), Fraction(0)))
+        mus.append(w.terms.get(((0,) * i, i + 1), Fraction(0)))
     s = tuple(mus)
-    peel_shift = _shift_aut(n, s).invert() if any(mus) else None
+    # The feeds are read behind the whole frame map t . tau . s.
+    peel = peel_tt
+    if any(s):
+        peel = tt_tau.compose(TriAut.shift(s + (0, 0))).invert()
 
     # Feed series: what remains on x_{i-1}^j d_i beyond the element itself.
     e_list: list[OpSeries] = []
@@ -379,9 +352,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER,
         for j in range(1, order + 1):
             scale = Fraction(1, math.factorial(j))
             alpha = (0,) * (i - 2) + (j,)
-            w = _apply_unit_series(f_inv, residual(alpha, i, scale))
-            if peel_shift is not None:
-                w = conjugate_derivation(peel_shift, w)
+            w = _apply_unit_series(f_inv, residual(peel, alpha, i, scale))
             c = _phi_extract(w - LieElem.basis(n, alpha, i, scale), i - 1)
             if c:
                 coeffs[j] = c
@@ -408,10 +379,10 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     tt = TriAut.torus(g.t)
     if target == "B":
         lam1, fp = factor_shift(g.f, order)
-        inner = g._frame_map()
+        frame = g._frame_map()
         if lam1:
-            inner = inner.compose(TriAut.one_shift(n, n - 1, lam1))
-        tau_b = normalize_mod_shn(tt.compose(inner).compose(tt.invert()))
+            frame = frame.compose(TriAut.one_shift(n, n - 1, lam1))
+        tau_b = normalize_mod_shn(frame.compose(tt.invert()))
         return GnElem(n, "B", g.t, tau_b, None, fp, g.e)
 
     unipotent = tt.invert().compose(g.tau).compose(tt)
@@ -457,8 +428,8 @@ def multiply_formula(g: GnElem, h: GnElem) -> GnElem:
     tt = TriAut.torus(g.t)
     tau_new = g.tau
     if c:
-        correction = torus_apply(
-            g.t, LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [c]))
+        correction = conjugate_derivation(
+            tt, LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [c]))
         tau_new = tau_new.compose(exp_map(correction))
     tau_new = tau_new.compose(tt.compose(h.tau).compose(tt.invert()))
     tau_new = normalize_mod_shn(tau_new)

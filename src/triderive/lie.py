@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
 from .poly import (Poly, Rat, RatLike, _add_terms, _format_terms,
-                   format_monomial, iter_exponents, rat)
+                   _make as _make_poly, format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -74,9 +74,12 @@ class LieElem:
     def from_coefficients(polys: Sequence[Poly]) -> LieElem:
         """Build sum p_i d_i from coefficient polynomials in x1..xn.
 
-        Each p_i must use only x1..x_{i-1}.
+        Each p_i must use only x1..x_{i-1}.  The terms of a Poly are
+        already normalized, so they are taken over without a second check.
         """
         n = len(polys)
+        if n < 2:
+            raise DomainError("rank must be at least 2")
         terms: dict[Key, Fraction] = {}
         for i, p in enumerate(polys, start=1):
             if p.nvars != n:
@@ -85,7 +88,7 @@ class LieElem:
                 raise DomainError(f"coefficient of d_{i} may only use x1..x{i - 1}")
             for exps, c in p.terms.items():
                 terms[(exps[: i - 1], i)] = c
-        return LieElem(n, terms)
+        return _make(n, terms)
 
     # -- structure queries ----------------------------------------------
 
@@ -114,8 +117,8 @@ class LieElem:
         if not 1 <= i <= self.n:
             raise DomainError(f"derivation index {i} out of range 1..{self.n}")
         pad = (0,) * (self.n - i + 1)
-        return Poly(self.n, {alpha + pad: c
-                             for (alpha, j), c in self.terms.items() if j == i})
+        return _make_poly(self.n, {alpha + pad: c
+                                   for (alpha, j), c in self.terms.items() if j == i})
 
     def coefficient_polys(self) -> list[Poly]:
         return [self.coefficient_poly(i) for i in range(1, self.n + 1)]

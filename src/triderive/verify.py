@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .autgroup import (AutoAction, GnElem, _apply_feeds, _apply_unit_series,
                        act, decompose, convert_form, exp_ad_auto, gn_inverse,
-                       multiply_formula, torus_apply)
+                       multiply_formula)
 from .errors import TriderivError
 from .lie import (LieElem, bracket, center_solve, exp_ad_apply,
                   basis_compare, ideal_membership, iter_basis_keys,
@@ -140,9 +140,8 @@ def _e_action(n: int, i: int, s: OpSeries) -> AutoAction:
     return AutoAction(n, lambda u: _apply_feeds(feeds, u))
 
 
-def _torus_action(n: int, lams: Sequence[Fraction]) -> AutoAction:
-    fixed = tuple(Fraction(c) for c in lams)
-    return AutoAction(n, lambda u: torus_apply(fixed, u))
+def _torus_action(lams: Sequence[Fraction]) -> AutoAction:
+    return AutoAction.from_triaut(TriAut.torus(lams))
 
 
 def _chain(*actions: AutoAction) -> AutoAction:
@@ -349,8 +348,8 @@ def check_commutation_lemmas(rng: random.Random) -> str:
         i = rng.randint(2, n - 1)
         lams = _random_torus(rng, n)
         s = _random_series(rng, "E", i - 1, 4, None)
-        lhs = _chain(_torus_action(n, lams), _e_action(n, i, s),
-                     _torus_action(n, [1 / c for c in lams]))
+        lhs = _chain(_torus_action(lams), _e_action(n, i, s),
+                     _torus_action([1 / c for c in lams]))
         expected = s.scale_powers(1 / lams[i - 2]).scale_coeffs(
             lams[i - 1] / lams[n - 1])
         _actions_agree(lhs, _e_action(n, i, expected), n, 6,
@@ -361,8 +360,8 @@ def check_commutation_lemmas(rng: random.Random) -> str:
         lams = _random_torus(rng, n)
         for kind in ("F", "FP"):
             f = _random_series(rng, kind, n - 1, 4, None)
-            lhs = _chain(_torus_action(n, lams), _f_action(n, f),
-                         _torus_action(n, [1 / c for c in lams]))
+            lhs = _chain(_torus_action(lams), _f_action(n, f),
+                         _torus_action([1 / c for c in lams]))
             expected = f.scale_powers(1 / lams[n - 2])
             _ensure(expected.kind == kind and
                     (kind != "FP" or not expected.coefficient(1)),

@@ -3,15 +3,17 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from conftest import rand_poly
+from conftest import lie_elems, rand_poly, rationals
 from triderive import (AutoAction, DomainError, GnElem, InternalError,
                        LieElem, OpSeries,
-                       Poly, TriAut, act, bracket, commutator, convert_form,
-                       decompose, exp_ad_auto, exp_map, gn_inverse,
-                       multiply_formula, torus_apply)
-from triderive.autgroup import _phi_extract
+                       Poly, TriAut, act, bracket, commutator,
+                       conjugate_derivation, convert_form, decompose,
+                       exp_ad_auto, exp_map, gn_inverse, multiply_formula)
+from triderive.autgroup import _apply_feeds, _apply_unit_series, _phi_extract
 from triderive.lie import standard_generators
 
 
@@ -35,6 +37,53 @@ def gn(n: int, form: str = "A", t=None, tau=None, s=None, f=None, e=None) -> GnE
 
 def same_action(g: GnElem, fn, n: int, max_exponent: int = 4) -> bool:
     return all(act(g, u) == fn(u) for u in standard_generators(n, max_exponent))
+
+
+def torus_formula(lams, u: LieElem) -> LieElem:
+    """Oracle for the torus action: the scaling x_k -> lam_k x_k sends
+    x^a d_i to lam^a / lam_i x^a d_i."""
+    terms = {}
+    for (alpha, i), c in u.terms.items():
+        factor = 1 / Fraction(lams[i - 1])
+        for k, a in enumerate(alpha):
+            factor *= Fraction(lams[k]) ** a
+        terms[(alpha, i)] = c * factor
+    return LieElem(u.n, terms)
+
+
+def act_by_factors(g: GnElem, u: LieElem) -> LieElem:
+    """Oracle for act: one factor at a time, the shift and the triangular
+    part by separate conjugations and the torus by its closed formula."""
+    if g.form == "A":
+        w = _apply_unit_series(g.f, _apply_feeds(g.e, u))
+        w = conjugate_derivation(TriAut.shift(g.s + (0, 0)), w)
+        w = conjugate_derivation(g.tau, w)
+        return torus_formula(g.t, w)
+    w = _apply_feeds(g.e, _apply_unit_series(g.f, u))
+    return conjugate_derivation(g.tau, torus_formula(g.t, w))
+
+
+def rand_gn(rng: random.Random, n: int, form: str) -> GnElem:
+    """A seeded element with exact series; in Form B the triangular part
+    keeps the constant terms that Form A moves into the shift."""
+    parts = [Poly.zero(n)]
+    for i in range(2, n + 1):
+        p = rand_poly(rng, n, 3, 2, i - 1)
+        if form == "A" or i == n:
+            p = p - Poly.const(n, p.constant_term())
+        parts.append(p)
+    t = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)) for _ in range(n)]
+
+    def coeffs(lowest: int) -> dict:
+        return {k: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 4))
+                for k in rng.sample(range(lowest, 5), 2)}
+
+    f = OpSeries("F" if form == "A" else "FP", n - 1, None,
+                 coeffs(1 if form == "A" else 2))
+    e = [OpSeries("E", k + 1, None, coeffs(1)) for k in range(n - 2)]
+    s = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+         for _ in range(n - 2)] if form == "A" else None
+    return GnElem(n, form, t, TriAut(parts), s, f, e)
 
 
 class TestGnElem:
@@ -79,7 +128,46 @@ class TestAction:
         g = gn(3, t=[2, 3, 5])
         u = LieElem.basis(3, (1,), 2)
         assert act(g, u) == u.scale(Fraction(2, 3))
-        assert torus_apply((Fraction(2), Fraction(3), Fraction(5)), u) == act(g, u)
+        assert torus_formula((2, 3, 5), u) == act(g, u)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_torus_conjugation_matches_closed_formula(self, n, data):
+        u = data.draw(lie_elems(n))
+        lams = data.draw(st.lists(rationals(span=3, nonzero=True),
+                                  min_size=n, max_size=n))
+        assert conjugate_derivation(TriAut.torus(lams), u) == torus_formula(lams, u)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_factor_by_factor(self, seed):
+        rng = random.Random(f"act:{seed}")
+        n = 2 + seed % 3
+        for form in ("A", "B"):
+            g = rand_gn(rng, n, form)
+            probes = standard_generators(n, 2)
+            probes.append(LieElem.from_coefficients(
+                [rand_poly(rng, n, 2, 2, i) for i in range(n)]))
+            for u in probes:
+                assert act(g, u) == act_by_factors(g, u)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frame_map_is_built_once(self, seed):
+        rng = random.Random(f"frame:{seed}")
+        n = 2 + seed % 3
+        for form in ("A", "B"):
+            g = rand_gn(rng, n, form)
+            assert g._frame is None
+            act(g, LieElem.d(n, 1))
+            frame = g._frame
+            assert frame is not None
+            act(g, LieElem.d(n, n))
+            assert g._frame_map() is frame
+            tt = TriAut.torus(g.t)
+            if form == "A":
+                assert frame == tt.compose(g.tau).compose(
+                    TriAut.shift(g.s + (0, 0)))
+            else:
+                assert frame == g.tau.compose(tt)
 
     def test_respects_brackets(self):
         g = gn(3, t=[2, 1, 3], tau=TriAut([Poly.zero(3), x(1) ** 2, x(1) * x(2)]),

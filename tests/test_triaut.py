@@ -264,6 +264,22 @@ class TestNormalForms:
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2])
         frames = [conjugate_derivation(sigma, LieElem.d(2, i)) for i in (1, 2)]
         assert reconstruct_from_frames(frames) == sigma
+        # a torus . ct map scales the frames by 1/lambda_i, as decompose
+        # reads them; the reconstruction recovers the scales too
+        for seed in range(8):
+            rng = random.Random(f"frames:{seed}")
+            n = 2 + seed % 3
+            parts = [Poly.zero(n)]
+            for i in range(2, n + 1):
+                p = rand_poly(rng, n, 3, 2, i - 1)
+                parts.append(p - Poly.const(n, p.constant_term()))
+            lams = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+                    for _ in range(n)]
+            sigma = TriAut.torus(lams).compose(TriAut(parts))
+            frames = [conjugate_derivation(sigma, LieElem.d(n, i))
+                      for i in range(1, n + 1)]
+            assert reconstruct_from_frames(frames) == sigma
+            assert sigma.lam == tuple(lams)
 
     def test_format(self):
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2], [1, 2])
