@@ -3,7 +3,7 @@ derivations over the rationals, and in its automorphism group."""
 
 from .errors import (DegreeCapError, DomainError, DslError, InternalError,
                      ParseError, SemanticError, TriderivError, TruncationError)
-from .poly import Poly, Rat, phi_projection, rat, rat_str
+from .poly import Poly, Rat, rat, rat_str
 from .ordinals import OrdinalCNF, ord_compare, ord_of_algebra, ord_of_basis
 from .lie import (LieElem, basis_compare, bracket, center_solve, exp_ad_apply,
                   ideal_membership, leading_term, ord_of_element, project)
@@ -17,7 +17,7 @@ from .dsl import gnelem_from_json, gnelem_to_json, parse, print_value
 __all__ = [
     "TriderivError", "DomainError", "DegreeCapError", "TruncationError",
     "InternalError", "DslError", "ParseError", "SemanticError",
-    "Rat", "rat", "rat_str", "Poly", "phi_projection",
+    "Rat", "rat", "rat_str", "Poly",
     "OrdinalCNF", "ord_compare", "ord_of_basis", "ord_of_algebra",
     "LieElem", "basis_compare", "bracket", "exp_ad_apply", "leading_term",
     "ord_of_element", "ideal_membership", "project", "center_solve",

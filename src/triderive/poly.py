@@ -1,19 +1,24 @@
 """Exact sparse polynomials over the rationals.
 
-A polynomial in x1..xn is stored as a dict mapping exponent tuples of
-length ``nvars`` to nonzero Fraction coefficients.  All operations are
-exact and return fresh objects; instances are never mutated after
+A polynomial in x1..xn is stored as integer numerators over one positive
+denominator, the layout of FLINT's fmpq_poly: ``_nums`` maps exponent
+tuples of length ``nvars`` to nonzero ints, ``_den`` is at least 1, and
+the pair is kept in lowest terms, gcd(_den, *_nums) == 1, with
+``_den == 1`` for the zero polynomial.  The form is canonical, so
+equality and hashing compare it as it is.  Every operation works on the
+integers and ends with at most one gcd, skipped when the denominator is
+1.  Fractions are built only where a caller reads coefficients:
+``terms`` is a dict of Fractions built on first read and kept, and
+``constant_term`` and ``coefficient`` build one each.  All operations
+are exact and return fresh objects; instances are never mutated after
 construction.
 
-Products and substitutions share one integer kernel.  Each operand is
-rewritten as integer numerators over one common denominator, the inner
-loop adds and multiplies plain ints, and one Fraction is built per
-output monomial rather than one per term pair.  A substitution takes the
-lcm of its per-term denominators first, so every term lands on the same
-denominator.  The powers of the images it needs are kept, in that
-integer form, by the image set it is given: a triangular automorphism
-holds one such set for its lifetime, so repeated substitutions by the
-same map compute each power once.
+Products and substitutions multiply and add plain ints.  A substitution
+puts its terms over the lcm of the denominators of the image powers they
+need, so every term lands on the same denominator.  Those powers are
+kept by the image set it is given: a triangular automorphism holds one
+such set for its lifetime, so repeated substitutions by the same map
+compute each power once.
 
 Total degrees are guarded by a module-level cap so that runaway growth in
 composed substitutions fails loudly instead of consuming the machine.
@@ -32,6 +37,7 @@ from .errors import DegreeCapError, DomainError
 Rat = Fraction
 RatLike = Union[Fraction, int]
 _K = TypeVar("_K")
+_N = TypeVar("_N", int, Fraction)
 
 # Maximum total degree any operation may produce.  Reassign to loosen or
 # tighten; operations check bounds before doing the expensive work.
@@ -79,7 +85,7 @@ def _check_cap(degree: int, context: str) -> None:
 class Poly:
     """Immutable sparse polynomial with a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_den", "_nums", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], RatLike] | None = None):
         if nvars < 0:
@@ -93,8 +99,9 @@ class Poly:
                 c = rat(coeff)
                 if c:
                     clean[exps] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self.nvars = nvars
+        self._den, self._nums = _over_lcm(clean)
+        self._terms = clean
 
     # -- constructors ------------------------------------------------
 
@@ -113,7 +120,7 @@ class Poly:
             raise DomainError(f"variable index {index} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[index - 1] = 1
-        return Poly(nvars, {tuple(exps): Fraction(1)})
+        return _new(nvars, 1, {tuple(exps): 1})
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], coeff: RatLike = 1) -> Poly:
@@ -121,42 +128,57 @@ class Poly:
 
     # -- basic queries -----------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, keyed by exponent tuple.  Built
+        on first read and kept; do not mutate it."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            if den == 1:
+                terms = {e: Fraction(c) for e, c in self._nums.items()}
+            else:
+                terms = {e: Fraction(c, den) for e, c in self._nums.items()}
+            self._terms = terms
+        return terms
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._nums)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of x_index; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(e[index - 1] for e in self.terms)
+        return max(e[index - 1] for e in self._nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._nums.get(tuple(exps), 0), self._den)
 
     def max_var(self) -> int:
         """Largest variable index actually used; 0 for constants."""
         best = 0
-        for exps in self.terms:
+        for exps in self._nums:
             for k in range(self.nvars - 1, best - 1, -1):
                 if exps[k]:
                     best = k + 1
@@ -176,37 +198,55 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._require_same_ring(other)
-        return _make(self.nvars,
-                     _add_terms(dict(self.terms), other.terms.items()))
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den = d1
+            acc = dict(self._nums)
+            items: Iterable[tuple[tuple[int, ...], int]] = other._nums.items()
+        else:
+            den = math.lcm(d1, d2)
+            m1, m2 = den // d1, den // d2
+            acc = {e: c * m1 for e, c in self._nums.items()}
+            items = [(e, c * m2) for e, c in other._nums.items()]
+        return _from_ints(self.nvars, _add_terms(acc, items), den)
 
     def __neg__(self) -> Poly:
-        return _make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, self._den,
+                    {e: -c for e, c in self._nums.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def scale(self, factor: RatLike) -> Poly:
         f = rat(factor)
+        if f == 1:
+            return self
         if not f:
             return Poly(self.nvars)
-        return _make(self.nvars, {e: c * f for e, c in self.terms.items()})
+        num = f.numerator
+        return _from_ints(self.nvars, {e: c * num for e, c in self._nums.items()},
+                          self._den * f.denominator)
 
     def __mul__(self, other: Poly) -> Poly:
         self._require_same_ring(other)
-        if not self.terms or not other.terms:
+        if not self._nums or not other._nums:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
         _check_cap(self.total_degree() + other.total_degree(), "product")
-        d1, left = _int_terms(self)
-        d2, right = _int_terms(other)
-        return _from_ints(self.nvars, _mul_ints(left, right), d1 * d2)
+        return _from_ints(self.nvars,
+                          _mul_ints(self._nums.items(), other._nums.items()),
+                          self._den * other._den)
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
             raise DomainError("negative polynomial power")
         if exponent == 0:
             return Poly.const(self.nvars, 1)
-        if self.terms:
+        if self._nums:
             _check_cap(self.total_degree() * exponent, "power")
         out: Poly | None = None
         base = self
@@ -226,21 +266,13 @@ class Poly:
         if not 1 <= index <= self.nvars:
             raise DomainError(f"variable index {index} out of range 1..{self.nvars}")
         k = index - 1
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        # Lowering one exponent is injective, so no two terms meet.
+        nums: dict[tuple[int, ...], int] = {}
+        for exps, c in self._nums.items():
             e = exps[k]
             if e:
-                lowered = exps[:k] + (e - 1,) + exps[k + 1:]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + c * e
-        return _make(self.nvars, terms)
-
-    def diff_many(self, index: int, times: int) -> Poly:
-        out = self
-        for _ in range(times):
-            if not out:
-                break
-            out = out.diff(index)
-        return out
+                nums[exps[:k] + (e - 1,) + exps[k + 1:]] = c * e
+        return _from_ints(self.nvars, nums, self._den)
 
     def substitute(self, images: Sequence[Poly]) -> Poly:
         """Evaluate at x_i := images[i-1]; images share one target ring."""
@@ -250,28 +282,29 @@ class Poly:
         if not images:
             # A constant in no variables: no image names another ring.
             return self
-        if not self.terms:
+        if not self._nums:
             return Poly(images[0].nvars)
         if not isinstance(images, _Images):
             images = _Images(images)
         degs = images.degs
         fixed = images.fixed
         # First pass: check every term against the cap before any product
-        # is formed, and collect the denominators to put them over one.
+        # is formed, and collect the denominators of the image powers to
+        # put them over one.
         plan = []
         dens = []
-        for exps, c in self.terms.items():
+        for exps, num in self._nums.items():
             _check_cap(sum(map(mul, exps, degs)), "substitution")
-            den = c.denominator
+            den = 1
             factors = []
             for i, e in enumerate(exps):
                 if e and not fixed[i]:
-                    pden, pairs = images.power(i, e)
-                    den *= pden
-                    factors.append(pairs)
+                    power = images.power(i, e)
+                    den *= power._den
+                    factors.append(power._nums.items())
             head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
                 if any(exps[i] for i in images.fixed_at) else None
-            plan.append((head, c.numerator, den, factors))
+            plan.append((head, num, den, factors))
             dens.append(den)
         common = math.lcm(*dens)
         # Second pass: integer products, accumulated over ``common``.  A
@@ -284,8 +317,7 @@ class Poly:
             else:
                 pieces = factors[0]
                 for pairs in factors[1:]:
-                    pieces = [item for item in _mul_ints(pieces, pairs).items()
-                              if item[1]]
+                    pieces = _mul_ints(pieces, pairs).items()
                 if head is not None:
                     pieces = [(tuple(map(add, head, e)), v) for e, v in pieces]
             for key, v in pieces:
@@ -294,7 +326,7 @@ class Poly:
                     acc[key] = s
                 else:
                     del acc[key]
-        return _from_ints(images.target, acc, common)
+        return _from_ints(images.target, acc, self._den * common)
 
     def embed(self, nvars: int) -> Poly:
         """Reinterpret in a ring with more variables (padding exponents)."""
@@ -303,13 +335,14 @@ class Poly:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return _make(nvars, {e + pad: c for e, c in self.terms.items()})
+        return _new(nvars, self._den, {e + pad: c for e, c in self._nums.items()})
 
     def set_var_to_zero(self, index: int) -> Poly:
         """Substitute x_index := 0, keeping the ambient ring."""
         k = index - 1
-        terms = {e: c for e, c in self.terms.items() if e[k] == 0}
-        return _make(self.nvars, terms)
+        return _from_ints(self.nvars,
+                          {e: c for e, c in self._nums.items() if e[k] == 0},
+                          self._den)
 
     # -- canonical term order ------------------------------------------
 
@@ -325,16 +358,49 @@ class Poly:
         return f"Poly({self.nvars}, {format_poly(self)!r})"
 
 
-def _make(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
-    """Internal constructor that trusts its (already normalized) terms."""
+def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int],
+         terms: dict[tuple[int, ...], Fraction] | None = None) -> Poly:
+    """Internal constructor that trusts its canonical integer form (and
+    its Fraction view, when given)."""
     p = Poly.__new__(Poly)
-    object.__setattr__(p, "nvars", nvars)
-    object.__setattr__(p, "terms", terms)
+    p.nvars = nvars
+    p._den = den
+    p._nums = nums
+    p._terms = terms
     return p
 
 
-def _add_terms(acc: dict[_K, Fraction],
-               items: Iterable[tuple[_K, Fraction]]) -> dict[_K, Fraction]:
+def _make(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
+    """Internal constructor that trusts its (already normalized) Fraction
+    terms and keeps them as the Fraction view."""
+    den, nums = _over_lcm(terms)
+    return _new(nvars, den, nums, terms)
+
+
+def _over_lcm(terms: Mapping[tuple[int, ...], Fraction]
+              ) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Nonzero Fractions in lowest terms as (den, {exps: num}) over the lcm
+    of their denominators.  No gcd is needed: for each prime p of den,
+    the term whose denominator holds the full power of p in den keeps a
+    numerator prime to p."""
+    if not terms:
+        return 1, {}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _from_ints(nvars: int, nums: dict[tuple[int, ...], int], den: int) -> Poly:
+    """The polynomial nums / den (no zero numerators, den >= 1), brought to
+    lowest terms by one gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+    return _new(nvars, den, nums)
+
+
+def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N]:
     """Add each (key, nonzero coefficient) pair into acc, dropping every
     key whose sum is zero, and return acc.  The sparse sum of
     polynomials, derivations and series."""
@@ -351,31 +417,17 @@ def _add_terms(acc: dict[_K, Fraction],
     return acc
 
 
-def _int_terms(p: Poly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(den, [(exps, num), ...]) with each coefficient num/den, in term
-    order; den is the lcm of the coefficient denominators."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator))
-                 for e, c in p.terms.items()]
-
-
-def _mul_ints(left: Sequence[tuple[tuple[int, ...], int]],
-              right: Sequence[tuple[tuple[int, ...], int]]
+def _mul_ints(left: Iterable[tuple[tuple[int, ...], int]],
+              right: Iterable[tuple[tuple[int, ...], int]]
               ) -> dict[tuple[int, ...], int]:
-    """Product of two integer term lists; cancelled keys stay as zeros."""
+    """Product of two integer term lists (right is iterated once per left
+    term, so it must be a list or a dict view), cancelled keys dropped."""
     acc: dict[tuple[int, ...], int] = {}
     for e1, c1 in left:
         for e2, c2 in right:
             exps = tuple(map(add, e1, e2))
             acc[exps] = acc.get(exps, 0) + c1 * c2
-    return acc
-
-
-def _from_ints(nvars: int, acc: dict[tuple[int, ...], int], den: int) -> Poly:
-    """The polynomial with coefficients acc[e] / den, zeros dropped."""
-    if den == 1:
-        return _make(nvars, {e: Fraction(c) for e, c in acc.items() if c})
-    return _make(nvars, {e: Fraction(c, den) for e, c in acc.items() if c})
+    return {e: c for e, c in acc.items() if c}
 
 
 class _Images(tuple):
@@ -383,9 +435,9 @@ class _Images(tuple):
 
     Holds each image's total degree, which variables are mapped to
     themselves (they contribute a bare monomial factor), and, computed on
-    demand, the powers of the images in integer form.  The cap check in
-    substitute bounds every requested exponent of an image of positive
-    degree by DEGREE_CAP, and so the number of powers kept per image.
+    demand, the powers of the images.  The cap check in substitute
+    bounds every requested exponent of an image of positive degree by
+    DEGREE_CAP, and so the number of powers kept per image.
     """
 
     def __new__(cls, images: Iterable[Poly]) -> _Images:
@@ -398,26 +450,21 @@ class _Images(tuple):
         fixed = [False] * len(self)
         if target == len(self):
             for i, im in enumerate(self):
-                if len(im.terms) == 1:
-                    (exps, c), = im.terms.items()
+                if len(im._nums) == 1 and im._den == 1:
+                    (exps, c), = im._nums.items()
                     fixed[i] = c == 1 and sum(exps) == 1 and exps[i] == 1
         self.fixed = fixed
         self.fixed_at = [i for i, f in enumerate(fixed) if f]
-        self._powers: list[dict[int, tuple]] = [{} for _ in self]
+        self._powers: list[dict[int, Poly]] = [{} for _ in self]
         return self
 
-    def power(self, i: int, e: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-        """images[i] ** e as (den, integer term list)."""
+    def power(self, i: int, e: int) -> Poly:
+        """images[i] ** e, computed once."""
         cached = self._powers[i].get(e)
         if cached is None:
-            cached = _int_terms(self[i] ** e)
+            cached = self[i] ** e
             self._powers[i][e] = cached
         return cached
-
-
-def phi_projection(p: Poly) -> Fraction:
-    """Constant-term projection onto the ground field."""
-    return p.constant_term()
 
 
 def format_monomial(exps: Sequence[int]) -> str:

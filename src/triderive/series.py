@@ -161,7 +161,7 @@ class OpSeries:
             raise TruncationError(
                 f"need series coefficients through degree {need}, "
                 f"stored through {self.order}", required=need, available=self.order)
-        out = p.scale(self.unit())
+        out = Poly.zero(p.nvars) if self.kind == "E" else p
         deriv = p
         for k in range(1, max(need, 0) + 1):
             deriv = deriv.diff(self.var)

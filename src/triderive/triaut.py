@@ -83,13 +83,6 @@ class TriAut:
     def is_unipotent(self) -> bool:
         return all(c == 1 for c in self.lam)
 
-    def is_torus(self) -> bool:
-        return all(p.is_zero() for p in self.a)
-
-    def is_shift(self) -> bool:
-        return self.is_unipotent() and all(
-            p.is_zero() or p.total_degree() == 0 for p in self.a)
-
     def is_ct(self) -> bool:
         """Unipotent, fixes x1, and no translation has a constant term."""
         return (self.is_unipotent() and self.a[0].is_zero()

@@ -155,5 +155,12 @@ class TestExitCodes:
         assert code == 4
         assert "order" in err or "degree" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_degree_cap(self, capsys, fmt):
+        code, out, err = run(capsys, "--format", fmt, "log", "[0, x1^9, x2^9]")
+        assert code == 2 and out == ""
+        assert err == ("error: substitution would reach total degree 81, "
+                       "over the cap 64\n")
+
     def test_usage_error(self, capsys):
         assert run(capsys, "bracket")[0] == 2

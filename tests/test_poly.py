@@ -1,14 +1,16 @@
 """Exact polynomial arithmetic, calculus and substitution."""
 
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import polys, rand_poly, rationals, sympy_terms, to_sympy
-from triderive import DegreeCapError, DomainError, Poly, phi_projection, rat, rat_str
+from triderive import DegreeCapError, DomainError, Poly, rat, rat_str
 from triderive.poly import format_poly, iter_exponents
 
 
@@ -126,11 +128,6 @@ class TestCalculus:
     def test_diff_commutes(self, p, q):
         assert p.diff(1).diff(2) == p.diff(2).diff(1)
 
-    def test_diff_many(self):
-        p = x(1) ** 4
-        assert p.diff_many(1, 2) == (x(1) ** 2).scale(12)
-        assert p.diff_many(1, 5) == Poly.zero(3)
-
     def test_diff_index_range(self):
         with pytest.raises(DomainError):
             x(1).diff(4)
@@ -184,6 +181,90 @@ class TestSubstitution:
         q = p.embed(4)
         assert q.nvars == 4 and q.degree_in(1) == 1
         assert q.set_var_to_zero(2) == Poly.zero(4)
+
+
+def assert_lowest_terms(p: Poly) -> None:
+    """The stored form: nonzero integer numerators over one positive
+    denominator, in lowest terms, with denominator 1 for zero."""
+    assert isinstance(p._den, int) and p._den >= 1
+    assert all(isinstance(c, int) and c for c in p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+
+
+def frac_add(a: dict, b: dict) -> dict:
+    """Sum of two Fraction term dicts, the arithmetic of a dict of
+    Fractions per polynomial."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def frac_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def frac_substitute(p: Poly, images: list) -> dict:
+    one = {(0,) * images[0].nvars: Fraction(1)}
+    out: dict = {}
+    for exps, c in p.terms.items():
+        term = {e: c * v for e, v in one.items()}
+        for im, k in zip(images, exps):
+            for _ in range(k):
+                term = frac_mul(term, im.terms)
+        out = frac_add(out, term)
+    return out
+
+
+class TestLayout:
+    """Integer numerators over one denominator, against the Fraction
+    arithmetic they replace."""
+
+    @given(polys(3), polys(3), rationals(), st.integers(1, 3),
+           st.lists(polys(2, max_total=2), min_size=3, max_size=3))
+    def test_results_are_in_lowest_terms(self, p, q, c, i, images):
+        results = [p + q, p - q, -p, p.scale(c), p * q, p ** 2, p ** 3,
+                   p.diff(i), p.substitute(images), p.set_var_to_zero(i),
+                   p.embed(4), Poly(3, p.terms)]
+        for r in results:
+            assert_lowest_terms(r)
+            assert all(type(v) is Fraction for v in r.terms.values())
+
+    @given(polys(3), polys(3), rationals(nonzero=True))
+    def test_equal_by_different_routes(self, p, q, c):
+        for other in (p.scale(c).scale(1 / c), p + q - q, q + p - q,
+                      p * q.scale(c) + p - q.scale(c) * p, Poly(3, p.terms)):
+            assert other == p
+            assert hash(other) == hash(p)
+            assert (other._den, other._nums) == (p._den, p._nums)
+
+    @given(polys(3), polys(3), rationals(), st.integers(1, 3),
+           st.lists(polys(2, max_total=2), min_size=3, max_size=3))
+    def test_terms_match_fraction_arithmetic(self, p, q, c, i, images):
+        a, b = p.terms, q.terms
+        assert (p + q).terms == frac_add(a, b)
+        assert (p - q).terms == frac_add(a, {e: -v for e, v in b.items()})
+        assert p.scale(c).terms == {e: v * c for e, v in a.items() if v * c}
+        assert (p * q).terms == frac_mul(a, b)
+        assert (p ** 3).terms == frac_mul(frac_mul(a, a), a)
+        assert p.diff(i).terms == {
+            e[:i - 1] + (e[i - 1] - 1,) + e[i:]: v * e[i - 1]
+            for e, v in a.items() if e[i - 1]}
+        assert p.set_var_to_zero(i).terms == {
+            e: v for e, v in a.items() if not e[i - 1]}
+        assert p.substitute(images).terms == frac_substitute(p, images)
+        assert p.constant_term() == a.get((0, 0, 0), 0)
+
+    def test_zero_has_denominator_one(self):
+        half = Poly.const(2, Fraction(1, 2))
+        for zero in (half - half, half.scale(0), half.diff(1),
+                     half * Poly.zero(2), Poly.zero(2)):
+            assert zero._den == 1 and not zero._nums and zero == Poly.zero(2)
 
 
 class TestSympyOracle:
@@ -244,7 +325,7 @@ def _phi_projection_series(p: Poly) -> Fraction:
     composition over all variables of sum_k (-1)^k x_i^k/k! d^k/dx_i^k.
 
     Each inner sum kills every monomial with a positive x_i exponent and
-    fixes the rest, so the composite agrees with phi_projection.
+    fixes the rest, so the composite agrees with Poly.constant_term.
     """
     out = p
     for i in range(1, p.nvars + 1):
@@ -265,11 +346,11 @@ def _phi_projection_series(p: Poly) -> Fraction:
 class TestProjectionAndFormat:
     def test_phi_projection_is_constant_term(self):
         p = Poly.const(2, 3) + Poly.var(2, 1)
-        assert phi_projection(p) == 3
+        assert p.constant_term() == 3
 
     @given(polys(3))
     def test_phi_projection_matches_series_oracle(self, p):
-        assert phi_projection(p) == _phi_projection_series(p)
+        assert p.constant_term() == _phi_projection_series(p)
 
     def test_sorted_terms_descending_graded_lex(self):
         p = x(2) + x(1) ** 2 + Poly.const(3, 1)

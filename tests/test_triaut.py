@@ -31,8 +31,6 @@ class TestConstruction:
 
     def test_predicates(self):
         assert TriAut.identity(3).is_identity()
-        assert TriAut.torus([2, 3, 4]).is_torus()
-        assert TriAut.shift([1, 2, 3]).is_shift()
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2])
         assert sigma.is_unipotent() and sigma.is_ct()
         assert not TriAut.one_shift(2, 2, 1).is_ct()
