@@ -18,8 +18,11 @@ the closed multiplication formula lives.  ``act`` evaluates either form
 on a derivation: the series factors act on coefficients, and the whole
 triangular factor (t . tau . s in Form A, tau . t in Form B) acts as one
 automorphism, the element's frame map, through one conjugation.
-``decompose`` recovers Form A coordinates from action queries alone,
-and ``convert_form`` moves between the two layouts.
+``decompose`` recovers Form A coordinates from action queries alone:
+the frame map t . tau . s sends the origin to (s_1, ..., s_{n-2}, 0, 0),
+so each coordinate is read as one constant of one probe image at that
+point, and the assembled element must reproduce the action exactly on
+every probe.  ``convert_form`` moves between the two layouts.
 """
 
 from __future__ import annotations
@@ -251,24 +254,6 @@ def exp_ad_auto(u: LieElem) -> AutoAction:
 # -- recovering coordinates from the action --------------------------------------
 
 
-def _phi_extract(w: LieElem, m: int) -> Fraction:
-    """Project a d_n-supported element to the constant left in its d_n
-    coefficient once x_m := 0.
-
-    The test suite checks this reading against the bracket resummation
-    sum_k (-1)^k x_m^k / k! ad(d_m)^k.
-    """
-    n = w.n
-    for _, j in w.terms:
-        if j != n:
-            raise DomainError("projection expects a top-coefficient element")
-    out = w.coefficient_poly(n).set_var_to_zero(m)
-    const = out.constant_term()
-    if out != Poly.const(n, const):
-        raise InternalError("projection left more than a constant behind")
-    return const
-
-
 def _spot_check(action: AutoAction, rng: random.Random, pairs: int = 20) -> None:
     """Cheap sanity probes: the action must be linear and respect brackets
     on random generator pairs before we trust it with a decomposition."""
@@ -287,17 +272,27 @@ def _spot_check(action: AutoAction, rng: random.Random, pairs: int = 20) -> None
             raise DomainError("action does not respect brackets on generators")
 
 
+def _probe(n: int, i: int, k: int, shift: Fraction = Fraction(0)) -> LieElem:
+    """(x_{i-1} - shift)^k / k! d_i, expanded."""
+    pad = (0,) * (i - 2)
+    return LieElem(n, {(pad + (j,), i): (-shift) ** (k - j)
+                       / (math.factorial(j) * math.factorial(k - j))
+                       for j in range(k + 1)})
+
+
 def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     """Recover Form A coordinates of an automorphism from action queries.
 
-    Only standard generators are probed, after a spot check of linearity
-    and brackets on random generator pairs.  The images of d_1..d_n fix
-    the torus and the triangular part together, as the frame map t . tau;
-    the series factors are read off what remains once the frame map is
-    conjugated away.  Series data is recovered through the given order;
-    everything else is exact.  Raises DomainError when the probes show
-    the black box is not an automorphism action of the expected
-    triangular shape.
+    After a spot check of linearity and brackets on random generator
+    pairs, the images of d_1..d_n fix the torus and the triangular part
+    together, as the frame map t . tau.  The frame map t . tau . s sends
+    the origin to (s_1, ..., s_{n-2}, 0, 0), so every other coordinate
+    is t_i times one constant: that of the d_i coefficient of the image
+    of a probe whose series factors leave a known value at that point.
+    Series data is recovered through the given order; everything else
+    is exact.  The assembled element must then reproduce the action on
+    every probe, or DomainError is raised: the black box is not an
+    automorphism action of the expected triangular shape.
     """
     n = action.n
     if order < 1:
@@ -305,60 +300,37 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     _spot_check(action, random.Random(7042))
 
     # The images of d_i are the frame of t . tau, scaled by 1/t_i.
-    tt_tau = reconstruct_from_frames(
-        [action(LieElem.d(n, i)) for i in range(1, n + 1)])
+    probes = [LieElem.d(n, i) for i in range(1, n + 1)]
+    tt_tau = reconstruct_from_frames([action(u) for u in probes])
     t = tt_tau.lam
     tau = TriAut.torus(tuple(1 / c for c in t)).compose(tt_tau)
     if not tau.is_ct():
         raise InternalError("frame reconstruction left constant terms")
-    peel_tt = tt_tau.invert()
 
-    def residual(peel: TriAut, alpha: tuple[int, ...], i: int,
-                 scale: Fraction) -> LieElem:
-        """The image of scale * x^alpha d_i, conjugated by peel."""
-        w = action(LieElem.basis(n, alpha, i)).scale(scale)
-        return conjugate_derivation(peel, w)
+    def read(u: LieElem, i: int) -> Fraction:
+        """t_i times the constant term of the d_i coefficient of action(u);
+        u joins the probes that the result is checked on."""
+        probes.append(u)
+        return t[i - 1] * action(u).terms.get(((0,) * (i - 1), i), Fraction(0))
 
-    # Unit series: probe x_{n-1}^i d_n and project.
-    f_coeffs: dict[int, Fraction] = {}
-    for i in range(1, order + 1):
-        alpha = (0,) * (n - 2) + (i,)
-        w = residual(peel_tt, alpha, n, Fraction(1, math.factorial(i)))
-        c = _phi_extract(w, n - 1)
-        if c:
-            f_coeffs[i] = c
-    f = OpSeries("F", n - 1, order, f_coeffs)
-    f_inv = f.reciprocal()
+    # Shift: x_i d_{i+1} takes the value s_i at the point.
+    s = tuple(read(_probe(n, i + 1, 1), i + 1) for i in range(1, n - 1))
+    # Unit series: f sends x_{n-1}^k / k! to f_k at the point.
+    f = OpSeries("F", n - 1, order,
+                 {k: read(_probe(n, n, k), n) for k in range(1, order + 1)})
+    # Feeds: the probe vanishes at the point and leaves e_{i,k} in the d_n
+    # slot, which f, acting through d/dx_{n-1}, does not touch.
+    e = [OpSeries("E", i - 1, order,
+                  {k: read(_probe(n, i, k, s[i - 2]), n)
+                   for k in range(1, order + 1)})
+         for i in range(2, n)]
 
-    # Shift block: after peeling f, the image of x_i d_{i+1} shows mu_i.
-    mus: list[Fraction] = []
-    for i in range(1, n - 1):
-        alpha = (0,) * (i - 1) + (1,)
-        w = _apply_unit_series(f_inv,
-                               residual(peel_tt, alpha, i + 1, Fraction(1)))
-        if w.terms.get((alpha, i + 1)) != 1:
-            raise DomainError(f"image of x{i}*d{i + 1} is not shift-shaped")
-        mus.append(w.terms.get(((0,) * i, i + 1), Fraction(0)))
-    s = tuple(mus)
-    # The feeds are read behind the whole frame map t . tau . s.
-    peel = peel_tt
-    if any(s):
-        peel = tt_tau.compose(TriAut.shift(s + (0, 0))).invert()
-
-    # Feed series: what remains on x_{i-1}^j d_i beyond the element itself.
-    e_list: list[OpSeries] = []
-    for i in range(2, n):
-        coeffs: dict[int, Fraction] = {}
-        for j in range(1, order + 1):
-            scale = Fraction(1, math.factorial(j))
-            alpha = (0,) * (i - 2) + (j,)
-            w = _apply_unit_series(f_inv, residual(peel, alpha, i, scale))
-            c = _phi_extract(w - LieElem.basis(n, alpha, i, scale), i - 1)
-            if c:
-                coeffs[j] = c
-        e_list.append(OpSeries("E", i - 1, order, coeffs))
-
-    return GnElem(n, "A", t, tau, s, f, e_list)
+    g = GnElem(n, "A", t, tau, s, f, e)
+    for u in probes:
+        if act(g, u) != action(u):
+            raise DomainError(f"the decomposition does not reproduce the "
+                              f"action on the probe {u}")
+    return g
 
 
 # -- changing coordinate layouts --------------------------------------------------

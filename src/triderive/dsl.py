@@ -29,7 +29,7 @@ from .autgroup import GnElem
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
-from .poly import Poly, _add_terms, format_poly, rat_str
+from .poly import Poly, _add_terms, format_poly, rat, rat_str
 from .series import OpSeries, format_series
 from .triaut import TriAut, format_triaut
 
@@ -443,18 +443,14 @@ def parse_series(text: str, kind: str = "F", var: int = 1,
 
 
 def _rat_from_json(value: Any, what: str) -> Fraction:
-    """A JSON rational: an integer, or a string holding a signed rational
-    of the text grammar.  Booleans, floats, decimals and exponents are
-    refused."""
+    """A JSON rational: an integer, or a string that ``rat`` reads (an
+    optional sign, digits, an optional nonzero "/" denominator, no
+    spaces).  Booleans, floats, decimals and exponents are refused."""
     if isinstance(value, str):
         try:
-            p = _Parser(value)
-            sign = p.sign()
-            out = p.rational()
-            p.done()
-        except (ParseError, SemanticError):
-            raise DomainError(f"{what}: bad rational {value!r}")
-        return sign * out
+            return rat(value)
+        except DomainError as exc:
+            raise DomainError(f"{what}: {exc}")
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"{what}: rationals are written as strings")

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 
 from conftest import lie_elems, rand_poly, rationals
-from triderive import (AutoAction, DomainError, GnElem, InternalError,
-                       LieElem, OpSeries,
+from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
                        Poly, TriAut, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
-from triderive.autgroup import _apply_feeds, _apply_unit_series, _phi_extract
+from triderive.autgroup import _apply_feeds, _apply_unit_series
 from triderive.lie import standard_generators
 
 
@@ -194,11 +193,25 @@ class TestAction:
             bad(probe)
 
 
+ROUND_TRIP = {
+    "rank3": gn(3, t=[2, 1, 3], tau=TriAut([Poly.zero(3), x(1) ** 2, x(1) * x(2)]),
+                s=[Fraction(1, 2)],
+                f=OpSeries("F", 2, 6, {1: Fraction(1, 2), 3: 1}),
+                e=[OpSeries("E", 1, 6, {2: 1})]),
+    # both shifts nonzero, so every feed probe is read off a shifted point
+    "rank4": gn(4, t=[2, -1, 3, Fraction(1, 2)],
+                tau=TriAut([Poly.zero(4), x(1, 4) ** 2, x(1, 4) * x(2, 4),
+                            x(2, 4) ** 2 - x(1, 4) * x(3, 4)]),
+                s=[Fraction(1, 2), -3],
+                f=OpSeries("F", 3, 6, {1: Fraction(1, 2), 2: -1}),
+                e=[OpSeries("E", 1, 6, {1: 1, 3: 2}),
+                   OpSeries("E", 2, 6, {2: Fraction(-1, 3)})]),
+}
+
+
 class TestDecompose:
-    def test_round_trip_pinned(self):
-        g = gn(3, t=[2, 1, 3], tau=TriAut([Poly.zero(3), x(1) ** 2, x(1) * x(2)]),
-               s=[Fraction(1, 2)], f=OpSeries("F", 2, 6, {1: Fraction(1, 2), 3: 1}),
-               e=[OpSeries("E", 1, 6, {2: 1})])
+    @pytest.mark.parametrize("g", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+    def test_round_trip_pinned(self, g):
         assert decompose(AutoAction.from_gnelem(g), order=6) == g
 
     def test_adjoint_action_is_inner(self):
@@ -215,58 +228,19 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(torpedo)
 
+    def test_rejects_an_action_wrong_on_a_high_probe(self):
+        # The identity, except that x2^k d3 with k >= 8 picks up x1 d3.  The
+        # spot check and the frames never see such a term, and every read
+        # constant is that of the identity; acting with the result is exact.
+        def fn(u):
+            if any(i == 3 and alpha[1] >= 8 for alpha, i in u.terms):
+                return u + LieElem.basis(3, (1, 0), 3)
+            return u
 
-def phi_resummation(w: LieElem, m: int) -> Poly:
-    """Oracle for _phi_extract: the d_n coefficient of
-    sum_k (-1)^k x_m^k / k! ad(d_m)^k w, built from brackets.  By Taylor's
-    formula it is that coefficient with x_m := 0."""
-    n = w.n
-    dm = LieElem.d(n, m)
-    xm = Poly.var(n, m)
-    acc = Poly.zero(n)
-    cur = w
-    factor = Poly.const(n, 1)
-    k = 0
-    while cur:
-        acc = acc + cur.coefficient_poly(n) * factor
-        cur = bracket(dm, cur)
-        k += 1
-        factor = factor * xm.scale(Fraction(-1, k))
-    return acc
-
-
-class TestPhiExtract:
-    """The direct reading in decompose, the constant left in the d_n
-    coefficient once x_m := 0, against the bracket resummation."""
-
-    @pytest.mark.parametrize("seed", range(16))
-    def test_matches_direct_reading(self, seed):
-        rng = random.Random(f"phi:{seed}")
-        n = rng.randint(2, 4)
-        m = rng.randint(1, n - 1)
-        xm = Poly.var(n, m)
-        # every nonconstant monomial carries x_m, so x_m := 0 leaves a constant
-        q = Poly.const(n, rand_poly(rng, n, 1, 0).constant_term())
-        for _ in range(rng.randint(0, 4)):
-            q = q + xm ** rng.randint(1, 3) * rand_poly(rng, n, 2, 2, n - 1)
-        w = LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [q])
-        direct = q.set_var_to_zero(m)
-        assert direct == Poly.const(n, direct.constant_term())
-        assert phi_resummation(w, m) == direct
-        assert _phi_extract(w, m) == direct.constant_term()
-        # the resummation is the substitution for any d_n coefficient
-        r = rand_poly(rng, n, 4, 3, n - 1)
-        v = LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [r])
-        assert phi_resummation(v, m) == r.set_var_to_zero(m)
-
-    def test_rejects_what_the_direct_reading_leaves_nonconstant(self):
-        # (2*x1*x2 + x1) d3 keeps x1 d3 after x2 := 0
-        w = LieElem.basis(3, (1, 1), 3, 2) + LieElem.basis(3, (1, 0), 3)
-        assert phi_resummation(w, 2) == Poly.var(3, 1)
-        with pytest.raises(InternalError):
-            _phi_extract(w, 2)
-        with pytest.raises(DomainError):
-            _phi_extract(LieElem.d(3, 1), 2)
+        with pytest.raises(DomainError) as info:
+            decompose(AutoAction(3, fn), order=10)
+        assert str(info.value) == ("the decomposition does not reproduce the "
+                                   "action on the probe 1/40320*x2^8*d3")
 
 
 class TestConvertForm:

@@ -64,14 +64,26 @@ class TestCommands:
         assert out.strip() == "d1 - 2*x1*d2"
 
     def test_act_decomposes_at_the_given_order(self, capsys):
-        # at the default order 16 this element's action exceeds the degree
-        # cap; --order reaches the decomposition of a bracket-notation operand
+        # --order reaches the decomposition of a bracket-notation operand
         sigma = "[0,x1^2,x1*x2^2,x3^2;2,1,3,1]"
         code, out, _ = run(capsys, "--order", "4", "act", sigma, "d1")
         assert code == 0
         code, expected, _ = run(capsys, "conjugate", sigma, "d1")
         assert code == 0
         assert out == expected
+
+    def test_act_and_decompose_under_the_degree_cap(self, capsys):
+        # the inverse of this map has higher degree than the map; at the
+        # default order, decompose never builds it
+        sigma = "[0,x1^2,x1*x2^2,x3^2;2,1,3,1]"
+        code, out, err = run(capsys, "act", sigma, "d1")
+        assert (code, err) == (0, "")
+        code, expected, _ = run(capsys, "conjugate", sigma, "d1")
+        assert code == 0
+        assert out == expected
+        code, out, err = run(capsys, "--n", "4", "decompose", sigma)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["t"] == ["2", "1", "3", "1"]
 
     def test_decompose_and_act_with_json(self, capsys):
         code, out, _ = run(capsys, "--n", "2", "decompose", "[0, x1^2]")
