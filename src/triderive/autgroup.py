@@ -15,9 +15,11 @@ one.  Two coordinate layouts are supported:
 
 Form A is what the black-box decomposition produces; Form B is where
 the closed multiplication formula lives.  ``act`` evaluates either form
-on a derivation: the series factors act on coefficients, and the whole
-triangular factor (t . tau . s in Form A, tau . t in Form B) acts as one
-automorphism, the element's frame map, through one conjugation.
+on a derivation: it splits the derivation into its n coefficient
+polynomials once, the series factors act on that list, the whole
+triangular factor (t . tau . s in Form A, tau . t in Form B) acts on it
+as one automorphism, the element's frame map, through one conjugation,
+and one derivation is built from the list at the end.
 ``decompose`` recovers Form A coordinates from action queries alone:
 the frame map t . tau . s sends the origin to (s_1, ..., s_{n-2}, 0, 0),
 so each coordinate is read as one constant of one probe image at that
@@ -36,8 +38,9 @@ from .errors import DomainError, InternalError
 from .lie import LieElem, bracket, exp_ad_apply, standard_generators
 from .poly import Poly, RatLike, rat
 from .series import DEFAULT_ORDER, OpSeries, factor_shift, _min_order
-from .triaut import (TriAut, conjugate_derivation, exp_map, normalize_mod_shn,
-                     reconstruct_from_frames, split_ct_shift)
+from .triaut import (TriAut, _conjugate_coefficients, conjugate_derivation,
+                     exp_map, normalize_mod_shn, reconstruct_from_frames,
+                     split_ct_shift)
 
 
 class GnElem:
@@ -157,51 +160,49 @@ class GnElem:
 # -- evaluating the action ------------------------------------------------------
 
 
-def _apply_feeds(e: Sequence[OpSeries], u: LieElem) -> LieElem:
-    """u  ->  u + sum_i e_i(p_i) d_n where p_i is the d_i coefficient."""
-    n = u.n
-    extra = Poly.zero(n)
+def _apply_feeds(e: Sequence[OpSeries], coeffs: list[Poly]) -> list[Poly]:
+    """p_n  ->  p_n + sum_i e_i(p_i) on the coefficients p_1..p_n of a
+    derivation; the other coefficients stay."""
+    extra = Poly.zero(len(coeffs))
     for k, series in enumerate(e):
-        i = k + 2
-        pi = u.coefficient_poly(i)
+        pi = coeffs[k + 1]
         if pi:
             extra = extra + series.apply(pi)
     if not extra:
-        return u
-    coeffs = u.coefficient_polys()
-    coeffs[n - 1] = coeffs[n - 1] + extra
-    return LieElem.from_coefficients(coeffs)
+        return coeffs
+    return coeffs[:-1] + [coeffs[-1] + extra]
 
 
-def _apply_unit_series(f: OpSeries, u: LieElem) -> LieElem:
-    """Rewrites only the d_n coefficient: p_n -> f(p_n)."""
-    n = u.n
-    pn = u.coefficient_poly(n)
+def _apply_unit_series(f: OpSeries, coeffs: list[Poly]) -> list[Poly]:
+    """p_n  ->  f(p_n) on the coefficients p_1..p_n of a derivation; the
+    other coefficients stay."""
+    pn = coeffs[-1]
     if not pn:
-        return u
-    coeffs = u.coefficient_polys()
-    coeffs[n - 1] = f.apply(pn)
-    return LieElem.from_coefficients(coeffs)
+        return coeffs
+    return coeffs[:-1] + [f.apply(pn)]
 
 
 def act(g: GnElem, u: LieElem) -> LieElem:
     """Evaluate the automorphism on a derivation.
 
-    The series factors act first, in the order of g's form; then the
-    whole triangular factor (torus, triangular part and, in Form A, the
-    shift) acts through one conjugation by the frame map, which g builds
-    once and keeps.
+    u is split into its coefficient polynomials once, and every factor
+    acts on that list: the series factors first, in the order of g's
+    form, then the whole triangular factor (torus, triangular part and,
+    in Form A, the shift) through one conjugation by the frame map,
+    which g builds once and keeps.  The result is built from the list
+    once.
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
+    coeffs = u.coefficient_polys()
     if g.form == "A":
-        w = _apply_unit_series(g.f, _apply_feeds(g.e, u))
+        coeffs = _apply_unit_series(g.f, _apply_feeds(g.e, coeffs))
     else:
-        w = _apply_feeds(g.e, _apply_unit_series(g.f, u))
+        coeffs = _apply_feeds(g.e, _apply_unit_series(g.f, coeffs))
     frame = g._frame_map()
     if not frame.is_identity():
-        w = conjugate_derivation(frame, w)
-    return w
+        coeffs = _conjugate_coefficients(frame, coeffs)
+    return LieElem.from_coefficients(coeffs)
 
 
 class AutoAction:

@@ -121,7 +121,13 @@ class LieElem:
                                    for (alpha, j), c in self.terms.items() if j == i})
 
     def coefficient_polys(self) -> list[Poly]:
-        return [self.coefficient_poly(i) for i in range(1, self.n + 1)]
+        """The d_1..d_n coefficients, split in one pass over the terms."""
+        n = self.n
+        pads = [(0,) * (n - i) for i in range(n)]
+        parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(n)]
+        for (alpha, i), c in self.terms.items():
+            parts[i - 1][alpha + pads[i - 1]] = c
+        return [_make_poly(n, part) for part in parts]
 
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""

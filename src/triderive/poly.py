@@ -337,13 +337,6 @@ class Poly:
         pad = (0,) * (nvars - self.nvars)
         return _new(nvars, self._den, {e + pad: c for e, c in self._nums.items()})
 
-    def set_var_to_zero(self, index: int) -> Poly:
-        """Substitute x_index := 0, keeping the ambient ring."""
-        k = index - 1
-        return _from_ints(self.nvars,
-                          {e: c for e, c in self._nums.items() if e[k] == 0},
-                          self._den)
-
     # -- canonical term order ------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:

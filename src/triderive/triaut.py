@@ -210,26 +210,36 @@ def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
     inverse Jacobian of sigma, a lower-triangular matrix with diagonal
     1/lambda_j.  sigma caches M, next to its images and their powers, so
     a conjugation substitutes only the nonzero coefficients of u and
-    multiplies each into one column of M.
+    multiplies each into one column of M.  u is split into its
+    coefficients once, and the result is built from them once.
     """
     if sigma.n != u.n:
         raise DomainError(f"mixed ranks: {sigma.n} vs {u.n}")
-    n = sigma.n
-    jac = sigma._inverse_jacobian()
-    coeffs = [Poly.zero(n)] * n
-    for i in sorted({i for _, i in u.terms}):
-        image = sigma.apply(u.coefficient_poly(i))
-        lam = sigma.lam[i - 1]
-        diag = image if lam == 1 else image.scale(1 / lam)
-        coeffs[i - 1] = coeffs[i - 1] + diag
-        for j in range(i, n):
-            m = jac[j][i - 1]
-            if m:
-                coeffs[j] = coeffs[j] + m * image
+    coeffs = _conjugate_coefficients(sigma, u.coefficient_polys())
     try:
         return LieElem.from_coefficients(coeffs)
     except DomainError as exc:
         raise InternalError(f"conjugation left the triangular algebra: {exc}")
+
+
+def _conjugate_coefficients(sigma: TriAut, coeffs: Sequence[Poly]) -> list[Poly]:
+    """The kernel of conjugate_derivation: the d_1..d_n coefficients of
+    u in, those of sigma u sigma^(-1) out."""
+    n = sigma.n
+    jac = sigma._inverse_jacobian()
+    out = [Poly.zero(n)] * n
+    for i, p in enumerate(coeffs, start=1):
+        if not p:
+            continue
+        image = sigma.apply(p)
+        lam = sigma.lam[i - 1]
+        diag = image if lam == 1 else image.scale(1 / lam)
+        out[i - 1] = out[i - 1] + diag
+        for j in range(i, n):
+            m = jac[j][i - 1]
+            if m:
+                out[j] = out[j] + m * image
+    return out
 
 
 def exp_map(delta: LieElem) -> TriAut:

@@ -131,13 +131,15 @@ def _random_gn(rng: random.Random, n: int, form: str, order: int | None,
 # -- action-level helpers ----------------------------------------------------------
 
 def _f_action(n: int, f: OpSeries) -> AutoAction:
-    return AutoAction(n, lambda u: _apply_unit_series(f, u))
+    return AutoAction(n, lambda u: LieElem.from_coefficients(
+        _apply_unit_series(f, u.coefficient_polys())))
 
 
 def _e_action(n: int, i: int, s: OpSeries) -> AutoAction:
     feeds = tuple(s if k + 2 == i else OpSeries.zero_e(k + 1)
                   for k in range(n - 2))
-    return AutoAction(n, lambda u: _apply_feeds(feeds, u))
+    return AutoAction(n, lambda u: LieElem.from_coefficients(
+        _apply_feeds(feeds, u.coefficient_polys())))
 
 
 def _torus_action(lams: Sequence[Fraction]) -> AutoAction:
@@ -511,7 +513,8 @@ def check_feed_cocycle(rng: random.Random) -> str:
                       for k in range(n - 2))
 
         def c(u: LieElem) -> LieElem:
-            return _apply_feeds(feeds, u) - u
+            return LieElem.from_coefficients(
+                _apply_feeds(feeds, u.coefficient_polys())) - u
 
         for i in range(1, n):
             _ensure(c(LieElem.d(n, i)).is_zero(),

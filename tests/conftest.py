@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from triderive import LieElem, OpSeries, Poly, TriAut
+from triderive import GnElem, LieElem, OpSeries, OrdinalCNF, Poly, TriAut
 
 settings.register_profile(
     "suite",
@@ -71,6 +71,50 @@ def unit_series(order: int = 6, kind: str = "F") -> st.SearchStrategy[OpSeries]:
     return st.dictionaries(
         st.integers(lowest, order), rationals(span=3, nonzero=True), max_size=3,
     ).map(lambda coeffs: OpSeries(kind, 1, order, coeffs))
+
+
+def ordinals(max_exp: int = 3) -> st.SearchStrategy[OrdinalCNF]:
+    return st.dictionaries(
+        st.integers(0, max_exp), st.integers(1, 5), max_size=3,
+    ).map(OrdinalCNF)
+
+
+def gn_elems(n: int, form: str,
+             order: int | None = None) -> st.SearchStrategy[GnElem]:
+    """Group elements in Form A or B; every series is exact when order
+    is None and truncated at ``order`` otherwise."""
+    top = 6 if order is None else order
+
+    def series(kind: str, var: int) -> st.SearchStrategy[OpSeries]:
+        lowest = 2 if kind == "FP" else 1
+        return st.dictionaries(
+            st.integers(lowest, top), rationals(span=3, nonzero=True),
+            max_size=3,
+        ).map(lambda coeffs: OpSeries(kind, var, order, coeffs))
+
+    def no_constant(p: Poly) -> Poly:
+        return p - Poly.const(n, p.constant_term())
+
+    # Form A: tau fixes x1 and has no constant terms, the shift is s.
+    # Form B: tau is unipotent, with no constant term only in x_n.
+    if form == "A":
+        first = st.just(Poly.zero(n))
+    else:
+        first = rationals().map(lambda c: Poly.const(n, c))
+    parts = [first]
+    for i in range(2, n + 1):
+        part = polys(n, 2, max_terms=2, max_var=i - 1)
+        if form == "A" or i == n:
+            part = part.map(no_constant)
+        parts.append(part)
+    return st.builds(
+        lambda t, a, s, f, e: GnElem(n, form, t, TriAut(list(a)), s, f, e),
+        st.lists(rationals(span=3, nonzero=True), min_size=n, max_size=n),
+        st.tuples(*parts),
+        st.lists(rationals(), min_size=n - 2, max_size=n - 2)
+        if form == "A" else st.none(),
+        series("F" if form == "A" else "FP", n - 1),
+        st.tuples(*(series("E", k + 1) for k in range(n - 2))))
 
 
 def rand_poly(rng: random.Random, nvars: int, max_terms: int = 4,

@@ -12,7 +12,6 @@ from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
                        Poly, TriAut, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
-from triderive.autgroup import _apply_feeds, _apply_unit_series
 from triderive.lie import standard_generators
 
 
@@ -50,15 +49,46 @@ def torus_formula(lams, u: LieElem) -> LieElem:
     return LieElem(u.n, terms)
 
 
+def coefficients(u: LieElem) -> list:
+    return [u.coefficient_poly(i) for i in range(1, u.n + 1)]
+
+
+def feeds_by_derivation(e, u: LieElem) -> LieElem:
+    """u  ->  u + sum_i e_i(p_i) d_n where p_i is the d_i coefficient."""
+    n = u.n
+    extra = Poly.zero(n)
+    for k, series in enumerate(e):
+        pi = u.coefficient_poly(k + 2)
+        if pi:
+            extra = extra + series.apply(pi)
+    if not extra:
+        return u
+    coeffs = coefficients(u)
+    coeffs[n - 1] = coeffs[n - 1] + extra
+    return LieElem.from_coefficients(coeffs)
+
+
+def unit_series_by_derivation(f: OpSeries, u: LieElem) -> LieElem:
+    """Rewrites only the d_n coefficient: p_n -> f(p_n)."""
+    n = u.n
+    pn = u.coefficient_poly(n)
+    if not pn:
+        return u
+    coeffs = coefficients(u)
+    coeffs[n - 1] = f.apply(pn)
+    return LieElem.from_coefficients(coeffs)
+
+
 def act_by_factors(g: GnElem, u: LieElem) -> LieElem:
-    """Oracle for act: one factor at a time, the shift and the triangular
-    part by separate conjugations and the torus by its closed formula."""
+    """Oracle for act: one factor at a time, each from derivation to
+    derivation, the shift and the triangular part by separate
+    conjugations and the torus by its closed formula."""
     if g.form == "A":
-        w = _apply_unit_series(g.f, _apply_feeds(g.e, u))
+        w = unit_series_by_derivation(g.f, feeds_by_derivation(g.e, u))
         w = conjugate_derivation(TriAut.shift(g.s + (0, 0)), w)
         w = conjugate_derivation(g.tau, w)
         return torus_formula(g.t, w)
-    w = _apply_feeds(g.e, _apply_unit_series(g.f, u))
+    w = feeds_by_derivation(g.e, unit_series_by_derivation(g.f, u))
     return conjugate_derivation(g.tau, torus_formula(g.t, w))
 
 
@@ -144,8 +174,14 @@ class TestAction:
         for form in ("A", "B"):
             g = rand_gn(rng, n, form)
             probes = standard_generators(n, 2)
+            coeffs = [rand_poly(rng, n, 2, 2, i) for i in range(n)]
+            probes.append(LieElem.from_coefficients(coeffs))
+            # the zero derivation, which both series steps return as it
+            # is, and one with no d_n coefficient, which the unit series
+            # step returns as it is
+            probes.append(LieElem.zero(n))
             probes.append(LieElem.from_coefficients(
-                [rand_poly(rng, n, 2, 2, i) for i in range(n)]))
+                coeffs[:-1] + [Poly.zero(n)]))
             for u in probes:
                 assert act(g, u) == act_by_factors(g, u)
 

@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import lie_elems, polys, unipotent_auts, unit_series
+from conftest import (gn_elems, lie_elems, ordinals, polys, unipotent_auts,
+                      unit_series)
 from triderive import (DomainError, GnElem, LieElem, OpSeries, ParseError,
                        Poly, SemanticError, TriAut, gnelem_from_json,
                        gnelem_to_json, parse, print_value)
@@ -163,6 +164,10 @@ class TestPrinterRoundTrip:
         self.assert_round_trip(
             s, lambda text: parse_series(text, s.kind, s.var, s.order))
 
+    @given(ordinals())
+    def test_ordinals(self, o):
+        self.assert_round_trip(o, lambda text: parse("ordinal", text))
+
     @pytest.mark.parametrize("kind, text", [
         ("poly", "-x1^2 + x2"),
         ("poly", "-x1 - x2 + 1"),
@@ -202,6 +207,15 @@ class TestGnElemJson:
         printed = gnelem_to_json(g)
         assert gnelem_from_json(printed) == g
         assert gnelem_to_json(gnelem_from_json(printed)) == printed
+        assert parse_gnelem(print_value(g)) == g
+
+    @pytest.mark.parametrize("form", ["A", "B"])
+    @given(data=st.data())
+    def test_round_trip_drawn(self, form, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        order = data.draw(st.sampled_from([None, 6]), label="order")
+        g = data.draw(gn_elems(n, form, order))
+        assert gnelem_from_json(gnelem_to_json(g)) == g
         assert parse_gnelem(print_value(g)) == g
 
     def test_missing_field(self):

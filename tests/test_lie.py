@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -31,6 +32,14 @@ class TestConstruction:
     def test_from_coefficients_round_trip(self):
         u = LieElem.basis(3, (2, 1), 3, Fraction(1, 2)) + LieElem.d(3, 1)
         assert LieElem.from_coefficients(u.coefficient_polys()) == u
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_one_pass_split_matches_each_index(self, n, data):
+        u = data.draw(lie_elems(n))
+        split = u.coefficient_polys()
+        assert split == [u.coefficient_poly(i) for i in range(1, n + 1)]
+        assert LieElem.from_coefficients(split) == u
 
     def test_min_index_and_degree(self):
         u = LieElem.basis(3, (2,), 2) + LieElem.d(3, 3)

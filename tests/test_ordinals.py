@@ -1,18 +1,12 @@
 """Ordinal degrees in Cantor normal form and the basis enumeration."""
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from conftest import ordinals
 from triderive import DomainError, OrdinalCNF, ord_compare, ord_of_algebra, ord_of_basis
 from triderive.lie import iter_basis_keys, key_sort_key
 from triderive.ordinals import format_ordinal
-
-
-def ordinals(max_exp: int = 3) -> st.SearchStrategy[OrdinalCNF]:
-    return st.dictionaries(
-        st.integers(0, max_exp), st.integers(1, 5), max_size=3,
-    ).map(OrdinalCNF)
 
 
 class TestNormalForm:

@@ -176,11 +176,10 @@ class TestSubstitution:
         q = p.substitute([Poly.var(2, 1), Poly.var(2, 2) + Poly.var(2, 1) ** 2])
         assert q.terms == {(0, 1): Fraction(1)}
 
-    def test_embed_and_set_var_to_zero(self):
+    def test_embed(self):
         p = Poly.var(2, 1) * Poly.var(2, 2)
         q = p.embed(4)
         assert q.nvars == 4 and q.degree_in(1) == 1
-        assert q.set_var_to_zero(2) == Poly.zero(4)
 
 
 def assert_lowest_terms(p: Poly) -> None:
@@ -229,7 +228,7 @@ class TestLayout:
            st.lists(polys(2, max_total=2), min_size=3, max_size=3))
     def test_results_are_in_lowest_terms(self, p, q, c, i, images):
         results = [p + q, p - q, -p, p.scale(c), p * q, p ** 2, p ** 3,
-                   p.diff(i), p.substitute(images), p.set_var_to_zero(i),
+                   p.diff(i), p.substitute(images),
                    p.embed(4), Poly(3, p.terms)]
         for r in results:
             assert_lowest_terms(r)
@@ -255,8 +254,6 @@ class TestLayout:
         assert p.diff(i).terms == {
             e[:i - 1] + (e[i - 1] - 1,) + e[i:]: v * e[i - 1]
             for e, v in a.items() if e[i - 1]}
-        assert p.set_var_to_zero(i).terms == {
-            e: v for e, v in a.items() if not e[i - 1]}
         assert p.substitute(images).terms == frac_substitute(p, images)
         assert p.constant_term() == a.get((0, 0, 0), 0)
 
