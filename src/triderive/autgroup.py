@@ -312,7 +312,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
         """t_i times the constant term of the d_i coefficient of action(u);
         u joins the probes that the result is checked on."""
         probes.append(u)
-        return t[i - 1] * action(u).terms.get(((0,) * (i - 1), i), Fraction(0))
+        return t[i - 1] * action(u)._coefficient(((0,) * (i - 1), i))
 
     # Shift: x_i d_{i+1} takes the value s_i at the point.
     s = tuple(read(_probe(n, i + 1, 1), i + 1) for i in range(1, n - 1))

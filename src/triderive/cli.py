@@ -6,7 +6,8 @@ and writes it to stdout; diagnostics go to stderr.  Exit codes:
 
     0  success
     1  the input text does not parse or denotes no valid value
-    2  a precondition is violated (rank mismatch, non-unipotent log, ...)
+    2  a precondition is violated (rank mismatch, non-unipotent log, ...),
+       or an "@path" operand cannot be read as UTF-8 text
     3  a verification check failed
     4  a series query needed coefficients beyond the stored order
 
@@ -80,8 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            return handle.read()
+        path = text[1:]
+        with open(path, encoding="utf-8") as handle:
+            try:
+                return handle.read()
+            except UnicodeDecodeError as exc:
+                # An I/O problem like a missing file, so it exits 2 too.
+                raise OSError(f"{path}: not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
     return text
 
 

@@ -3,7 +3,17 @@
 Rank n fixes the algebra spanned by x^a d_i where a runs over exponent
 tuples with exactly i-1 coordinates, so the coefficient of d_i only uses
 x1..x_{i-1}.  Elements are finite rational combinations of these basis
-derivations, stored sparsely as {(a, i): coefficient}.
+derivations.
+
+An element is stored in the integer layout of ``Poly`` (see the poly
+module, whose helpers it shares): ``_nums`` maps keys (a, i) to nonzero
+ints, ``_den`` is at least 1, and the pair is in lowest terms,
+gcd(_den, *_nums) == 1, with ``_den == 1`` for zero.  Equality and
+hashing compare that form.  The structure constants of the basis are
+integers, [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j for i < j, so brackets,
+sums and scalings work on the numerators and end with at most one gcd.
+``terms``, the coefficients as Fractions, is built on first read, for
+printing and for callers that read coefficients.
 
 The basis carries a linear order (larger derivation index first is
 SMALLER; within one index, compare exponents from the most significant
@@ -14,13 +24,15 @@ arguments used elsewhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (Poly, Rat, RatLike, _add_terms, _format_terms,
-                   _make as _make_poly, format_monomial, iter_exponents, rat)
+from .poly import (Poly, RatLike, _format_terms, _fractions, _lowest,
+                   _new as _new_poly, _over_lcm, _scale_ints, _sum_ints,
+                   format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -39,7 +51,7 @@ def _check_key(alpha: tuple[int, ...], i: int, n: int) -> None:
 class LieElem:
     """Immutable element of the rank-n triangular derivation algebra."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_den", "_nums", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Key, RatLike] | None = None):
         if n < 2:
@@ -52,8 +64,9 @@ class LieElem:
                 c = rat(coeff)
                 if c:
                     clean[(alpha, i)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        self.n = n
+        self._den, self._nums = _over_lcm(clean)
+        self._terms = clean
 
     # -- constructors --------------------------------------------------
 
@@ -74,66 +87,85 @@ class LieElem:
     def from_coefficients(polys: Sequence[Poly]) -> LieElem:
         """Build sum p_i d_i from coefficient polynomials in x1..xn.
 
-        Each p_i must use only x1..x_{i-1}.  The terms of a Poly are
-        already normalized, so they are taken over without a second check.
+        Each p_i must use only x1..x_{i-1}.  Each Poly is in lowest terms,
+        so its numerators go over the lcm of the denominators without a
+        gcd, as in ``_over_lcm``.
         """
         n = len(polys)
         if n < 2:
             raise DomainError("rank must be at least 2")
-        terms: dict[Key, Fraction] = {}
+        den = math.lcm(*(p._den for p in polys))
+        nums: dict[Key, int] = {}
         for i, p in enumerate(polys, start=1):
             if p.nvars != n:
                 raise DomainError("coefficient polynomials must live in rank-n ring")
             if not p.uses_only(i - 1):
                 raise DomainError(f"coefficient of d_{i} may only use x1..x{i - 1}")
-            for exps, c in p.terms.items():
-                terms[(exps[: i - 1], i)] = c
-        return _make(n, terms)
+            m = den // p._den
+            for exps, c in p._nums.items():
+                nums[(exps[: i - 1], i)] = c * m
+        return _new(n, den, nums)
 
     # -- structure queries ----------------------------------------------
 
+    @property
+    def terms(self) -> dict[Key, Fraction]:
+        """The coefficients as Fractions, keyed by (alpha, i).  Built on
+        first read and kept; do not mutate it."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _fractions(self._den, self._nums)
+        return terms
+
+    def _coefficient(self, key: Key) -> Fraction:
+        """The coefficient of one basis derivation, read without the
+        Fraction view."""
+        return Fraction(self._nums.get(key, 0), self._den)
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieElem):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._nums.items())))
 
     def degree(self) -> int:
         """Largest |alpha| over the support; -1 when zero."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(alpha) for alpha, _ in self.terms)
+        return max(sum(alpha) for alpha, _ in self._nums)
 
     def coefficient_poly(self, i: int) -> Poly:
         """The d_i coefficient as a polynomial in the full rank-n ring."""
         if not 1 <= i <= self.n:
             raise DomainError(f"derivation index {i} out of range 1..{self.n}")
         pad = (0,) * (self.n - i + 1)
-        return _make_poly(self.n, {alpha + pad: c
-                                   for (alpha, j), c in self.terms.items() if j == i})
+        return _new_poly(self.n, *_lowest(self._den, {
+            alpha + pad: c for (alpha, j), c in self._nums.items() if j == i}))
 
     def coefficient_polys(self) -> list[Poly]:
         """The d_1..d_n coefficients, split in one pass over the terms."""
         n = self.n
         pads = [(0,) * (n - i) for i in range(n)]
-        parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(n)]
-        for (alpha, i), c in self.terms.items():
+        parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+        for (alpha, i), c in self._nums.items():
             parts[i - 1][alpha + pads[i - 1]] = c
-        return [_make_poly(n, part) for part in parts]
+        den = self._den
+        return [_new_poly(n, *_lowest(den, part)) for part in parts]
 
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""
-        if not self.terms:
+        if not self._nums:
             return self.n + 1
-        return min(i for _, i in self.terms)
+        return min(i for _, i in self._nums)
 
     # -- linear arithmetic ------------------------------------------------
 
@@ -143,19 +175,26 @@ class LieElem:
 
     def __add__(self, other: LieElem) -> LieElem:
         self._require_same_rank(other)
-        return _make(self.n, _add_terms(dict(self.terms), other.terms.items()))
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        return _new(self.n,
+                    *_sum_ints(self._den, self._nums, other._den, other._nums))
 
     def __neg__(self) -> LieElem:
-        return _make(self.n, {k: -c for k, c in self.terms.items()})
+        return _new(self.n, self._den, {k: -c for k, c in self._nums.items()})
 
     def __sub__(self, other: LieElem) -> LieElem:
         return self + (-other)
 
     def scale(self, factor: RatLike) -> LieElem:
         f = rat(factor)
+        if f == 1:
+            return self
         if not f:
             return LieElem(self.n)
-        return _make(self.n, {k: c * f for k, c in self.terms.items()})
+        return _new(self.n, *_scale_ints(self._den, self._nums, f))
 
     # -- as an operator on polynomials -------------------------------------
 
@@ -179,10 +218,13 @@ class LieElem:
         return f"LieElem({self.n}, {format_lie(self)!r})"
 
 
-def _make(n: int, terms: dict[Key, Fraction]) -> LieElem:
+def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
+    """Internal constructor that trusts its canonical integer form."""
     u = LieElem.__new__(LieElem)
-    object.__setattr__(u, "n", n)
-    object.__setattr__(u, "terms", terms)
+    u.n = n
+    u._den = den
+    u._nums = nums
+    u._terms = None
     return u
 
 
@@ -212,10 +254,10 @@ def basis_compare(key1: Key, key2: Key) -> int:
 
 def leading_term(u: LieElem) -> tuple[Fraction, Key]:
     """Coefficient and key of the largest basis derivation in the support."""
-    if not u.terms:
+    if not u._nums:
         raise DomainError("zero element has no leading term")
-    key = max(u.terms, key=key_sort_key)
-    return u.terms[key], key
+    key = max(u._nums, key=key_sort_key)
+    return u._coefficient(key), key
 
 
 def ord_of_element(u: LieElem) -> OrdinalCNF:
@@ -223,9 +265,9 @@ def ord_of_element(u: LieElem) -> OrdinalCNF:
 
     The zero element gets ordinal 0, below every nonzero degree.
     """
-    if not u.terms:
+    if not u._nums:
         return OrdinalCNF.zero()
-    _, (alpha, i) = leading_term(u)
+    alpha, i = max(u._nums, key=key_sort_key)
     return ord_of_basis(alpha, i, u.n)
 
 
@@ -239,14 +281,15 @@ def project(u: LieElem, i: int) -> LieElem:
     i.e. the terms with derivation index <= i."""
     if not 1 <= i <= u.n:
         raise DomainError(f"index {i} out of range 1..{u.n}")
-    return _make(u.n, {k: c for k, c in u.terms.items() if k[1] <= i})
+    return _new(u.n, *_lowest(u._den, {k: c for k, c in u._nums.items()
+                                       if k[1] <= i}))
 
 
 # -- bracket -----------------------------------------------------------------
 
 
 def _bracket_keys(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int
-                  ) -> tuple[Fraction, Key] | None:
+                  ) -> tuple[int, Key] | None:
     """Structure constant: [x^a d_i, x^b d_j] for i < j."""
     bi = b[i - 1]
     if not bi:
@@ -255,37 +298,40 @@ def _bracket_keys(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int
     gamma[i - 1] -= 1
     for k, av in enumerate(a):
         gamma[k] += av
-    return Fraction(bi), (tuple(gamma), j)
+    return bi, (tuple(gamma), j)
 
 
 def bracket(u: LieElem, v: LieElem) -> LieElem:
-    """Lie bracket, computed from the structure constants."""
+    """Lie bracket, computed from the structure constants.  They are
+    integers, so the product runs on the numerators, over
+    u._den * v._den, and ends with one gcd."""
     u._require_same_rank(v)
-    terms: dict[Key, Fraction] = {}
-    for (a, i), ca in u.terms.items():
-        for (b, j), cb in v.terms.items():
-            if i == j:
-                continue
+    acc: dict[Key, int] = {}
+    right = v._nums.items()
+    for (a, i), ca in u._nums.items():
+        for (b, j), cb in right:
             if i < j:
                 hit = _bracket_keys(a, i, b, j)
-                sign = 1
-            else:
+                if hit is not None:
+                    factor, key = hit
+                    acc[key] = acc.get(key, 0) + factor * ca * cb
+            elif i > j:
                 hit = _bracket_keys(b, j, a, i)
-                sign = -1
-            if hit is None:
-                continue
-            factor, key = hit
-            s = terms.get(key, Fraction(0)) + sign * factor * ca * cb
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return _make(u.n, terms)
+                if hit is not None:
+                    factor, key = hit
+                    acc[key] = acc.get(key, 0) - factor * ca * cb
+    return _new(u.n, *_lowest(u._den * v._den,
+                              {k: c for k, c in acc.items() if c}))
 
 
 def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
-    """Apply exp(ad u) to v; terminates because brackets drop the ordinal
-    degree strictly.  The iteration cap flags a bug, not bad input."""
+    """Apply exp(ad u) to v, summing (ad u)^k v / k! until a term vanishes.
+
+    Known defect: the loop raises InternalError after 10 * (deg v + 2)
+    terms, but some finite series need more, so valid input can fail:
+    u = -d1 + 1/3*x1^5*d2 - 3/2*x1*x2^4*d3 and v = -4/3*d1 + 3*d3 need 26
+    terms against a cap of 20 (see "Known defects" in perfbench/DESIGN.md).
+    """
     u._require_same_rank(v)
     cap = 10 * (v.degree() + 2)
     out = v
@@ -369,11 +415,13 @@ def center_solve(n: int, max_degree: int) -> list[LieElem]:
     index = {key: pos for pos, key in enumerate(keys)}
     gens = standard_generators(n, max_degree + 1)
 
+    # Basis elements and generators have integer coefficients, and so
+    # have their brackets: each numerator is the coefficient itself.
     equations: dict[tuple[int, Key], list[Fraction]] = {}
     for pos, key in enumerate(keys):
-        basis_elem = _make(n, {key: Fraction(1)})
+        basis_elem = _new(n, 1, {key: 1})
         for g_idx, g in enumerate(gens):
-            for out_key, c in bracket(basis_elem, g).terms.items():
+            for out_key, c in bracket(basis_elem, g)._nums.items():
                 row = equations.get((g_idx, out_key))
                 if row is None:
                     row = [Fraction(0)] * len(keys)
@@ -383,7 +431,7 @@ def center_solve(n: int, max_degree: int) -> list[LieElem]:
     solutions = rational_nullspace(list(equations.values()), len(keys))
     out = []
     for vec in solutions:
-        elem = _make(n, {keys[pos]: c for pos, c in enumerate(vec) if c})
+        elem = _new(n, *_over_lcm({keys[pos]: c for pos, c in enumerate(vec) if c}))
         lead, _ = leading_term(elem)
         out.append(elem.scale(1 / lead))
     out.sort(key=lambda e: key_sort_key(leading_term(e)[1]))

@@ -11,7 +11,8 @@ integers and ends with at most one gcd, skipped when the denominator is
 ``terms`` is a dict of Fractions built on first read and kept, and
 ``constant_term`` and ``coefficient`` build one each.  All operations
 are exact and return fresh objects; instances are never mutated after
-construction.
+construction.  The helpers of this layout (``_over_lcm``, ``_lowest``,
+``_sum_ints``, ``_scale_ints``, ``_fractions``) serve ``LieElem`` too.
 
 Products and substitutions multiply and add plain ints.  A substitution
 puts its terms over the lcm of the denominators of the image powers they
@@ -134,12 +135,7 @@ class Poly:
         on first read and kept; do not mutate it."""
         terms = self._terms
         if terms is None:
-            den = self._den
-            if den == 1:
-                terms = {e: Fraction(c) for e, c in self._nums.items()}
-            else:
-                terms = {e: Fraction(c, den) for e, c in self._nums.items()}
-            self._terms = terms
+            terms = self._terms = _fractions(self._den, self._nums)
         return terms
 
     def __bool__(self) -> bool:
@@ -202,17 +198,8 @@ class Poly:
             return self
         if not self._nums:
             return other
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            den = d1
-            acc = dict(self._nums)
-            items: Iterable[tuple[tuple[int, ...], int]] = other._nums.items()
-        else:
-            den = math.lcm(d1, d2)
-            m1, m2 = den // d1, den // d2
-            acc = {e: c * m1 for e, c in self._nums.items()}
-            items = [(e, c * m2) for e, c in other._nums.items()]
-        return _from_ints(self.nvars, _add_terms(acc, items), den)
+        return _new(self.nvars,
+                    *_sum_ints(self._den, self._nums, other._den, other._nums))
 
     def __neg__(self) -> Poly:
         return _new(self.nvars, self._den,
@@ -227,9 +214,7 @@ class Poly:
             return self
         if not f:
             return Poly(self.nvars)
-        num = f.numerator
-        return _from_ints(self.nvars, {e: c * num for e, c in self._nums.items()},
-                          self._den * f.denominator)
+        return _new(self.nvars, *_scale_ints(self._den, self._nums, f))
 
     def __mul__(self, other: Poly) -> Poly:
         self._require_same_ring(other)
@@ -237,9 +222,9 @@ class Poly:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
         _check_cap(self.total_degree() + other.total_degree(), "product")
-        return _from_ints(self.nvars,
-                          _mul_ints(self._nums.items(), other._nums.items()),
-                          self._den * other._den)
+        return _new(self.nvars, *_lowest(
+            self._den * other._den,
+            _mul_ints(self._nums.items(), other._nums.items())))
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
@@ -272,7 +257,7 @@ class Poly:
             e = exps[k]
             if e:
                 nums[exps[:k] + (e - 1,) + exps[k + 1:]] = c * e
-        return _from_ints(self.nvars, nums, self._den)
+        return _new(self.nvars, *_lowest(self._den, nums))
 
     def substitute(self, images: Sequence[Poly]) -> Poly:
         """Evaluate at x_i := images[i-1]; images share one target ring."""
@@ -326,7 +311,7 @@ class Poly:
                     acc[key] = s
                 else:
                     del acc[key]
-        return _from_ints(images.target, acc, self._den * common)
+        return _new(images.target, *_lowest(self._den * common, acc))
 
     def embed(self, nvars: int) -> Poly:
         """Reinterpret in a ring with more variables (padding exponents)."""
@@ -351,46 +336,71 @@ class Poly:
         return f"Poly({self.nvars}, {format_poly(self)!r})"
 
 
-def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int],
-         terms: dict[tuple[int, ...], Fraction] | None = None) -> Poly:
-    """Internal constructor that trusts its canonical integer form (and
-    its Fraction view, when given)."""
+def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+    """Internal constructor that trusts its canonical integer form."""
     p = Poly.__new__(Poly)
     p.nvars = nvars
     p._den = den
     p._nums = nums
-    p._terms = terms
+    p._terms = None
     return p
 
 
-def _make(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Poly:
-    """Internal constructor that trusts its (already normalized) Fraction
-    terms and keeps them as the Fraction view."""
-    den, nums = _over_lcm(terms)
-    return _new(nvars, den, nums, terms)
+# -- the integer layout --------------------------------------------------------
+#
+# Shared by Poly and LieElem: a value is a pair (den, nums) of a positive
+# denominator and a dict of nonzero integer numerators, in lowest terms.
 
 
-def _over_lcm(terms: Mapping[tuple[int, ...], Fraction]
-              ) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Nonzero Fractions in lowest terms as (den, {exps: num}) over the lcm
-    of their denominators.  No gcd is needed: for each prime p of den,
-    the term whose denominator holds the full power of p in den keeps a
+def _over_lcm(terms: Mapping[_K, Fraction]) -> tuple[int, dict[_K, int]]:
+    """Nonzero Fractions in lowest terms as (den, nums) over the lcm of
+    their denominators.  No gcd is needed: for each prime p of den, the
+    term whose denominator holds the full power of p in den keeps a
     numerator prime to p."""
     if not terms:
         return 1, {}
     den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _from_ints(nvars: int, nums: dict[tuple[int, ...], int], den: int) -> Poly:
-    """The polynomial nums / den (no zero numerators, den >= 1), brought to
-    lowest terms by one gcd."""
+def _lowest(den: int, nums: dict[_K, int]) -> tuple[int, dict[_K, int]]:
+    """nums / den (no zero numerators, den >= 1) in lowest terms, by one
+    gcd; the zero value comes out with den 1."""
     if den != 1:
         g = math.gcd(den, *nums.values())
         if g != 1:
             den //= g
-            nums = {e: c // g for e, c in nums.items()}
-    return _new(nvars, den, nums)
+            nums = {k: c // g for k, c in nums.items()}
+    return den, nums
+
+
+def _sum_ints(d1: int, n1: Mapping[_K, int], d2: int, n2: Mapping[_K, int]
+              ) -> tuple[int, dict[_K, int]]:
+    """n1/d1 + n2/d2 over the lcm of the denominators, in lowest terms."""
+    if d1 == d2:
+        den = d1
+        acc = dict(n1)
+        items: Iterable[tuple[_K, int]] = n2.items()
+    else:
+        den = math.lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        acc = {k: c * m1 for k, c in n1.items()}
+        items = [(k, c * m2) for k, c in n2.items()]
+    return _lowest(den, _add_terms(acc, items))
+
+
+def _scale_ints(den: int, nums: Mapping[_K, int], f: Fraction
+                ) -> tuple[int, dict[_K, int]]:
+    """nums/den times the nonzero rational f, in lowest terms."""
+    num = f.numerator
+    return _lowest(den * f.denominator, {k: c * num for k, c in nums.items()})
+
+
+def _fractions(den: int, nums: Mapping[_K, int]) -> dict[_K, Fraction]:
+    """The Fraction view of nums / den."""
+    if den == 1:
+        return {k: Fraction(c) for k, c in nums.items()}
+    return {k: Fraction(c, den) for k, c in nums.items()}
 
 
 def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N]:

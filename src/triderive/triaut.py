@@ -327,10 +327,10 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
     for i, f in enumerate(frames, start=1):
         if f.n != n:
             raise DomainError("frames must live in rank n")
-        mu = f.terms.get(((0,) * (i - 1), i), Fraction(0))
+        mu = f._coefficient(((0,) * (i - 1), i))
         if not mu:
             raise DomainError(f"frame {i} has no constant d_{i} component")
-        for (alpha, j), _ in f.terms.items():
+        for alpha, j in f._nums:
             if j < i or (j == i and any(alpha)):
                 raise DomainError(
                     f"frame {i} contains the disallowed term x^{alpha} d_{j}")

@@ -1,6 +1,7 @@
 """Shared hypothesis profile, value strategies and seeded generators for
 the test suite."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -159,3 +160,21 @@ def to_sympy(p: Poly, symbols):
             mono *= sym ** e
         out += mono
     return out
+
+
+def assert_lowest_terms(p) -> None:
+    """The stored form of a Poly or LieElem: nonzero integer numerators
+    over one positive denominator, in lowest terms, with denominator 1
+    for zero."""
+    assert isinstance(p._den, int) and p._den >= 1
+    assert all(isinstance(c, int) and c for c in p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+
+
+def frac_add(a: dict, b: dict) -> dict:
+    """Sum of two Fraction term dicts, the arithmetic of a dict of
+    Fractions per polynomial or derivation."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}

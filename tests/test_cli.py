@@ -174,5 +174,12 @@ class TestExitCodes:
         assert err == ("error: substitution would reach total degree 81, "
                        "over the cap 64\n")
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "elem.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "--n", "2", "bracket", f"@{path}", "d1")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
     def test_usage_error(self, capsys):
         assert run(capsys, "bracket")[0] == 2

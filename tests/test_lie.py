@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import lie_elems, polys, rationals
+from conftest import assert_lowest_terms, frac_add, lie_elems, polys, rationals
 from triderive import (DomainError, LieElem, OrdinalCNF, Poly, bracket,
                        center_solve, exp_ad_apply, ideal_membership,
                        leading_term, ord_compare, ord_of_element, project)
@@ -99,6 +99,90 @@ class TestBracket:
     def test_mixed_rank_rejected(self):
         with pytest.raises(DomainError):
             bracket(LieElem.d(2, 1), LieElem.d(3, 1))
+
+
+def bracket_by_fractions(u: dict, v: dict) -> dict:
+    """[u, v] of two Fraction term dicts from the structure constants
+    [x^a d_i, x^b d_j] = b_i x^(a + b - e_i) d_j for i < j, in Fraction
+    arithmetic: the oracle of the integer bracket."""
+    def basis_bracket(a, i, b, j, c):
+        # c times [x^a d_i, x^b d_j], i < j, as a term dict
+        if not b[i - 1]:
+            return {}
+        gamma = [x + y for x, y in zip(a + (0,) * (j - i), b)]
+        gamma[i - 1] -= 1
+        return {(tuple(gamma), j): b[i - 1] * c}
+
+    out: dict = {}
+    for (a, i), ca in u.items():
+        for (b, j), cb in v.items():
+            if i < j:
+                out = frac_add(out, basis_bracket(a, i, b, j, ca * cb))
+            elif i > j:
+                out = frac_add(out, basis_bracket(b, j, a, i, -ca * cb))
+    return out
+
+
+def exp_ad_by_fractions(u: dict, v: dict) -> dict:
+    """sum_k (ad u)^k v / k! over Fraction term dicts."""
+    out, term, k = v, v, 0
+    while term:
+        k += 1
+        term = {key: c / k for key, c in bracket_by_fractions(u, term).items()}
+        out = frac_add(out, term)
+    return out
+
+
+class TestLayout:
+    """Integer numerators over one denominator, against the Fraction
+    arithmetic they replace."""
+
+    small = lie_elems(3, max_degree=2, max_terms=2)
+
+    @given(lie_elems(3), lie_elems(3), rationals(), st.integers(1, 3),
+           small, small)
+    def test_results_are_in_lowest_terms(self, u, v, c, i, a, b):
+        results = [u + v, u - v, -u, u.scale(c), bracket(u, v), project(u, i),
+                   exp_ad_apply(a, b),
+                   LieElem.from_coefficients(u.coefficient_polys()),
+                   LieElem(3, u.terms), *u.coefficient_polys()]
+        for r in results:
+            assert_lowest_terms(r)
+            assert all(type(x) is Fraction for x in r.terms.values())
+
+    @given(lie_elems(3), lie_elems(3), rationals(nonzero=True))
+    def test_equal_by_different_routes(self, u, v, c):
+        for other in (u.scale(c).scale(1 / c), u + v - v, v + u - v,
+                      -(-u), bracket(v, u) + u + bracket(u, v),
+                      LieElem.from_coefficients(u.coefficient_polys()),
+                      LieElem(3, u.terms)):
+            assert other == u
+            assert hash(other) == hash(u)
+            assert (other._den, other._nums) == (u._den, u._nums)
+
+    @given(lie_elems(3), lie_elems(3), rationals(), st.integers(1, 3),
+           small, small)
+    def test_terms_match_fraction_arithmetic(self, u, v, c, i, a, b):
+        s, t = u.terms, v.terms
+        assert (u + v).terms == frac_add(s, t)
+        assert (u - v).terms == frac_add(s, {k: -x for k, x in t.items()})
+        assert (-u).terms == {k: -x for k, x in s.items()}
+        assert u.scale(c).terms == {k: x * c for k, x in s.items() if x * c}
+        assert bracket(u, v).terms == bracket_by_fractions(s, t)
+        assert project(u, i).terms == {k: x for k, x in s.items() if k[1] <= i}
+        assert exp_ad_apply(a, b).terms == exp_ad_by_fractions(a.terms, b.terms)
+        for j, p in enumerate(u.coefficient_polys(), start=1):
+            assert p.terms == {alpha + (0,) * (4 - j): x
+                               for (alpha, k), x in s.items() if k == j}
+
+    def test_zero_has_denominator_one(self):
+        half = LieElem.basis(3, (1,), 2, Fraction(1, 2))
+        for zero in (half - half, half.scale(0), bracket(half, half),
+                     project(half, 1), LieElem.zero(3),
+                     LieElem.from_coefficients([Poly.zero(3)] * 3)):
+            assert zero._den == 1 and not zero._nums
+            assert zero == LieElem.zero(3)
+            assert hash(zero) == hash(LieElem.zero(3))
 
 
 class TestOrderAndDegrees:

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic, calculus and substitution."""
 
-import math
 import random
 from fractions import Fraction
 from operator import add
@@ -9,7 +8,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import polys, rand_poly, rationals, sympy_terms, to_sympy
+from conftest import (assert_lowest_terms, frac_add, polys, rand_poly,
+                      rationals, sympy_terms, to_sympy)
 from triderive import DegreeCapError, DomainError, Poly, rat, rat_str
 from triderive.poly import format_poly, iter_exponents
 
@@ -180,23 +180,6 @@ class TestSubstitution:
         p = Poly.var(2, 1) * Poly.var(2, 2)
         q = p.embed(4)
         assert q.nvars == 4 and q.degree_in(1) == 1
-
-
-def assert_lowest_terms(p: Poly) -> None:
-    """The stored form: nonzero integer numerators over one positive
-    denominator, in lowest terms, with denominator 1 for zero."""
-    assert isinstance(p._den, int) and p._den >= 1
-    assert all(isinstance(c, int) and c for c in p._nums.values())
-    assert math.gcd(p._den, *p._nums.values()) == 1
-
-
-def frac_add(a: dict, b: dict) -> dict:
-    """Sum of two Fraction term dicts, the arithmetic of a dict of
-    Fractions per polynomial."""
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
 
 
 def frac_mul(a: dict, b: dict) -> dict:
