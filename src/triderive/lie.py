@@ -20,13 +20,22 @@ SMALLER; within one index, compare exponents from the most significant
 coordinate x_{i-1} down) and an ordinal-valued degree compatible with it.
 Brackets strictly drop that degree, which powers the termination
 arguments used elsewhere.
+
+``center_solve`` finds the center, K d_n, as the null space of linear
+equations.  The same integer structure constants make them integer
+equations, built from basis keys alone.  They are solved by fraction-free
+elimination on sparse integer rows (each update a*row - b*pivot, then one
+gcd of the row's content, after Bareiss).  Every pivot row ends as an
+integer multiple of its row of the reduced row echelon form, which is
+unique, so the basis read from the ratios at the end is the one exact
+Gauss-Jordan elimination over the rationals gives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
@@ -356,49 +365,78 @@ def iter_basis_keys(n: int, max_degree: int) -> Iterator[Key]:
             yield (alpha, i)
 
 
-def standard_generators(n: int, max_exponent: int) -> list[LieElem]:
-    """d_1 together with x_{i-1}^j d_i for 2 <= i <= n, 0 <= j <= max_exponent."""
-    gens = [LieElem.d(n, 1)]
+def _generator_keys(n: int, max_exponent: int) -> list[Key]:
+    keys: list[Key] = [((), 1)]
     for i in range(2, n + 1):
         for j in range(max_exponent + 1):
             alpha = [0] * (i - 1)
             alpha[i - 2] = j
-            gens.append(LieElem.basis(n, alpha, i))
-    return gens
+            keys.append((tuple(alpha), i))
+    return keys
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows * x = 0, by exact elimination."""
-    matrix = [row[:] for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for k in range(r, len(matrix)):
-            if matrix[k][col]:
-                pivot_row = k
+def standard_generators(n: int, max_exponent: int) -> list[LieElem]:
+    """d_1 together with x_{i-1}^j d_i for 2 <= i <= n, 0 <= j <= max_exponent."""
+    return [LieElem.basis(n, alpha, i)
+            for alpha, i in _generator_keys(n, max_exponent)]
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int
+               ) -> dict[int, int]:
+    """a*row - b*pivot with the smallest integers a, b that clear col,
+    divided by the content of the result."""
+    p, c = pivot[col], row[col]
+    g = math.gcd(p, c)
+    a, b = p // g, c // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in pivot.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    g = math.gcd(*out.values()) if out else 1
+    if g > 1:
+        out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _nullspace(rows: Iterable[dict[int, int]], ncols: int
+               ) -> list[dict[int, Fraction]]:
+    """Basis of the solutions of rows * x = 0 read off the reduced row
+    echelon form: one vector per free column, ascending, with 1 at its
+    free column and its nonzero entries only.
+
+    Each row maps columns to nonzero ints.  A row is reduced by the pivot
+    rows of its smallest column, ascending, until it vanishes or its
+    smallest column becomes a new pivot; then each pivot row, the largest
+    pivot first, is cleared of the other pivot columns.  The updates keep
+    integers (``_eliminate``), so each pivot row ends as a multiple of its
+    row of the reduced echelon form.  That form is unique, whatever the
+    order of the rows, so the ratios read at the end are its entries.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = 1 / matrix[r][col]
-        matrix[r] = [x * inv for x in matrix[r]]
-        for k in range(len(matrix)):
-            if k != r and matrix[k][col]:
-                factor = matrix[k][col]
-                matrix[k] = [a - factor * b for a, b in zip(matrix[k], matrix[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(matrix):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -matrix[row_idx][free]
-        basis.append(vec)
+            row = _eliminate(row, pivot, col)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for other in [k for k in row if k != col and k in pivots]:
+            row = _eliminate(row, pivots[other], other)
+        pivots[col] = row
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = {free: Fraction(1)}
+            for col, row in pivots.items():
+                if free in row:
+                    vec[col] = Fraction(-row[free], row[col])
+            basis.append(vec)
     return basis
 
 
@@ -408,30 +446,38 @@ def center_solve(n: int, max_degree: int) -> list[LieElem]:
 
     Returns a basis of the solution space, each element scaled so its
     leading coefficient is 1.
+
+    The unknowns are the coefficients of the basis derivations of degree
+    <= max_degree.  Each generator is one basis derivation with
+    coefficient 1, so [x^a d_i, g] is one term with an integer structure
+    constant, and the equations, one per generator and output key, have
+    integer coefficients.  ``_nullspace`` solves them without fractions
+    and returns the reduced-echelon basis.
     """
     if max_degree < 0:
         raise DomainError("degree bound must be nonnegative")
+    if n < 2:
+        raise DomainError("rank must be at least 2")
     keys = list(iter_basis_keys(n, max_degree))
-    index = {key: pos for pos, key in enumerate(keys)}
-    gens = standard_generators(n, max_degree + 1)
+    gens = _generator_keys(n, max_degree + 1)
+    equations: dict[tuple[int, Key], dict[int, int]] = {}
+    for pos, (a, i) in enumerate(keys):
+        for g_idx, (b, j) in enumerate(gens):
+            if i < j:
+                hit, sign = _bracket_keys(a, i, b, j), 1
+            elif i > j:
+                hit, sign = _bracket_keys(b, j, a, i), -1
+            else:
+                continue
+            if hit is not None:
+                factor, out_key = hit
+                # one (basis key, generator) pair gives one term, so each
+                # entry is set once
+                equations.setdefault((g_idx, out_key), {})[pos] = sign * factor
 
-    # Basis elements and generators have integer coefficients, and so
-    # have their brackets: each numerator is the coefficient itself.
-    equations: dict[tuple[int, Key], list[Fraction]] = {}
-    for pos, key in enumerate(keys):
-        basis_elem = _new(n, 1, {key: 1})
-        for g_idx, g in enumerate(gens):
-            for out_key, c in bracket(basis_elem, g)._nums.items():
-                row = equations.get((g_idx, out_key))
-                if row is None:
-                    row = [Fraction(0)] * len(keys)
-                    equations[(g_idx, out_key)] = row
-                row[pos] += c
-
-    solutions = rational_nullspace(list(equations.values()), len(keys))
     out = []
-    for vec in solutions:
-        elem = _new(n, *_over_lcm({keys[pos]: c for pos, c in enumerate(vec) if c}))
+    for vec in _nullspace(equations.values(), len(keys)):
+        elem = _new(n, *_over_lcm({keys[pos]: c for pos, c in vec.items()}))
         lead, _ = leading_term(elem)
         out.append(elem.scale(1 / lead))
     out.sort(key=lambda e: key_sort_key(leading_term(e)[1]))

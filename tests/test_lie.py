@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import assert_lowest_terms, frac_add, lie_elems, polys, rationals
 from triderive import (DomainError, LieElem, OrdinalCNF, Poly, bracket,
                        center_solve, exp_ad_apply, ideal_membership,
                        leading_term, ord_compare, ord_of_element, project)
-from triderive.lie import (basis_compare, format_lie, iter_basis_keys,
-                           key_sort_key, standard_generators)
+from triderive.lie import (_nullspace, basis_compare, format_lie,
+                           iter_basis_keys, key_sort_key, standard_generators)
 
 
 class TestConstruction:
@@ -237,12 +237,102 @@ class TestExpAd:
         assert lhs == rhs
 
 
+def nullspace_by_fractions(rows: list[list[Fraction]], ncols: int
+                           ) -> list[list[Fraction]]:
+    """Basis of the solutions of rows * x = 0 by dense Gauss-Jordan
+    elimination over Fractions, read off the reduced row echelon form:
+    the oracle of the integer elimination."""
+    matrix = [row[:] for row in rows if any(row)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for k in range(r, len(matrix)):
+            if matrix[k][col]:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        inv = 1 / matrix[r][col]
+        matrix[r] = [x * inv for x in matrix[r]]
+        for k in range(len(matrix)):
+            if k != r and matrix[k][col]:
+                factor = matrix[k][col]
+                matrix[k] = [a - factor * b for a, b in zip(matrix[k], matrix[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(matrix):
+            break
+    basis: list[list[Fraction]] = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, col in enumerate(pivots):
+            vec[col] = -matrix[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices of up to 12 columns, mostly zeros, with zero
+    rows, repeated rows and combinations of earlier rows among them."""
+    ncols = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), ncols
+
+
+class TestNullspace:
+    @settings(max_examples=100)
+    @given(sparse_matrices())
+    def test_matches_fraction_gauss_jordan(self, matrix):
+        rows, ncols = matrix
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        got = _nullspace(sparse, ncols)
+        want = nullspace_by_fractions(
+            [[Fraction(x) for x in row] for row in rows], ncols)
+        assert got == [{c: x for c, x in enumerate(vec) if x} for vec in want]
+        for vec in got:
+            assert all(type(x) is Fraction for x in vec.values())
+            for row in rows:
+                assert sum(row[c] * x for c, x in vec.items()) == 0
+
+    def test_pinned_cases(self):
+        # x0 + 2 x1 = 0 and x0 + 2 x2 = 0; the rows are left as they are
+        rows = [{0: 2, 1: 4}, {0: 3, 2: 6}]
+        assert _nullspace(rows, 3) == [{0: -2, 1: 1, 2: 1}]
+        assert rows == [{0: 2, 1: 4}, {0: 3, 2: 6}]
+        assert _nullspace([], 0) == []
+        assert _nullspace([], 2) == [{0: 1}, {1: 1}]
+        assert _nullspace([{}, {}], 1) == [{0: 1}]
+        assert _nullspace([{0: 5}, {0: -5}], 1) == []
+
+
 class TestCenterAndBases:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_center_is_last_derivation(self, n):
-        sols = center_solve(n, 3)
-        assert len(sols) == 1
-        assert sols[0] == LieElem.d(n, n)
+        for d in range(4):
+            sols = center_solve(n, d)
+            assert sols == [LieElem.d(n, n)]
+            for u in sols:
+                assert leading_term(u)[0] == 1
+                for g in standard_generators(n, d + 1):
+                    assert bracket(u, g).is_zero()
+
+    def test_center_rejects_bad_arguments(self):
+        with pytest.raises(DomainError, match="degree bound"):
+            center_solve(3, -1)
+        with pytest.raises(DomainError, match="rank"):
+            center_solve(1, 3)
 
     def test_iter_basis_keys_count(self):
         # rank 2: d1; d2, x1 d2, x1^2 d2 at degrees <= 2
