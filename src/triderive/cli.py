@@ -133,9 +133,10 @@ def _run(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else DEFAULT_ORDER
 
     if command == "bracket":
-        u = parse_lie(_resolve(args.left), n)
-        v = parse_lie(_resolve(args.right), n or u.n)
-        _emit(bracket(u, v), "lie", args.format)
+        left, right = _resolve(args.left), _resolve(args.right)
+        rank = n or max(parse_lie(left).n, parse_lie(right).n)
+        _emit(bracket(parse_lie(left, rank), parse_lie(right, rank)),
+              "lie", args.format)
     elif command == "exp":
         _emit(exp_map(parse_lie(_resolve(args.derivation), n)),
               "triaut", args.format)

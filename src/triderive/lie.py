@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (Poly, RatLike, _format_terms, _fractions, _lowest,
-                   _new as _new_poly, _over_lcm, _scale_ints, _sum_ints,
-                   format_monomial, iter_exponents, rat)
+from .poly import (Poly, RatLike, _check_cap, _format_terms, _fractions,
+                   _lowest, _new as _new_poly, _over_lcm, _scale_ints,
+                   _sum_ints, format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -148,17 +149,13 @@ class LieElem:
 
     def degree(self) -> int:
         """Largest |alpha| over the support; -1 when zero."""
-        if not self._nums:
-            return -1
-        return max(sum(alpha) for alpha, _ in self._nums)
+        return max((sum(alpha) for alpha, _ in self._nums), default=-1)
 
     def coefficient_poly(self, i: int) -> Poly:
         """The d_i coefficient as a polynomial in the full rank-n ring."""
         if not 1 <= i <= self.n:
             raise DomainError(f"derivation index {i} out of range 1..{self.n}")
-        pad = (0,) * (self.n - i + 1)
-        return _new_poly(self.n, *_lowest(self._den, {
-            alpha + pad: c for (alpha, j), c in self._nums.items() if j == i}))
+        return self.coefficient_polys()[i - 1]
 
     def coefficient_polys(self) -> list[Poly]:
         """The d_1..d_n coefficients, split in one pass over the terms."""
@@ -172,9 +169,7 @@ class LieElem:
 
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""
-        if not self._nums:
-            return self.n + 1
-        return min(i for _, i in self._nums)
+        return min((i for _, i in self._nums), default=self.n + 1)
 
     # -- linear arithmetic ------------------------------------------------
 
@@ -211,14 +206,7 @@ class LieElem:
         """Apply the derivation sum p_i d/dx_i to a polynomial."""
         if p.nvars != self.n:
             raise DomainError("polynomial must live in the rank-n ring")
-        out = Poly(self.n)
-        for i in range(1, self.n + 1):
-            dp = p.diff(i)
-            if dp:
-                pi = self.coefficient_poly(i)
-                if pi:
-                    out = out + pi * dp
-        return out
+        return _derive(*_split(self.coefficient_polys()), p)
 
     def __str__(self) -> str:
         return format_lie(self)
@@ -237,6 +225,38 @@ def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
     return u
 
 
+def _split(polys: Sequence[Poly]) -> tuple[int, list]:
+    """sum p_i d_i for ``_derive``: the lcm den of the denominators, and
+    per index deg p_i with the (exponents, numerator) pairs over den."""
+    den = math.lcm(*(p._den for p in polys))
+    return den, [(p.total_degree(), [(e, c * (den // p._den))
+                                     for e, c in p._nums.items()])
+                 for p in polys]
+
+
+def _derive(den: int, parts: list, p: Poly) -> Poly:
+    """Apply the split sum p_i d/dx_i to p (indices past the parts are
+    zero).  The products go over den * p._den into one dict and end with
+    one gcd, as in ``bracket``.  Each index is first checked against the
+    degree cap as the product p_i * dp/dx_i: deg p_i + deg dp/dx_i."""
+    acc: dict[tuple[int, ...], int] = {}
+    for k, (deg, part) in enumerate(parts):
+        if not part:
+            continue
+        # d/dx_{k+1}: lowering one exponent is injective, so no terms meet
+        dp = [(e[:k] + (e[k] - 1,) + e[k + 1:], c * e[k])
+              for e, c in p._nums.items() if e[k]]
+        if not dp:
+            continue
+        _check_cap(deg + max(sum(e) for e, _ in dp), "product")
+        for e1, c1 in part:
+            for e2, c2 in dp:
+                key = tuple(map(add, e1, e2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return _new_poly(p.nvars, *_lowest(den * p._den,
+                                       {e: c for e, c in acc.items() if c}))
+
+
 # -- basis order and ordinal degree -----------------------------------------
 
 
@@ -252,13 +272,8 @@ def basis_compare(key1: Key, key2: Key) -> int:
     x^a d_i beats x^b d_j when i < j; for equal index the exponents are
     compared from the most significant coordinate x_{i-1} downwards.
     """
-    k1 = key_sort_key(key1)
-    k2 = key_sort_key(key2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
+    k1, k2 = key_sort_key(key1), key_sort_key(key2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def leading_term(u: LieElem) -> tuple[Fraction, Key]:
@@ -343,8 +358,7 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     """
     u._require_same_rank(v)
     cap = 10 * (v.degree() + 2)
-    out = v
-    term = v
+    out = term = v
     k = 0
     while term:
         k += 1

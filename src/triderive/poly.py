@@ -155,15 +155,11 @@ class Poly:
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        if not self._nums:
-            return -1
-        return max(sum(e) for e in self._nums)
+        return max(map(sum, self._nums), default=-1)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of x_index; -1 for the zero polynomial."""
-        if not self._nums:
-            return -1
-        return max(e[index - 1] for e in self._nums)
+        return max((e[index - 1] for e in self._nums), default=-1)
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.nvars)

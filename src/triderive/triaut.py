@@ -13,12 +13,13 @@ omitted when the map is unipotent.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, bracket
-from .poly import Poly, RatLike, _Images, rat, rat_str
+from .lie import LieElem, _derive, _split, bracket
+from .poly import Poly, RatLike, _Images, _lowest, _new, rat, rat_str
 
 
 class TriAut:
@@ -184,18 +185,21 @@ class TriAut:
 
 
 def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
-    """Rebuild a TriAut from raw images, checking the triangular shape."""
+    """Rebuild a TriAut from raw images, checking the triangular shape.
+    The images are x_i * lambda_i + a_i in canonical form: the map's own."""
     lams = []
     parts = []
     for i, q in enumerate(images, start=1):
-        unit = tuple(1 if k == i - 1 else 0 for k in range(n))
-        lam = q.coefficient(unit)
-        rest = q - Poly.monomial(n, unit, lam)
-        if not lam or not rest.uses_only(i - 1):
+        rest = dict(q._nums)
+        lam = Fraction(rest.pop(tuple(int(k == i - 1) for k in range(n)), 0),
+                       q._den)
+        parts.append(_new(n, *_lowest(q._den, rest)))
+        if not lam or not parts[-1].uses_only(i - 1):
             raise InternalError(f"image of x{i} is not triangular: {q}")
         lams.append(lam)
-        parts.append(rest)
-    return TriAut(parts, lams)
+    sigma = TriAut(parts, lams)
+    object.__setattr__(sigma, "_images", _Images(images))
+    return sigma
 
 
 # -- the bridge to derivations -------------------------------------------------
@@ -246,38 +250,60 @@ def exp_map(delta: LieElem) -> TriAut:
     """The automorphism exp(delta): x_i -> sum_k delta^k(x_i) / k!.
 
     Terminates because triangular derivations act locally nilpotently on
-    polynomials.
+    polynomials.  Term k is delta of term k-1 over k times delta's den.
     """
     n = delta.n
+    den, parts = _split(delta.coefficient_polys())
     images = []
     for i in range(1, n + 1):
-        term = Poly.var(n, i)
-        acc = term
+        term = acc = Poly.var(n, i)
         k = 0
         while term:
             k += 1
-            term = delta.apply_to(term).scale(Fraction(1, k))
+            term = _derive(den * k, parts, term)
             acc = acc + term
         images.append(acc)
     return _from_images(n, images)
 
 
+# B_k / k!, the Taylor coefficients c_k of z / (e^z - 1): 1, -1/2, 1/12,
+# 0, -1/720, ...  Times (e^z - 1)/z they give 1, so for k >= 1,
+# sum_{m=0}^{k} c_{k-m} / (m+1)! = 0.  Extended on demand, not at import.
+_BERNOULLI = [Fraction(1)]
+
+
+def _bernoulli_term(k: int) -> Fraction:
+    while len(_BERNOULLI) <= k:
+        m = len(_BERNOULLI)
+        _BERNOULLI.append(-sum(_BERNOULLI[m - i] / math.factorial(i + 1)
+                               for i in range(1, m + 1)))
+    return _BERNOULLI[k]
+
+
 def log_map(sigma: TriAut) -> LieElem:
-    """Inverse of exp_map on unipotent automorphisms, via the logarithm
-    series b_j = -sum_i (1 - sigma)^i (x_j) / i."""
+    """Inverse of exp_map on unipotent automorphisms, by derivations only.
+
+    Let sigma send x_j to x_j + a_j, and delta = sum_i b_i d_i.  On
+    x_1..x_{j-1}, which b_j uses, delta acts as D = sum_{i<j} b_i d_i, so
+    exp(delta)(x_j) = x_j + sum_k D^k(b_j)/(k+1)! = x_j + phi(D)(b_j) with
+    phi(z) = (e^z - 1)/z.  D is triangular, so locally nilpotent: power
+    series in D are finite sums on polynomials and compose as series do.
+    As phi(z) * z/(e^z - 1) = 1, exp(delta) = sigma exactly when
+    b_j = sum_k (B_k/k!) D^k(a_j), solved for j = 1..n in order.
+    """
     if not sigma.is_unipotent():
         raise DomainError("logarithm needs a unipotent automorphism")
-    n = sigma.n
-    coeffs = []
-    for j in range(1, n + 1):
-        w = Poly.var(n, j) - sigma.image(j)
-        acc = Poly.zero(n)
-        i = 1
-        while w:
-            acc = acc - w.scale(Fraction(1, i))
-            w = w - sigma.apply(w)
-            i += 1
-        coeffs.append(acc)
+    coeffs: list[Poly] = []
+    for a in sigma.a:
+        den, parts = _split(coeffs)
+        b = term = a
+        k = 0
+        while term:
+            k += 1
+            term = _derive(den, parts, term)
+            if term and _bernoulli_term(k):
+                b = b + term.scale(_bernoulli_term(k))
+        coeffs.append(b)
     return LieElem.from_coefficients(coeffs)
 
 
@@ -341,22 +367,20 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
                 raise DomainError(f"frames {i + 1} and {j + 1} do not commute")
 
     # x_i' = phi_{i-1} ... phi_1 (x_i / mu_i), where phi_m resums with the
-    # m-th frame: phi_m(p) = sum_k (-x_m')^k / k! * frames[m]^k(p).
+    # m-th frame: phi_m(p) = sum_k (-x_m')^k * frames[m]^k(p) / k!.
+    splits = [_split(f.coefficient_polys()) for f in frames]
     images: list[Poly] = []
     for i in range(1, n + 1):
         p = Poly.var(n, i).scale(1 / mus[i - 1])
         for m in range(1, i):
-            frame = frames[m - 1]
-            xm = images[m - 1]
-            acc = Poly.zero(n)
-            deriv = p
-            factor = Poly.const(n, 1)
-            k = 0
+            den, parts = splits[m - 1]
+            minus_xm = -images[m - 1]
+            acc, deriv, factor, k = Poly.zero(n), p, Poly.const(n, 1), 0
             while deriv:
                 acc = acc + factor * deriv
-                deriv = frame.apply_to(deriv)
                 k += 1
-                factor = factor * xm.scale(Fraction(-1, k))
+                deriv = _derive(den * k, parts, deriv)
+                factor = factor * minus_xm
             p = acc
         images.append(p)
     return _from_images(n, images)

@@ -19,6 +19,19 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "x1^3*d3"
 
+    @pytest.mark.parametrize("left, right, expected", [
+        ("d1", "x2*d3", "0"), ("x2*d3", "d1", "0"),
+        ("d2", "x1*x2^2*d3", "2*x1*x2*d3"),
+        ("x1*x2^2*d3", "d2", "-2*x1*x2*d3"),
+    ])
+    def test_bracket_takes_the_larger_inferred_rank(self, capsys, left, right,
+                                                    expected):
+        assert run(capsys, "bracket", left, right) == (0, expected + "\n", "")
+
+    def test_operand_with_a_leading_minus_follows_double_dash(self, capsys):
+        code, out, _ = run(capsys, "bracket", "--", "-7/3*d1", "x1*d2")
+        assert code == 0 and out == "-7/3*d2\n"
+
     def test_exp_and_log_round_trip(self, capsys):
         code, out, _ = run(capsys, "--n", "2", "exp", "x1^2*d2")
         assert code == 0
@@ -171,7 +184,8 @@ class TestExitCodes:
     def test_degree_cap(self, capsys, fmt):
         code, out, err = run(capsys, "--format", fmt, "log", "[0, x1^9, x2^9]")
         assert code == 2 and out == ""
-        assert err == ("error: substitution would reach total degree 81, "
+        # The answer has degree 73; log_map stops at its delta^7 term.
+        assert err == ("error: product would reach total degree 65, "
                        "over the cap 64\n")
 
     def test_undecodable_file(self, capsys, tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_lowest_terms, frac_add, lie_elems, polys, rationals
-from triderive import (DomainError, LieElem, OrdinalCNF, Poly, bracket,
-                       center_solve, exp_ad_apply, ideal_membership,
-                       leading_term, ord_compare, ord_of_element, project)
+from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
+                       Poly, bracket, center_solve, exp_ad_apply,
+                       ideal_membership, leading_term, ord_compare,
+                       ord_of_element, project)
 from triderive.lie import (_nullspace, basis_compare, format_lie,
                            iter_basis_keys, key_sort_key, standard_generators)
 
@@ -62,6 +63,42 @@ class TestApplyTo:
     @given(lie_elems(3), polys(3, max_total=2), rationals())
     def test_linear(self, u, p, c):
         assert u.apply_to(p.scale(c)) == u.apply_to(p).scale(c)
+
+
+def apply_by_products(u: LieElem, p: Poly) -> Poly:
+    """sum_i p_i * (dp/dx_i) with one Poly product per index, the oracle
+    of the fused integer kernel behind apply_to."""
+    out = Poly.zero(u.n)
+    for i in range(1, u.n + 1):
+        dp = p.diff(i)
+        pi = u.coefficient_poly(i)
+        if dp and pi:
+            out = out + pi * dp
+    return out
+
+
+class TestDerivationKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @given(data=st.data())
+    def test_matches_the_sum_of_products(self, n, data):
+        u = data.draw(lie_elems(n))
+        p = data.draw(polys(n, max_total=4, max_terms=5))
+        got = u.apply_to(p)
+        assert got == apply_by_products(u, p)
+        assert_lowest_terms(got)
+
+    def test_cap_is_checked_per_index_as_a_product(self):
+        # p has degree 62, so d1 passes (0 + 61), while x1^40*d2 would
+        # reach 40 + 61 = 101 before x1^50*x2^10*d3 (60 + 61) is reached.
+        u = (LieElem.d(3, 1) + LieElem.basis(3, (40,), 2)
+             + LieElem.basis(3, (50, 10), 3))
+        p = Poly.monomial(3, (30, 30, 2))
+        message = "product would reach total degree 101, over the cap 64"
+        with pytest.raises(DegreeCapError, match=message) as fused:
+            u.apply_to(p)
+        assert (fused.value.degree, fused.value.cap) == (101, 64)
+        with pytest.raises(DegreeCapError, match=message):
+            apply_by_products(u, p)
 
 
 class TestBracket:

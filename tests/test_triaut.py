@@ -3,17 +3,18 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (lie_elems, rand_poly, rand_triaut, sympy_terms,
-                      to_sympy, triangular_auts, unipotent_auts)
+from conftest import (lie_elems, rand_poly, rand_triaut, rationals,
+                      sympy_terms, to_sympy, triangular_auts, unipotent_auts)
 from triderive import (AutoAction, DomainError, LieElem, Poly,
                        TriAut, act, bracket, conjugate_derivation, decompose,
                        exp_ad_apply, exp_map, log_map, normalize_mod_shn,
                        reconstruct_from_frames)
 from triderive.dsl import parse_lie, parse_triaut
-from triderive.triaut import format_triaut, split_ct_shift
+from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
 
 
 class TestConstruction:
@@ -128,6 +129,68 @@ class TestExpLog:
     def test_one_parameter_subgroup(self):
         u = LieElem.basis(3, (1, 2), 3) + LieElem.basis(3, (1,), 2)
         assert exp_map(u).compose(exp_map(u.scale(-1))).is_identity()
+
+
+def log_by_series(sigma: TriAut) -> LieElem:
+    """The logarithm series b_j = -sum_i (1 - sigma)^i (x_j) / i, one
+    substitution by sigma per term: the oracle of log_map."""
+    n = sigma.n
+    coeffs = []
+    for j in range(1, n + 1):
+        w = Poly.var(n, j) - sigma.image(j)
+        acc = Poly.zero(n)
+        i = 1
+        while w:
+            acc = acc - w.scale(Fraction(1, i))
+            w = w - sigma.apply(w)
+            i += 1
+        coeffs.append(acc)
+    return LieElem.from_coefficients(coeffs)
+
+
+def with_first_shift(n: int) -> st.SearchStrategy[TriAut]:
+    """Unipotent maps whose x1 is shifted by a drawn constant too."""
+    return st.tuples(unipotent_auts(n), rationals()).map(
+        lambda pair: TriAut([Poly.const(n, pair[1]), *pair[0].a[1:]]))
+
+
+class TestLogByBernoulliSeries:
+    """log_map solves b_j = sum_k (B_k/k!) D^k(a_j) coordinate by
+    coordinate, D the derivation on x_1..x_{j-1}."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @given(data=st.data())
+    def test_matches_the_series_in_sigma(self, n, data):
+        sigma = data.draw(with_first_shift(n))
+        delta = log_map(sigma)
+        assert delta == log_by_series(sigma)
+        assert exp_map(delta) == sigma
+
+    @pytest.mark.parametrize("text", [
+        "[1, x1^12]", "[-2/3, x1^5 - x1, x1*x2^3 - x2 + 2]",
+        "[1/2, x1^2, x2^2, x1*x3^2 + x2]",
+    ])
+    def test_long_series_match_the_series_in_sigma(self, text):
+        # [1, x1^12] needs every term through D^12 = 12! * (d/dx1)^12
+        sigma = parse_triaut(text)
+        assert log_map(sigma) == log_by_series(sigma)
+
+    def test_coefficients_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        series = sympy.series(z / (sympy.exp(z) - 1), z, 0, 13).removeO()
+        for k in range(13):
+            c = series.coeff(z, k)
+            assert _bernoulli_term(k) == Fraction(int(c.p), int(c.q))
+
+    def test_pinned_logarithm(self):
+        # b_2 = x1^2 - 1/2 * 2*x1 + 1/12 * 2 (D = d1), and with
+        # D = d1 + b_2 d2: b_3 = (x2 + 1) - 1/2 * b_2 + 1/12 * (2*x1 - 1),
+        # the D^3 term 2 having the coefficient B_3/3! = 0.
+        sigma = parse_triaut("[1, x1^2, x2 + 1]")
+        assert str(log_map(sigma)) == (
+            "d1 + x1^2*d2 - x1*d2 + 1/6*d2 + x2*d3 - 1/2*x1^2*d3"
+            " + 2/3*x1*d3 + 5/6*d3")
 
 
 def conjugate_by_substitution(sigma: TriAut, u: LieElem) -> LieElem:
