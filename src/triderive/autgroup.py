@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError
 from .lie import LieElem, bracket, exp_ad_apply, standard_generators
-from .poly import Poly, RatLike, rat
-from .series import DEFAULT_ORDER, OpSeries, factor_shift, _min_order
+from .poly import DEFAULT_ORDER, Poly, RatLike, rat
+from .series import OpSeries, factor_shift, _min_order
 from .triaut import (TriAut, _conjugate_coefficients, conjugate_derivation,
                      exp_map, normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)

@@ -23,16 +23,11 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .autgroup import (AutoAction, GnElem, act, convert_form, decompose,
-                       gn_inverse, multiply_formula)
-from .dsl import (gnelem_to_json, parse_gnelem, parse_lie, parse_ordinal,
-                  parse_triaut, print_value)
 from .errors import DomainError, DslError, TriderivError, TruncationError
-from .lie import LieElem, bracket, center_solve, ideal_membership, ord_of_element
-from .series import DEFAULT_ORDER
-from .triaut import (conjugate_derivation, exp_map, log_map,
-                     reconstruct_from_frames)
-from .verify import SUITES, run_checks
+from .poly import DEFAULT_ORDER
+
+# The choices of verify --suite: "all", or the tag of a group of checks.
+SUITES = ("all", "bracket", "group", "decompose", "dsl")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,10 +87,12 @@ def _resolve(text: str) -> str:
     return text
 
 
-def _element(text: str, n: int | None, order: int) -> GnElem:
+def _element(text: str, n: int | None, order: int):
     """A group element operand: JSON coordinates, or a triangular
     automorphism in bracket notation taken as its conjugation action,
     decomposed through the given series order."""
+    from .autgroup import AutoAction, decompose
+    from .dsl import parse_gnelem, parse_triaut
     text = _resolve(text)
     if text.lstrip().startswith("{"):
         return parse_gnelem(text)
@@ -104,8 +101,9 @@ def _element(text: str, n: int | None, order: int) -> GnElem:
 
 
 def _emit(value: Any, kind: str, fmt: str) -> None:
+    from .dsl import gnelem_to_json, print_value
     if fmt == "json":
-        if isinstance(value, GnElem):
+        if kind == "gnelem":
             payload: Any = gnelem_to_json(value)
         elif isinstance(value, list):
             payload = [print_value(v) for v in value]
@@ -131,6 +129,9 @@ def _run(args: argparse.Namespace) -> int:
         raise DomainError("series order must be at least 1")
     command = args.command
     order = args.order if args.order is not None else DEFAULT_ORDER
+    # Each command imports only the modules it runs.
+    from .dsl import parse_gnelem, parse_lie, parse_ordinal, parse_triaut
+    from .lie import bracket, center_solve, ideal_membership, ord_of_element
 
     if command == "bracket":
         left, right = _resolve(args.left), _resolve(args.right)
@@ -138,24 +139,30 @@ def _run(args: argparse.Namespace) -> int:
         _emit(bracket(parse_lie(left, rank), parse_lie(right, rank)),
               "lie", args.format)
     elif command == "exp":
+        from .triaut import exp_map
         _emit(exp_map(parse_lie(_resolve(args.derivation), n)),
               "triaut", args.format)
     elif command == "log":
+        from .triaut import log_map
         _emit(log_map(parse_triaut(_resolve(args.aut), n)),
               "lie", args.format)
     elif command == "conjugate":
+        from .triaut import conjugate_derivation
         sigma = parse_triaut(_resolve(args.aut), n)
         u = parse_lie(_resolve(args.derivation), sigma.n)
         _emit(conjugate_derivation(sigma, u), "lie", args.format)
     elif command == "reconstruct":
+        from .triaut import reconstruct_from_frames
         rank = n if n is not None else max(len(args.frame), 2)
         frames = [parse_lie(_resolve(chunk), rank) for chunk in args.frame]
         _emit(reconstruct_from_frames(frames), "triaut", args.format)
     elif command == "act":
+        from .autgroup import act
         g = _element(args.element, n, order)
         u = parse_lie(_resolve(args.derivation), g.n)
         _emit(act(g, u), "lie", args.format)
     elif command == "decompose":
+        from .autgroup import AutoAction, decompose
         text = _resolve(args.element)
         if text.lstrip().startswith("{"):
             action = AutoAction.from_gnelem(parse_gnelem(text))
@@ -163,6 +170,7 @@ def _run(args: argparse.Namespace) -> int:
             action = AutoAction.from_triaut(parse_triaut(text, n))
         _emit(decompose(action, order=order), "gnelem", args.format)
     elif command == "mul":
+        from .autgroup import convert_form, multiply_formula
         g = _element(args.left, n, order)
         h = _element(args.right, n, order)
         product = multiply_formula(convert_form(g, "B", args.order),
@@ -171,6 +179,7 @@ def _run(args: argparse.Namespace) -> int:
             product = convert_form(product, "A", args.order)
         _emit(product, "gnelem", args.format)
     elif command == "inv":
+        from .autgroup import gn_inverse
         g = _element(args.element, n, order)
         _emit(gn_inverse(g, args.order), "gnelem", args.format)
     elif command == "ord":
@@ -185,6 +194,7 @@ def _run(args: argparse.Namespace) -> int:
             raise DomainError("center needs an explicit --n")
         _emit(center_solve(n, 3), "lie-list", args.format)
     elif command == "verify":
+        from .verify import run_checks
         results = run_checks(args.suite, args.seed)
         if args.format == "json":
             payload = [{"name": name, "passed": ok, "detail": detail}

@@ -25,13 +25,10 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .autgroup import GnElem
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
 from .poly import Poly, _add_terms, format_poly, rat, rat_str
-from .series import OpSeries, format_series
-from .triaut import TriAut, format_triaut
 
 KINDS = ("poly", "lie", "triaut", "ordinal", "series", "gnelem-json")
 
@@ -280,6 +277,7 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
 
 def parse_triaut(text: str, n: int | None = None) -> TriAut:
     """Parse "[a1, ..., an ; l1, ..., ln]" (the scale block optional)."""
+    from .triaut import TriAut
     p = _Parser(text)
     p.expect("[", "'['")
     # First pass: slice out the comma-separated chunks so each polynomial
@@ -387,6 +385,7 @@ def parse_series(text: str, kind: str = "F", var: int = 1,
                  order: int | None = None) -> OpSeries:
     """Parse series text in the symbol D; the kind fixes the constant term
     (1 for unit kinds, 0 for the no-constant kind) and is checked."""
+    from .series import OpSeries
     p = _Parser(text)
     coeffs: dict[int, Fraction] = {}
     constant = Fraction(0)
@@ -457,6 +456,7 @@ def _rat_from_json(value: Any, what: str) -> Fraction:
 
 
 def _series_from_json(obj: Any, kind: str, var: int, what: str) -> OpSeries:
+    from .series import OpSeries
     if not isinstance(obj, dict):
         raise DomainError(f"{what}: expected an object")
     order = obj.get("order", "missing")
@@ -489,6 +489,9 @@ def _series_to_json(s: OpSeries) -> dict[str, Any]:
 
 def gnelem_from_json(obj: Any) -> GnElem:
     """Build a group element from parsed JSON data."""
+    from .autgroup import GnElem
+    from .series import OpSeries
+    from .triaut import TriAut
     if not isinstance(obj, dict):
         raise DomainError("group element JSON must be an object")
     for field in ("n", "form", "t", "tau", "f", "e"):
@@ -598,14 +601,18 @@ def print_value(value: Any) -> str:
         return format_poly(value)
     if isinstance(value, LieElem):
         return format_lie(value)
-    if isinstance(value, TriAut):
-        return format_triaut(value)
     if isinstance(value, OrdinalCNF):
         return format_ordinal(value)
-    if isinstance(value, OpSeries):
-        return format_series(value)
-    if isinstance(value, GnElem):
-        return json.dumps(gnelem_to_json(value), indent=2, sort_keys=False)
     if isinstance(value, Fraction):
         return rat_str(value)
+    # Each module below is loaded already if value is of its kind.
+    from .triaut import TriAut, format_triaut
+    if isinstance(value, TriAut):
+        return format_triaut(value)
+    from .series import OpSeries, format_series
+    if isinstance(value, OpSeries):
+        return format_series(value)
+    from .autgroup import GnElem
+    if isinstance(value, GnElem):
+        return json.dumps(gnelem_to_json(value), indent=2, sort_keys=False)
     raise DomainError(f"no canonical text for {type(value).__name__}")

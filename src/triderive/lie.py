@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
@@ -351,20 +351,28 @@ def bracket(u: LieElem, v: LieElem) -> LieElem:
 def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     """Apply exp(ad u) to v, summing (ad u)^k v / k! until a term vanishes.
 
-    Known defect: the loop raises InternalError after 10 * (deg v + 2)
-    terms, but some finite series need more, so valid input can fail:
-    u = -d1 + 1/3*x1^5*d2 - 3/2*x1*x2^4*d3 and v = -4/3*d1 + 3*d3 need 26
-    terms against a cap of 20 (see "Known defects" in perfbench/DESIGN.md).
+    Weigh x^a d_i by sum_j a_j w_j - w_i, where w_1 = 1 and w_i is 1 + the
+    largest sum_j a_j w_j over the terms x^a d_i of u, or 1 if there are
+    none.  Terms of u weigh <= -1, basis elements >= -max_i w_i, and both
+    terms of [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j - a_j x^(a+b-e_j) d_i
+    weigh the sum of the weights of x^a d_i and x^b d_j.  So (ad u)^k v = 0
+    for k > top(v) + max_i w_i, where top(v) is the largest weight of a
+    term of v.  Passing that bound is a bug and raises InternalError.
     """
     u._require_same_rank(v)
-    cap = 10 * (v.degree() + 2)
+    w = [1] * u.n  # w[i - 1] is w_i, read from w_1..w_{i-1}: ascending i
+    for a, i in sorted(u._nums, key=itemgetter(1)):
+        w[i - 1] = max(w[i - 1], 1 + sum(map(mul, a, w)))
+    cap = max([sum(map(mul, a, w)) - w[i - 1] for a, i in v._nums],
+              default=0) + max(w) + 1
     out = term = v
     k = 0
     while term:
         k += 1
         if k > cap:
-            raise InternalError("exp(ad u) failed to terminate within the cap")
-        term = bracket(u, term).scale(Fraction(1, k))
+            raise InternalError("exp(ad u) failed to terminate within its bound")
+        term = bracket(u, term)
+        term = _new(u.n, *_lowest(term._den * k, term._nums))  # times 1/k
         out = out + term
     return out
 

@@ -43,6 +43,8 @@ _N = TypeVar("_N", int, Fraction)
 # Maximum total degree any operation may produce.  Reassign to loosen or
 # tighten; operations check bounds before doing the expensive work.
 DEGREE_CAP = 64
+# Series truncation order when the inputs give none (autgroup, CLI).
+DEFAULT_ORDER = 16
 
 
 # A rational as text: optional sign, ASCII digits, optional "/" denominator.

@@ -26,9 +26,6 @@ from .poly import Poly, RatLike, _add_terms, _format_terms, rat
 
 KINDS = ("F", "FP", "E")
 
-# Truncation order used when no better one is available from the inputs.
-DEFAULT_ORDER = 16
-
 
 def _min_order(a: int | None, b: int | None) -> int | None:
     if a is None:

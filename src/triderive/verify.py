@@ -11,13 +11,18 @@ draw; run_checks turns that into (name, ok, detail) rows for the driver.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .autgroup import (AutoAction, GnElem, _apply_feeds, _apply_unit_series,
                        act, decompose, convert_form, exp_ad_auto, gn_inverse,
                        multiply_formula)
+from .cli import SUITES, main
+from .dsl import parse, print_value
 from .errors import TriderivError
 from .lie import (LieElem, bracket, center_solve, exp_ad_apply,
                   basis_compare, ideal_membership, iter_basis_keys,
@@ -27,8 +32,6 @@ from .poly import Poly
 from .series import OpSeries, factor_shift
 from .triaut import (TriAut, conjugate_derivation, exp_map, log_map,
                      reconstruct_from_frames, split_ct_shift)
-
-SUITES = ("all", "bracket", "group", "decompose", "dsl")
 
 
 class CheckFailure(Exception):
@@ -667,8 +670,6 @@ _NEGATIVE_CORPUS: tuple[tuple[str, ...], ...] = (
 
 
 def check_dsl_roundtrip(rng: random.Random) -> str:
-    from .dsl import parse, print_value
-
     for kind, text in _ROUNDTRIP_CORPUS:
         value = parse(kind, text)
         printed = print_value(value)
@@ -677,12 +678,6 @@ def check_dsl_roundtrip(rng: random.Random) -> str:
                 f"{kind} round trip changes the value of {text!r}")
         _ensure(print_value(again) == printed,
                 f"{kind} printing of {text!r} is not canonical")
-
-    import contextlib
-    import io
-    import re
-
-    from .cli import main
 
     for argv in _NEGATIVE_CORPUS:
         err = io.StringIO()

@@ -1,9 +1,14 @@
 """Command line front end: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triderive
 from triderive.cli import main
 
 
@@ -197,3 +202,57 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert run(capsys, "bracket")[0] == 2
+
+
+# A fresh interpreter runs one command and reports the triderive modules
+# it loaded.
+LOADED = """
+import contextlib, io, json, sys
+from triderive.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+GROUP_CODE = ("triaut", "series", "autgroup", "verify")
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    src = str(Path(triderive.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return {m.split(".", 1)[1] for m in modules if m.startswith("triderive.")}
+
+
+class TestModuleLoads:
+    """Each command compiles only the modules it runs, whatever the
+    machine; a cold process pays for every module it imports."""
+
+    @pytest.mark.parametrize("unused, argv", [
+        pytest.param(unused, argv, id=command)
+        for unused, command, argv in [
+            (GROUP_CODE, "bracket",
+             ["--n", "3", "bracket", "x1^2*d2", "x1*x2*d3"]),
+            (GROUP_CODE, "ord", ["--n", "3", "ord", "d1"]),
+            (GROUP_CODE, "ideal", ["--n", "2", "ideal", "x1*d2", "w*1 + 1"]),
+            (GROUP_CODE, "center", ["--n", "3", "center"]),
+            (GROUP_CODE[1:], "exp", ["--n", "2", "exp", "x1^2*d2"]),
+            (GROUP_CODE[1:], "log", ["log", "[0, x1^2]"]),
+            (GROUP_CODE[1:], "conjugate", ["conjugate", "[0, x1^2]", "d1"]),
+            (GROUP_CODE[1:], "reconstruct",
+             ["reconstruct", "d1 - 2*x1*d2", "d2"]),
+            (("verify",), "act", ["act", "[0, x1^2]", "d1"]),
+            (("verify",), "decompose", ["decompose", "[0, x1^2]"]),
+            (("verify",), "mul", ["mul", "[0, x1^2]", "[0, x1]"]),
+            (("verify",), "inv", ["inv", "[0, x1^2]"]),
+        ]])
+    def test_command_loads_only_what_it_runs(self, unused, argv):
+        loaded = loaded_modules(argv)
+        assert {"cli", "dsl", "lie"} <= loaded
+        assert loaded.isdisjoint(unused)
+
+    def test_verify_loads_the_suites(self):
+        assert "verify" in loaded_modules(["verify", "--suite", "dsl"])

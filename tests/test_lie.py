@@ -11,6 +11,7 @@ from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
                        Poly, bracket, center_solve, exp_ad_apply,
                        ideal_membership, leading_term, ord_compare,
                        ord_of_element, project)
+from triderive.dsl import parse_lie
 from triderive.lie import (_nullspace, basis_compare, format_lie,
                            iter_basis_keys, key_sort_key, standard_generators)
 
@@ -272,6 +273,45 @@ class TestExpAd:
         lhs = exp_ad_apply(u, bracket(v, w))
         rhs = bracket(exp_ad_apply(u, v), exp_ad_apply(u, w))
         assert lhs == rhs
+
+    def test_the_weight_bound_is_reached(self):
+        # Weights (1, 6, 26, 1): the series needs 26 brackets, which is
+        # more than the old cap 10 * (deg v + 2) = 20 allowed.
+        u = parse_lie("-d1 + 1/3*x1^5*d2 - 3/2*x1*x2^4*d3", 4)
+        v = parse_lie("-4/3*d1 + 3*d3", 4)
+        assert ad_length(u, v) == weight_bound(u, v) == 26
+        assert bracket(u, exp_ad_apply(u, v)) == exp_ad_apply(u, bracket(u, v))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_length_within_the_weight_bound(self, n, data):
+        u = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        v = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        assert ad_length(u, v) <= weight_bound(u, v)
+        assert exp_ad_apply(-u, exp_ad_apply(u, v)) == v
+
+
+def ad_length(u: LieElem, v: LieElem) -> int:
+    """The least k with (ad u)^k v = 0."""
+    k = 0
+    while v:
+        v = bracket(u, v)
+        k += 1
+    return k
+
+
+def weight_bound(u: LieElem, v: LieElem) -> int:
+    """top(v) + max_i w_i + 1 for the grading of exp_ad_apply: w_1 = 1,
+    w_i = 1 + the largest weighted degree of a d_i coefficient term of u
+    (1 without one), and x^a d_i weighs sum_j a_j w_j - w_i."""
+    weights = {1: 1}
+    for i in range(2, u.n + 1):
+        degrees = [sum(e * weights[j] for j, e in enumerate(alpha, start=1))
+                   for alpha, index in u.terms if index == i]
+        weights[i] = 1 + max(degrees, default=0)
+    top = max((sum(e * weights[j] for j, e in enumerate(alpha, start=1))
+               - weights[i] for alpha, i in v.terms), default=0)
+    return top + max(weights.values()) + 1
 
 
 def nullspace_by_fractions(rows: list[list[Fraction]], ncols: int
