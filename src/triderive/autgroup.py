@@ -13,18 +13,20 @@ one.  Two coordinate layouts are supported:
            of x_n, the shift data absorbed into tau, f without linear
            term)
 
+The group is T^n . (UAut_K(P_n)_n . (F'_n x E_n)), and the group law
+uses two facts of it as they are: f and e commute, as F'_n x E_n is a
+direct product, and moving them past a triangular part leaves
+exp(c d_n) with c in K[x_1..x_{n-1}], the translation x_n -> x_n + c.
+
 Form A is what the black-box decomposition produces; Form B is where
 the closed multiplication formula lives.  ``act`` evaluates either form
-on a derivation: it splits the derivation into its n coefficient
-polynomials once, the series factors act on that list, the whole
-triangular factor (t . tau . s in Form A, tau . t in Form B) acts on it
-as one automorphism, the element's frame map, through one conjugation,
-and one derivation is built from the list at the end.
-``decompose`` recovers Form A coordinates from action queries alone:
-the frame map t . tau . s sends the origin to (s_1, ..., s_{n-2}, 0, 0),
-so each coordinate is read as one constant of one probe image at that
-point, and the assembled element must reproduce the action exactly on
-every probe.  ``convert_form`` moves between the two layouts.
+on a derivation through the element's frame map, its whole triangular
+factor as one automorphism.  ``decompose`` recovers Form A coordinates
+from action queries alone: the frame map t . tau . s sends the origin
+to (s_1, ..., s_{n-2}, 0, 0), so each coordinate is read as one
+constant of one probe image at that point, and the assembled element
+must reproduce the action exactly on every probe.  ``convert_form``
+moves between the two layouts.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .lie import LieElem, bracket, exp_ad_apply, standard_generators
 from .poly import DEFAULT_ORDER, Poly, RatLike, rat
 from .series import OpSeries, factor_shift, _min_order
 from .triaut import (TriAut, _conjugate_coefficients, conjugate_derivation,
-                     exp_map, normalize_mod_shn, reconstruct_from_frames,
+                     normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
 
 
@@ -186,19 +188,16 @@ def act(g: GnElem, u: LieElem) -> LieElem:
     """Evaluate the automorphism on a derivation.
 
     u is split into its coefficient polynomials once, and every factor
-    acts on that list: the series factors first, in the order of g's
-    form, then the whole triangular factor (torus, triangular part and,
-    in Form A, the shift) through one conjugation by the frame map,
-    which g builds once and keeps.  The result is built from the list
-    once.
+    acts on that list: the unit series, then the feeds, then the whole
+    triangular factor through one conjugation by the frame map, which g
+    builds once and keeps.  The result is built from the list once.
+    The series steps commute in both forms: f rewrites only p_n, the
+    feeds read only p_2..p_{n-1} and add to p_n terms in x_1..x_{n-2},
+    which f's d/dx_{n-1} kills.
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
-    coeffs = u.coefficient_polys()
-    if g.form == "A":
-        coeffs = _apply_unit_series(g.f, _apply_feeds(g.e, coeffs))
-    else:
-        coeffs = _apply_feeds(g.e, _apply_unit_series(g.f, coeffs))
+    coeffs = _apply_feeds(g.e, _apply_unit_series(g.f, u.coefficient_polys()))
     frame = g._frame_map()
     if not frame.is_identity():
         coeffs = _conjugate_coefficients(frame, coeffs)
@@ -381,10 +380,12 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
 def multiply_formula(g: GnElem, h: GnElem) -> GnElem:
     """Product of two Form B elements, directly in coordinates.
 
-    Sliding g's series factors through h's unipotent part deposits a
-    correction exp(c d_n) with c = (f_g - 1)(b_n) + sum_i e_{g,i}(b_i),
-    where the b_i are h's translation parts; after that only torus
-    rescalings and coefficient-wise series arithmetic remain.
+    Sliding g's commuting series factors through h's unipotent part
+    deposits exp(c d_n) with c = (f_g - 1)(b_n) + sum_i e_{g,i}(b_i),
+    where the b_i are h's translation parts.  c lies in K[x_1..x_{n-1}],
+    so exp(c d_n) is the translation x_n -> x_n + c, and as b_n does not
+    use x_n, exp(c d_n) h.tau is h.tau with c added to b_n.  After that
+    only torus rescalings and coefficient-wise series arithmetic remain.
     """
     if g.form != "B" or h.form != "B":
         raise DomainError("the multiplication formula needs Form B inputs")
@@ -392,20 +393,16 @@ def multiply_formula(g: GnElem, h: GnElem) -> GnElem:
         raise DomainError(f"mixed ranks: {g.n} vs {h.n}")
     n = g.n
 
-    b = [h.tau.a[i] for i in range(n)]
+    b = h.tau.a
     c = g.f.apply_without_unit(b[n - 1])
     for k, series in enumerate(g.e):
         if b[k + 1]:
             c = c + series.apply(b[k + 1])
 
     tt = TriAut.torus(g.t)
-    tau_new = g.tau
-    if c:
-        correction = conjugate_derivation(
-            tt, LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [c]))
-        tau_new = tau_new.compose(exp_map(correction))
-    tau_new = tau_new.compose(tt.compose(h.tau).compose(tt.invert()))
-    tau_new = normalize_mod_shn(tau_new)
+    tau_h = TriAut(b[:-1] + (b[-1] + c,)) if c else h.tau
+    tau_new = normalize_mod_shn(
+        g.tau.compose(tt.compose(tau_h).compose(tt.invert())))
 
     t_new = tuple(a * b2 for a, b2 in zip(g.t, h.t))
 
@@ -416,29 +413,28 @@ def multiply_formula(g: GnElem, h: GnElem) -> GnElem:
                       .scale_powers(h.t[i - 2])
         e_new.append(moved.add_e(h.e[k]))
 
+    # FP times FP has no linear term, so the product stays of kind FP.
     f_new = g.f.scale_powers(h.t[n - 2]).mul(h.f)
-    f_new = OpSeries("FP", f_new.var, f_new.order, f_new.coeffs)
 
     return GnElem(n, "B", t_new, tau_new, None, f_new, e_new)
 
 
 def gn_inverse(g: GnElem, order: int | None = None) -> GnElem:
-    """Group inverse, assembled from the inverses of the pure factors."""
+    """Group inverse: in Form B, g = tau . t . e . f with e and f
+    commuting, so g^(-1) is the Form B element (f^(-1), -e) times t^(-1)
+    times tau^(-1), joined by the multiplication formula."""
     gb = convert_form(g, "B", order)
     n = gb.n
 
     inv_order = order if order is not None else gb.f.order
     if inv_order is None and gb.f.coeffs:
         inv_order = DEFAULT_ORDER
-    f_inv = gb.f.reciprocal(inv_order)
-    f_inv = OpSeries("FP", f_inv.var, f_inv.order, f_inv.coeffs)
-
-    out = _pure_f(n, f_inv)
-    e_inv = [series.negate_e() for series in gb.e]
-    out = multiply_formula(out, _pure_e(n, e_inv))
-    out = multiply_formula(out, _pure_torus(n, tuple(1 / c for c in gb.t)))
-    out = multiply_formula(
-        out, _pure_tau(n, normalize_mod_shn(gb.tau.invert())))
+    one = GnElem.identity(n, "B")
+    out = GnElem(n, "B", one.t, one.tau, None, gb.f.reciprocal(inv_order),
+                 [series.negate_e() for series in gb.e])
+    for t, tau in (([1 / c for c in gb.t], one.tau),
+                   (one.t, normalize_mod_shn(gb.tau.invert()))):
+        out = multiply_formula(out, GnElem(n, "B", t, tau, None, one.f, one.e))
     if g.form == "A":
         return convert_form(out, "A", order)
     return out
@@ -451,24 +447,3 @@ def commutator(g: GnElem, h: GnElem) -> GnElem:
     out = multiply_formula(gb, hb)
     out = multiply_formula(out, gn_inverse(gb))
     return multiply_formula(out, gn_inverse(hb))
-
-
-def _pure_torus(n: int, t: Sequence[RatLike]) -> GnElem:
-    return GnElem(n, "B", t, TriAut.identity(n), None,
-                  OpSeries.one(n - 1, "FP"),
-                  [OpSeries.zero_e(k + 1) for k in range(n - 2)])
-
-
-def _pure_tau(n: int, tau: TriAut) -> GnElem:
-    return GnElem(n, "B", [1] * n, tau, None, OpSeries.one(n - 1, "FP"),
-                  [OpSeries.zero_e(k + 1) for k in range(n - 2)])
-
-
-def _pure_f(n: int, f: OpSeries) -> GnElem:
-    return GnElem(n, "B", [1] * n, TriAut.identity(n), None, f,
-                  [OpSeries.zero_e(k + 1) for k in range(n - 2)])
-
-
-def _pure_e(n: int, e: Sequence[OpSeries]) -> GnElem:
-    return GnElem(n, "B", [1] * n, TriAut.identity(n), None,
-                  OpSeries.one(n - 1, "FP"), e)

@@ -8,7 +8,7 @@ Grammar (whitespace insignificant, no implicit multiplication):
     lie term  := [monomial "*"] "d"INT | "0"   summed like poly terms
     triaut    := "[" poly ("," poly)* [";" rational ("," rational)*] "]"
     ordinal   := ("w"["^"INT]["*"INT] | INT) joined by "+"
-    series    := like poly but in the single symbol "D"
+    series    := like poly but in the single symbol "D" (no index)
 
 Parsers report syntax errors (ParseError) and meaning errors such as a
 d2 coefficient using x2 (SemanticError) with byte spans into the input.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie
@@ -140,14 +140,14 @@ class _Parser:
             return Fraction(int(num.text), int(den.text))
         return Fraction(int(num.text))
 
-    def indexed_name(self, letter: str, what: str) -> tuple[int, _Token]:
-        tok = self.expect("name", what)
+    def indexed_name(self, letter: str, noun: str) -> tuple[int, _Token]:
+        tok = self.expect("name", f"a {noun}")
         if not tok.text.startswith(letter) or len(tok.text) < 2:
-            raise ParseError(f"expected {what}, found {tok.text!r}",
+            raise ParseError(f"expected a {noun}, found {tok.text!r}",
                              tok.start, tok.end)
         index = int(tok.text[1:])
         if index < 1:
-            raise SemanticError(f"{what} indices start at 1", tok.start, tok.end)
+            raise SemanticError(f"{noun} indices start at 1", tok.start, tok.end)
         return index, tok
 
     def caret_int(self) -> int:
@@ -155,27 +155,48 @@ class _Parser:
         tok = self.expect("int", "an exponent")
         return int(tok.text)
 
+    def signed_terms(self, what: str) -> Iterator[tuple[int, int]]:
+        """Walk ["+"|"-"] term (("+"|"-") term)* to the end of input.
+
+        Yields each term's sign and start offset (that of its sign, if
+        any); the caller parses the term before asking for the next."""
+        tok = self.peek()
+        if tok.kind == "end":
+            raise self.fail(what)
+        while tok.kind != "end":
+            yield self.sign(), tok.start
+            tok = self.peek()
+            if tok.kind not in ("+", "-", "end"):
+                raise self.fail("'+' or '-'")
+
 
 # -- polynomials -------------------------------------------------------------------
 
 
-def _parse_monomial(p: _Parser, max_index: int | None,
-                    stop_on_d: bool) -> tuple[Fraction, dict[int, int], _Token | None]:
+def _parse_monomial(p: _Parser, max_index: int | None, stop_on_d: bool = False,
+                    symbol: str = "x") -> tuple[Fraction, dict[int, int], _Token | None]:
     """One product of factors.  Returns (coefficient, {var index: exp},
-    d-token) where the d-token is only hunted when stop_on_d is set."""
+    d-token) where the d-token is only hunted when stop_on_d is set.
+    The variables are x1, x2, ..., or with symbol "D" the single D,
+    counted as index 1."""
     coeff = Fraction(1)
     exps: dict[int, int] = {}
-    saw_factor = False
     while True:
         tok = p.peek()
         if tok.kind == "int":
             coeff *= p.rational()
-        elif tok.kind == "name" and tok.text[0] == "x":
-            index, name_tok = p.indexed_name("x", "a variable")
-            if max_index is not None and index > max_index:
-                raise SemanticError(
-                    f"variable x{index} exceeds rank {max_index}",
-                    name_tok.start, name_tok.end)
+        elif tok.kind == "name" and tok.text[0] == symbol:
+            if symbol == "D":
+                if tok.text != "D":
+                    raise p.fail("a factor")
+                p.next()
+                index = 1
+            else:
+                index, name_tok = p.indexed_name("x", "variable")
+                if max_index is not None and index > max_index:
+                    raise SemanticError(
+                        f"variable x{index} exceeds rank {max_index}",
+                        name_tok.start, name_tok.end)
             power = 1
             if p.peek().kind == "^":
                 power = p.caret_int()
@@ -185,34 +206,18 @@ def _parse_monomial(p: _Parser, max_index: int | None,
             return coeff, exps, d_tok
         else:
             raise p.fail("a factor")
-        saw_factor = True
-        if p.peek().kind == "*":
-            p.next()
-            continue
-        if not saw_factor:
-            raise p.fail("a factor")
-        return coeff, exps, None
+        if p.peek().kind != "*":
+            return coeff, exps, None
+        p.next()
 
 
 def parse_poly(text: str, n: int | None = None) -> Poly:
     """Parse a polynomial; the ring size is n or the largest index seen."""
     p = _Parser(text)
     terms: list[tuple[Fraction, dict[int, int]]] = []
-    first = True
-    while True:
-        tok = p.peek()
-        if tok.kind == "end":
-            if first:
-                raise p.fail("a polynomial")
-            break
-        if not first:
-            if tok.kind not in ("+", "-"):
-                raise p.fail("'+' or '-'")
-        sgn = p.sign()
-        coeff, exps, _ = _parse_monomial(p, n, stop_on_d=False)
+    for sgn, _ in p.signed_terms("a polynomial"):
+        coeff, exps, _ = _parse_monomial(p, n)
         terms.append((coeff * sgn, exps))
-        first = False
-    p.done()
     nvars = n if n is not None else max(
         (max(e) for _, e in terms if e), default=0)
     out = Poly.zero(nvars)
@@ -231,23 +236,12 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
     raw: list[tuple[Fraction, dict[int, int], int, int, int]] = []
     max_d = 0
     max_x = 0
-    first = True
-    while True:
-        tok = p.peek()
-        if tok.kind == "end":
-            if first:
-                raise p.fail("a derivation")
-            break
-        if not first and tok.kind not in ("+", "-"):
-            raise p.fail("'+' or '-'")
-        start = tok.start
-        sgn = p.sign()
+    for sgn, start in p.signed_terms("a derivation"):
         coeff, exps, d_tok = _parse_monomial(p, n, stop_on_d=True)
-        first = False
         if d_tok is None:
             if coeff or exps:
-                tok = p.peek()
-                raise ParseError("term is missing its d-part", start, tok.start)
+                raise ParseError("term is missing its d-part", start,
+                                 p.peek().start)
             continue  # a bare zero, as the zero derivation prints
         index = int(d_tok.text[1:])
         if index < 1:
@@ -256,7 +250,6 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
         raw.append((coeff * sgn, exps, index, start, d_tok.end))
         max_d = max(max_d, index)
         max_x = max(max_x, max(exps, default=0))
-    p.done()
     rank = n if n is not None else max(max_d, max_x + 1, 2)
     terms: list[tuple[tuple[tuple[int, ...], int], Fraction]] = []
     for coeff, exps, index, start, end in raw:
@@ -388,45 +381,11 @@ def parse_series(text: str, kind: str = "F", var: int = 1,
     from .series import OpSeries
     p = _Parser(text)
     coeffs: dict[int, Fraction] = {}
-    constant = Fraction(0)
-    first = True
-    span_start = 0
-    while True:
-        tok = p.peek()
-        if tok.kind == "end":
-            if first:
-                raise p.fail("a series")
-            break
-        if not first and tok.kind not in ("+", "-"):
-            raise p.fail("'+' or '-'")
-        span_start = tok.start
-        sgn = p.sign()
-        tok = p.peek()
-        coeff = Fraction(1)
-        deg: int | None = None
-        if tok.kind == "int":
-            coeff = p.rational()
-            if p.peek().kind == "*":
-                p.next()
-                d_tok = p.expect("name", "'D'")
-                if d_tok.text != "D":
-                    raise ParseError(f"expected 'D', found {d_tok.text!r}",
-                                     d_tok.start, d_tok.end)
-                deg = p.caret_int() if p.peek().kind == "^" else 1
-            else:
-                deg = 0
-        elif tok.kind == "name" and tok.text == "D":
-            p.next()
-            deg = p.caret_int() if p.peek().kind == "^" else 1
-        else:
-            raise p.fail("a series term")
-        value = coeff * sgn
-        if deg == 0:
-            constant += value
-        else:
-            coeffs[deg] = coeffs.get(deg, Fraction(0)) + value
-        first = False
-    p.done()
+    for sgn, _ in p.signed_terms("a series"):
+        coeff, exps, _ = _parse_monomial(p, None, symbol="D")
+        deg = exps.get(1, 0)
+        coeffs[deg] = coeffs.get(deg, Fraction(0)) + coeff * sgn
+    constant = coeffs.pop(0, Fraction(0))
     expected = Fraction(0) if kind == "E" else Fraction(1)
     if constant != expected:
         raise SemanticError(

@@ -352,7 +352,8 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
     mus = []
     for i, f in enumerate(frames, start=1):
         if f.n != n:
-            raise DomainError("frames must live in rank n")
+            raise DomainError(f"{n} frames need rank {n}, frame {i} has "
+                              f"rank {f.n}")
         mu = f._coefficient(((0,) * (i - 1), i))
         if not mu:
             raise DomainError(f"frame {i} has no constant d_{i} component")

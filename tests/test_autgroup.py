@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 
-from conftest import lie_elems, rand_poly, rationals
+from conftest import gn_elems, lie_elems, rand_poly, rationals
 from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
-                       Poly, TriAut, act, bracket, commutator,
+                       Poly, TriAut, TriderivError, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
+from triderive.autgroup import _apply_feeds, _apply_unit_series
 from triderive.lie import standard_generators
+from triderive.poly import DEFAULT_ORDER
+from triderive.triaut import normalize_mod_shn
 
 
 def x(i: int, n: int = 3) -> Poly:
@@ -115,6 +118,58 @@ def rand_gn(rng: random.Random, n: int, form: str) -> GnElem:
     return GnElem(n, form, t, TriAut(parts), s, f, e)
 
 
+def product_by_derivation_correction(g: GnElem, h: GnElem) -> GnElem:
+    """Oracle for multiply_formula: the correction c d_n is built as a
+    derivation, conjugated by g's torus and exponentiated, and composed
+    between g's triangular part and h's conjugated by the torus."""
+    n = g.n
+    b = h.tau.a
+    c = g.f.apply_without_unit(b[n - 1])
+    for k, series in enumerate(g.e):
+        if b[k + 1]:
+            c = c + series.apply(b[k + 1])
+    tt = TriAut.torus(g.t)
+    tau = g.tau
+    if c:
+        correction = conjugate_derivation(
+            tt, LieElem.from_coefficients([Poly.zero(n)] * (n - 1) + [c]))
+        tau = tau.compose(exp_map(correction))
+    tau = normalize_mod_shn(tau.compose(tt.compose(h.tau).compose(tt.invert())))
+    e = [series.scale_coeffs(h.t[n - 1] / h.t[k + 1])
+         .scale_powers(h.t[k]).add_e(h.e[k]) for k, series in enumerate(g.e)]
+    f = g.f.scale_powers(h.t[n - 2]).mul(h.f)
+    f = OpSeries("FP", f.var, f.order, f.coeffs)
+    return GnElem(n, "B", [a * b for a, b in zip(g.t, h.t)], tau, None, f, e)
+
+
+def inverse_by_pure_factors(g: GnElem, order=None) -> GnElem:
+    """Oracle for gn_inverse: the inverses of the four factors, each as
+    its own element, multiplied in the order f, e, torus, triangular
+    part."""
+    gb = convert_form(g, "B", order)
+    n = gb.n
+    inv_order = order if order is not None else gb.f.order
+    if inv_order is None and gb.f.coeffs:
+        inv_order = DEFAULT_ORDER
+    f_inv = gb.f.reciprocal(inv_order)
+    out = gn(n, "B", f=OpSeries("FP", f_inv.var, f_inv.order, f_inv.coeffs))
+    out = multiply_formula(out, gn(n, "B", e=[x.negate_e() for x in gb.e]))
+    out = multiply_formula(out, gn(n, "B", t=[1 / c for c in gb.t]))
+    out = multiply_formula(
+        out, gn(n, "B", tau=normalize_mod_shn(gb.tau.invert())))
+    if g.form == "A":
+        return convert_form(out, "A", order)
+    return out
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except TriderivError as exc:
+        return type(exc), str(exc)
+
+
 class TestGnElem:
     def test_identity(self):
         for form in ("A", "B"):
@@ -212,6 +267,26 @@ class TestAction:
         v = LieElem.basis(3, (1, 1), 3) + LieElem.basis(3, (0,), 2)
         assert act(g, bracket(u, v)) == bracket(act(g, u), act(g, v))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_unit_series_and_feeds_commute(self, n, data):
+        """F'_n x E_n is a direct product: on the coefficient list, f and
+        e commute, for f with a linear term (kind F) and without (FP)."""
+        coeffs = data.draw(lie_elems(n)).coefficient_polys()
+        kind = data.draw(st.sampled_from(["F", "FP"]))
+        lowest = 2 if kind == "FP" else 1
+        f_coeffs = data.draw(st.dictionaries(
+            st.integers(lowest, 4), rationals(span=3, nonzero=True),
+            min_size=1, max_size=3))
+        if kind == "F":
+            f_coeffs[1] = data.draw(rationals(span=3, nonzero=True))
+        f = OpSeries(kind, n - 1, None, f_coeffs)
+        e = [OpSeries("E", k + 1, None, data.draw(st.dictionaries(
+            st.integers(1, 4), rationals(span=3, nonzero=True), max_size=3)))
+             for k in range(n - 2)]
+        assert _apply_feeds(e, _apply_unit_series(f, coeffs)) == \
+            _apply_unit_series(f, _apply_feeds(e, coeffs))
+
     def test_action_memoizes_and_validates(self):
         calls = []
 
@@ -296,6 +371,10 @@ class TestConvertForm:
         assert back.f.agrees_with(g.f, 6)
 
 
+GN_ELEMS = {(n, form, order): gn_elems(n, form, order)
+            for n in (2, 3, 4) for form in "AB" for order in (None, 6)}
+
+
 class TestGroupOperations:
     def small_pair(self):
         g = GnElem(3, "B", [2, 1, 1], TriAut([Poly.zero(3), x(1) ** 2, Poly.zero(3)]),
@@ -317,6 +396,22 @@ class TestGroupOperations:
         assert multiply_formula(g, ginv).agrees_with(GnElem.identity(3, "B"), 8)
         for u in standard_generators(3, 4):
             assert act(ginv, act(g, u)) == u
+
+    @pytest.mark.parametrize("order", [None, 6])
+    @pytest.mark.parametrize("form", ["A", "B"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    # The explain phase would rerun a failing draw for minutes.
+    @settings(max_examples=20,
+              phases=[p for p in Phase if p is not Phase.explain])
+    @given(data=st.data())
+    def test_product_and_inverse_match_the_oracles(self, n, form, order, data):
+        elems = GN_ELEMS[n, form, order]
+        g, h = data.draw(elems), data.draw(elems)
+        inv_order = data.draw(st.sampled_from([None, 5]))
+        assert outcome(gn_inverse, g, inv_order) == \
+            outcome(inverse_by_pure_factors, g, inv_order)
+        gb, hb = convert_form(g, "B", 6), convert_form(h, "B", 6)
+        assert multiply_formula(gb, hb) == product_by_derivation_correction(gb, hb)
 
     def test_commutator_of_tori_is_trivial(self):
         a = gn(3, t=[2, 3, 5], form="B", s=None)

@@ -170,6 +170,16 @@ class TestExitCodes:
         assert code == 1
         assert "may only use" in err
 
+    def test_variable_index_zero(self, capsys):
+        code, out, err = run(capsys, "bracket", "x0*d2", "d1")
+        assert code == 1 and out == ""
+        assert err == "error: variable indices start at 1 at 0..2\n"
+
+    def test_frames_of_the_wrong_rank(self, capsys):
+        code, out, err = run(capsys, "--n", "2", "reconstruct", "d1", "d2", "d1")
+        assert code == 2 and out == ""
+        assert err == "error: 3 frames need rank 3, frame 1 has rank 2\n"
+
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "--n", "1", "center")
         assert code == 2

@@ -133,6 +133,24 @@ class TestSeriesText:
             parse_series("2 + D", "F", 1, 4)
         with pytest.raises(SemanticError):
             parse_series("1 + D", "E", 1, 4)
+        with pytest.raises(SemanticError):
+            parse_series("1 + 1 + D", "F", 1, 4)
+
+    @pytest.mark.parametrize("text, poly_text, coeffs", [
+        ("1 + D*2", "1 + x1*2", {1: 2}),
+        ("1 + 2*D*D", "1 + 2*x1*x1", {2: 2}),
+        ("1 + D^2*3", "1 + x1^2*3", {2: 3}),
+        ("1 + 2*3*D", "1 + 2*3*x1", {1: 6}),
+    ])
+    def test_terms_follow_the_polynomial_grammar(self, text, poly_text, coeffs):
+        assert parse_series(text, "F", 1, 4) == OpSeries("F", 1, 4, coeffs)
+        assert parse_poly(poly_text) == Poly(1, {(0,): 1} | {
+            (deg,): c for deg, c in coeffs.items()})
+
+    @pytest.mark.parametrize("text", ["1 + D2", "1 + x1", "1 + D D", "1 +", ""])
+    def test_malformed_series_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_series(text, "F", 1, 4)
 
 
 class TestPrinterRoundTrip:
