@@ -37,10 +37,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, bracket, exp_ad_apply, standard_generators
-from .poly import DEFAULT_ORDER, Poly, RatLike, rat
+from .lie import LieElem, _join, bracket, exp_ad_apply, standard_generators
+from .poly import DEFAULT_ORDER, RatLike, _add_terms, rat
 from .series import OpSeries, factor_shift, _min_order
-from .triaut import (TriAut, _conjugate_coefficients, conjugate_derivation,
+from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
 
@@ -162,46 +162,77 @@ class GnElem:
 # -- evaluating the action ------------------------------------------------------
 
 
-def _apply_feeds(e: Sequence[OpSeries], coeffs: list[Poly]) -> list[Poly]:
-    """p_n  ->  p_n + sum_i e_i(p_i) on the coefficients p_1..p_n of a
-    derivation; the other coefficients stay."""
-    extra = Poly.zero(len(coeffs))
-    for k, series in enumerate(e):
-        pi = coeffs[k + 1]
-        if pi:
-            extra = extra + series.apply(pi)
-    if not extra:
-        return coeffs
-    return coeffs[:-1] + [coeffs[-1] + extra]
-
-
-def _apply_unit_series(f: OpSeries, coeffs: list[Poly]) -> list[Poly]:
-    """p_n  ->  f(p_n) on the coefficients p_1..p_n of a derivation; the
-    other coefficients stay."""
-    pn = coeffs[-1]
-    if not pn:
-        return coeffs
-    return coeffs[:-1] + [f.apply(pn)]
+def _derivative_terms(series: OpSeries, need: int, scale: int,
+                      part: dict[tuple[int, ...], int]):
+    """The terms of sum_{k=1..need} c_k D^k, the series without its unit,
+    on the integer terms in part, times scale (a multiple of the
+    denominators of c_1..c_need): k outermost, each D^k x^a by the
+    falling factorial a!/(a-k)!."""
+    v = series.var - 1
+    for k in range(1, need + 1):
+        c = series.coeffs.get(k)
+        if c:
+            ck = c.numerator * (scale // c.denominator)
+            for exps, num in part.items():
+                a = exps[v]
+                if a >= k:
+                    yield (exps[:v] + (a - k,) + exps[v + 1:],
+                           num * ck * math.perm(a, k))
 
 
 def act(g: GnElem, u: LieElem) -> LieElem:
     """Evaluate the automorphism on a derivation.
 
-    u is split into its coefficient polynomials once, and every factor
-    acts on that list: the unit series, then the feeds, then the whole
-    triangular factor through one conjugation by the frame map, which g
-    builds once and keeps.  The result is built from the list once.
-    The series steps commute in both forms: f rewrites only p_n, the
-    feeds read only p_2..p_{n-1} and add to p_n terms in x_1..x_{n-2},
-    which f's d/dx_{n-1} kills.
+    One pass over u's integer numerators applies the series factors, and
+    one conjugation by the frame map, which g builds once and keeps,
+    applies the whole triangular factor; no polynomial is built between.
+    The series steps commute in both forms: f rewrites only p_n, through
+    d/dx_{n-1}, the feeds read only p_2..p_{n-1} and add to p_n terms in
+    x_1..x_{n-2}, which d/dx_{n-1} kills.  So f is applied to p_n, and
+    then each feed e_i, through d/dx_{i-1}, to p_i, the result added to
+    p_n.  Every term x^a yields its derivatives a!/(a-k)! x^(a-k) with
+    the series coefficients over one common denominator.  A series must
+    be stored through the degree of its coefficient in its symbol; f is
+    checked first, then the feeds in order.
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
-    coeffs = _apply_feeds(g.e, _apply_unit_series(g.f, u.coefficient_polys()))
+    n = g.n
+    parts = u._parts()
+    # Each live series with the coefficient it reads: f on p_n, e_i on p_i.
+    live = []
+    for series, part in zip((g.f, *g.e), (parts[-1], *parts[1:-1])):
+        if part:
+            need = max(exps[series.var - 1] for exps in part)
+            series._require_order(need)
+            live.append((series, part, need))
+    den = u._den
+    if live:
+        scale = math.lcm(*(c.denominator for series, _, need in live
+                           for k, c in series.coeffs.items() if k <= need))
+        # p_n gets a dict of its own: f reads the one it had.
+        if scale != 1:
+            den *= scale
+            parts = [{exps: c * scale for exps, c in part.items()}
+                     for part in parts]
+        else:
+            parts[-1] = dict(parts[-1])
+        top = parts[-1]
+        # Each feed is summed apart, then into the sum of the feeds, then
+        # into p_n, as Poly sums would: the order of the terms of p_n
+        # decides which term a degree-cap error names.
+        feeds: dict[tuple[int, ...], int] = {}
+        for series, part, need in live:
+            terms = _derivative_terms(series, need, scale, part)
+            if series.kind == "E":
+                _add_terms(feeds, _add_terms({}, terms).items())
+            else:
+                _add_terms(top, terms)
+        _add_terms(top, feeds.items())
     frame = g._frame_map()
     if not frame.is_identity():
-        coeffs = _conjugate_coefficients(frame, coeffs)
-    return LieElem.from_coefficients(coeffs)
+        den, parts = _conjugate(frame, den, parts)
+    return _join(n, den, parts)
 
 
 class AutoAction:

@@ -39,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rank of the algebra (inferred when omitted)")
     parser.add_argument("--order", type=int, default=None,
                         help=f"series order for decompositions and "
-                             f"truncations (default {DEFAULT_ORDER})")
+                             f"truncations (default {DEFAULT_ORDER}; decompose "
+                             f"reads a JSON element through the smallest "
+                             f"order its series store)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output style")
     parser.add_argument("--seed", type=int, default=0,
@@ -165,7 +167,12 @@ def _run(args: argparse.Namespace) -> int:
         from .autgroup import AutoAction, decompose
         text = _resolve(args.element)
         if text.lstrip().startswith("{"):
-            action = AutoAction.from_gnelem(parse_gnelem(text))
+            g = parse_gnelem(text)
+            if args.order is None:
+                # Read through what the element stores, not beyond it.
+                stored = [s.order for s in (g.f, *g.e) if s.order is not None]
+                order = max(min(stored, default=DEFAULT_ORDER), 1)
+            action = AutoAction.from_gnelem(g)
         else:
             action = AutoAction.from_triaut(parse_triaut(text, n))
         _emit(decompose(action, order=order), "gnelem", args.format)

@@ -97,24 +97,17 @@ class LieElem:
     def from_coefficients(polys: Sequence[Poly]) -> LieElem:
         """Build sum p_i d_i from coefficient polynomials in x1..xn.
 
-        Each p_i must use only x1..x_{i-1}.  Each Poly is in lowest terms,
-        so its numerators go over the lcm of the denominators without a
-        gcd, as in ``_over_lcm``.
+        Each p_i must use only x1..x_{i-1}.
         """
         n = len(polys)
         if n < 2:
             raise DomainError("rank must be at least 2")
+        if any(p.nvars != n for p in polys):
+            raise DomainError("coefficient polynomials must live in rank-n ring")
         den = math.lcm(*(p._den for p in polys))
-        nums: dict[Key, int] = {}
-        for i, p in enumerate(polys, start=1):
-            if p.nvars != n:
-                raise DomainError("coefficient polynomials must live in rank-n ring")
-            if not p.uses_only(i - 1):
-                raise DomainError(f"coefficient of d_{i} may only use x1..x{i - 1}")
-            m = den // p._den
-            for exps, c in p._nums.items():
-                nums[(exps[: i - 1], i)] = c * m
-        return _new(n, den, nums)
+        return _join(n, den, [p._nums if p._den == den else
+                              {e: c * (den // p._den) for e, c in p._nums.items()}
+                              for p in polys])
 
     # -- structure queries ----------------------------------------------
 
@@ -159,13 +152,18 @@ class LieElem:
 
     def coefficient_polys(self) -> list[Poly]:
         """The d_1..d_n coefficients, split in one pass over the terms."""
+        return [_new_poly(self.n, *_lowest(self._den, part))
+                for part in self._parts()]
+
+    def _parts(self) -> list[dict[tuple[int, ...], int]]:
+        """The numerators of the d_1..d_n coefficients over ``_den``, one
+        dict per index keyed by exponent tuples of x1..xn."""
         n = self.n
         pads = [(0,) * (n - i) for i in range(n)]
         parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
         for (alpha, i), c in self._nums.items():
             parts[i - 1][alpha + pads[i - 1]] = c
-        den = self._den
-        return [_new_poly(n, *_lowest(den, part)) for part in parts]
+        return parts
 
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""
@@ -223,6 +221,22 @@ def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
     u._nums = nums
     u._terms = None
     return u
+
+
+def _join(n: int, den: int, parts: Sequence[Mapping[tuple[int, ...], int]]
+          ) -> LieElem:
+    """sum p_i d_i from the numerators of p_1..p_n over den, one dict per
+    index keyed by exponent tuples of x1..xn; zero numerators are
+    skipped.  Each p_i must use only x1..x_{i-1}."""
+    nums: dict[Key, int] = {}
+    for i, part in enumerate(parts, start=1):
+        for exps, c in part.items():
+            if c:
+                if any(exps[i - 1:]):
+                    raise DomainError(
+                        f"coefficient of d_{i} may only use x1..x{i - 1}")
+                nums[(exps[:i - 1], i)] = c
+    return _new(n, *_lowest(den, nums))
 
 
 def _split(polys: Sequence[Poly]) -> tuple[int, list]:

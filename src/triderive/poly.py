@@ -19,7 +19,9 @@ puts its terms over the lcm of the denominators of the image powers they
 need, so every term lands on the same denominator.  Those powers are
 kept by the image set it is given: a triangular automorphism holds one
 such set for its lifetime, so repeated substitutions by the same map
-compute each power once.
+compute each power once.  The substitution kernel, ``_substitute_ints``,
+also serves the conjugation of derivations in the triaut module, which
+substitutes their integer coefficients without building polynomials.
 
 Total degrees are guarded by a module-level cap so that runaway growth in
 composed substitutions fails loudly instead of consuming the machine.
@@ -269,46 +271,7 @@ class Poly:
             return Poly(images[0].nvars)
         if not isinstance(images, _Images):
             images = _Images(images)
-        degs = images.degs
-        fixed = images.fixed
-        # First pass: check every term against the cap before any product
-        # is formed, and collect the denominators of the image powers to
-        # put them over one.
-        plan = []
-        dens = []
-        for exps, num in self._nums.items():
-            _check_cap(sum(map(mul, exps, degs)), "substitution")
-            den = 1
-            factors = []
-            for i, e in enumerate(exps):
-                if e and not fixed[i]:
-                    power = images.power(i, e)
-                    den *= power._den
-                    factors.append(power._nums.items())
-            head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
-                if any(exps[i] for i in images.fixed_at) else None
-            plan.append((head, num, den, factors))
-            dens.append(den)
-        common = math.lcm(*dens)
-        # Second pass: integer products, accumulated over ``common``.  A
-        # key that cancels is dropped at once, as Fraction sums would be.
-        acc: dict[tuple[int, ...], int] = {}
-        for head, num, den, factors in plan:
-            scale = num * (common // den)
-            if not factors:
-                pieces = [(head or (0,) * images.target, 1)]
-            else:
-                pieces = factors[0]
-                for pairs in factors[1:]:
-                    pieces = _mul_ints(pieces, pairs).items()
-                if head is not None:
-                    pieces = [(tuple(map(add, head, e)), v) for e, v in pieces]
-            for key, v in pieces:
-                s = acc.get(key, 0) + scale * v
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        common, acc = _substitute_ints(images, self._nums.items())
         return _new(images.target, *_lowest(self._den * common, acc))
 
     def embed(self, nvars: int) -> Poly:
@@ -431,6 +394,56 @@ def _mul_ints(left: Iterable[tuple[tuple[int, ...], int]],
     return {e: c for e, c in acc.items() if c}
 
 
+def _substitute_ints(images: _Images,
+                     items: Iterable[tuple[tuple[int, ...], int]]
+                     ) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The integer terms (exponents, numerator) evaluated at x_i :=
+    images[i-1]: (common, acc) with the value acc / common, not in lowest
+    terms.  Every term is checked against the cap before any product is
+    formed; the terms are put over the lcm of the denominators of the
+    image powers they need."""
+    degs = images.degs
+    fixed = images.fixed
+    # First pass: check every term against the cap, and collect the
+    # denominators of the image powers to put them over one.
+    plan = []
+    dens = []
+    for exps, num in items:
+        _check_cap(sum(map(mul, exps, degs)), "substitution")
+        den = 1
+        factors = []
+        for i, e in enumerate(exps):
+            if e and not fixed[i]:
+                power = images.power(i, e)
+                den *= power._den
+                factors.append(power._nums.items())
+        head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
+            if any(exps[i] for i in images.fixed_at) else None
+        plan.append((head, num, den, factors))
+        dens.append(den)
+    common = math.lcm(*dens)
+    # Second pass: integer products, accumulated over ``common``.  A key
+    # that cancels is dropped at once, as Fraction sums would be.
+    acc: dict[tuple[int, ...], int] = {}
+    for head, num, den, factors in plan:
+        scale = num * (common // den)
+        if not factors:
+            pieces = [(head or (0,) * images.target, 1)]
+        else:
+            pieces = factors[0]
+            for pairs in factors[1:]:
+                pieces = _mul_ints(pieces, pairs).items()
+            if head is not None:
+                pieces = [(tuple(map(add, head, e)), v) for e, v in pieces]
+        for key, v in pieces:
+            s = acc.get(key, 0) + scale * v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return common, acc
+
+
 class _Images(tuple):
     """Substitution images, with what Poly.substitute derives from them.
 
@@ -460,11 +473,15 @@ class _Images(tuple):
         return self
 
     def power(self, i: int, e: int) -> Poly:
-        """images[i] ** e, computed once."""
-        cached = self._powers[i].get(e)
+        """images[i] ** e, computed once: one product from images[i] **
+        (e-1) when that is kept, as substitutions tend to ask for the
+        powers in ascending order, else by squaring."""
+        powers = self._powers[i]
+        cached = powers.get(e)
         if cached is None:
-            cached = self[i] ** e
-            self._powers[i][e] = cached
+            below = powers.get(e - 1)
+            cached = self[i] ** e if below is None else below * self[i]
+            powers[e] = cached
         return cached
 
 

@@ -154,10 +154,7 @@ class OpSeries:
         if p.nvars < self.var:
             raise DomainError("polynomial does not involve the series variable")
         need = p.degree_in(self.var)
-        if self.order is not None and need > self.order:
-            raise TruncationError(
-                f"need series coefficients through degree {need}, "
-                f"stored through {self.order}", required=need, available=self.order)
+        self._require_order(need)
         out = Poly.zero(p.nvars) if self.kind == "E" else p
         deriv = p
         for k in range(1, max(need, 0) + 1):
@@ -168,6 +165,14 @@ class OpSeries:
             if c:
                 out = out + deriv.scale(c)
         return out
+
+    def _require_order(self, need: int) -> None:
+        """Raise TruncationError unless the stored order covers an
+        application to a polynomial of degree ``need`` in the symbol."""
+        if self.order is not None and need > self.order:
+            raise TruncationError(
+                f"need series coefficients through degree {need}, "
+                f"stored through {self.order}", required=need, available=self.order)
 
     def apply_without_unit(self, p: Poly) -> Poly:
         """Apply the series minus its constant term."""

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _derive, _split, bracket
-from .poly import Poly, RatLike, _Images, _lowest, _new, rat, rat_str
+from .lie import LieElem, _derive, _join, _split, bracket
+from .poly import (Poly, RatLike, _check_cap, _Images, _lowest, _new, rat,
+                   rat_str, _substitute_ints)
 
 
 class TriAut:
@@ -214,36 +216,56 @@ def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
     inverse Jacobian of sigma, a lower-triangular matrix with diagonal
     1/lambda_j.  sigma caches M, next to its images and their powers, so
     a conjugation substitutes only the nonzero coefficients of u and
-    multiplies each into one column of M.  u is split into its
-    coefficients once, and the result is built from them once.
+    multiplies each into one column of M, all on integer numerators.
     """
     if sigma.n != u.n:
         raise DomainError(f"mixed ranks: {sigma.n} vs {u.n}")
-    coeffs = _conjugate_coefficients(sigma, u.coefficient_polys())
+    den, parts = _conjugate(sigma, u._den, u._parts())
     try:
-        return LieElem.from_coefficients(coeffs)
+        return _join(u.n, den, parts)
     except DomainError as exc:
         raise InternalError(f"conjugation left the triangular algebra: {exc}")
 
 
-def _conjugate_coefficients(sigma: TriAut, coeffs: Sequence[Poly]) -> list[Poly]:
-    """The kernel of conjugate_derivation: the d_1..d_n coefficients of
-    u in, those of sigma u sigma^(-1) out."""
+def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
+               ) -> tuple[int, list[dict]]:
+    """The kernel of conjugation: the numerators of the d_1..d_n
+    coefficients of u over den in (one dict per index, keyed by exponent
+    tuples of x1..xn), those of sigma u sigma^(-1) out, over the returned
+    denominator and with zeros left in.
+
+    Each nonzero p_i is substituted through sigma's images, checked
+    against the cap term by term, and then each product M[j][i] sigma(p_i)
+    with j > i is checked, in that order, before the next index.  The
+    products go straight into one dict per index j, over one denominator.
+    """
     n = sigma.n
+    images = sigma.images()
     jac = sigma._inverse_jacobian()
-    out = [Poly.zero(n)] * n
-    for i, p in enumerate(coeffs, start=1):
-        if not p:
+    columns = []
+    for i, part in enumerate(parts, start=1):
+        if not part:
             continue
-        image = sigma.apply(p)
-        lam = sigma.lam[i - 1]
-        diag = image if lam == 1 else image.scale(1 / lam)
-        out[i - 1] = out[i - 1] + diag
-        for j in range(i, n):
-            m = jac[j][i - 1]
-            if m:
-                out[j] = out[j] + m * image
-    return out
+        common, image = _substitute_ints(images, part.items())
+        deg = max(map(sum, image))
+        column = [(j, jac[j - 1][i - 1]) for j in range(i, n + 1)
+                  if jac[j - 1][i - 1]]
+        for _, m in column[1:]:
+            _check_cap(m.total_degree() + deg, "product")
+        columns.append((common, image.items(), column))
+    lcm = math.lcm(*(common * m._den
+                     for common, _, column in columns for _, m in column))
+    out: list[dict] = [{} for _ in range(n)]
+    for common, image, column in columns:
+        for j, m in column:
+            scale = lcm // (common * m._den)
+            acc = out[j - 1]
+            for e1, c1 in m._nums.items():
+                c1 *= scale
+                for e2, c2 in image:
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+    return den * lcm, out
 
 
 def exp_map(delta: LieElem) -> TriAut:

@@ -18,9 +18,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .autgroup import (AutoAction, GnElem, _apply_feeds, _apply_unit_series,
-                       act, decompose, convert_form, exp_ad_auto, gn_inverse,
-                       multiply_formula)
+from .autgroup import (AutoAction, GnElem, act, decompose, convert_form,
+                       exp_ad_auto, gn_inverse, multiply_formula)
 from .cli import SUITES, main
 from .dsl import parse, print_value
 from .errors import TriderivError
@@ -132,6 +131,31 @@ def _random_gn(rng: random.Random, n: int, form: str, order: int | None,
 
 
 # -- action-level helpers ----------------------------------------------------------
+
+
+def _apply_feeds(e: Sequence[OpSeries], coeffs: list[Poly]) -> list[Poly]:
+    """p_n  ->  p_n + sum_i e_i(p_i) on the coefficients p_1..p_n of a
+    derivation, through OpSeries.apply; the other coefficients stay.  An
+    oracle for the feeds step of ``act``."""
+    extra = Poly.zero(len(coeffs))
+    for k, series in enumerate(e):
+        pi = coeffs[k + 1]
+        if pi:
+            extra = extra + series.apply(pi)
+    if not extra:
+        return coeffs
+    return coeffs[:-1] + [coeffs[-1] + extra]
+
+
+def _apply_unit_series(f: OpSeries, coeffs: list[Poly]) -> list[Poly]:
+    """p_n  ->  f(p_n) on the coefficients p_1..p_n of a derivation,
+    through OpSeries.apply; the other coefficients stay.  An oracle for
+    the unit series step of ``act``."""
+    pn = coeffs[-1]
+    if not pn:
+        return coeffs
+    return coeffs[:-1] + [f.apply(pn)]
+
 
 def _f_action(n: int, f: OpSeries) -> AutoAction:
     return AutoAction(n, lambda u: LieElem.from_coefficients(

@@ -1,18 +1,22 @@
 """Shared hypothesis profile, value strategies and seeded generators for
 the test suite."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
-from triderive import GnElem, LieElem, OpSeries, OrdinalCNF, Poly, TriAut
+from triderive import (GnElem, LieElem, OpSeries, OrdinalCNF, Poly, TriAut,
+                       TriderivError, poly)
 
+# The explain phase would rerun a failing draw for minutes.
 settings.register_profile(
     "suite",
     settings(max_examples=40, deadline=None, derandomize=True,
+             phases=[p for p in Phase if p is not Phase.explain],
              suppress_health_check=[HealthCheck.too_slow,
                                     HealthCheck.filter_too_much]))
 settings.load_profile("suite")
@@ -178,3 +182,43 @@ def frac_add(a: dict, b: dict) -> dict:
     for e, c in b.items():
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
+    """Oracle for the conjugation kernel: the d_1..d_n coefficient
+    polynomials of u in, those of sigma u sigma^(-1) out, through Poly
+    arithmetic: each nonzero p_i substituted by TriAut.apply, then
+    scaled by 1/lambda_i and multiplied into the inverse Jacobian's
+    column i.  Degree-cap checks come in the same order as the kernel's."""
+    n = sigma.n
+    jac = sigma._inverse_jacobian()
+    out = [Poly.zero(n)] * n
+    for i, p in enumerate(coeffs, start=1):
+        if not p:
+            continue
+        image = sigma.apply(p)
+        out[i - 1] = out[i - 1] + image.scale(1 / sigma.lam[i - 1])
+        for j in range(i, n):
+            m = jac[j][i - 1]
+            if m:
+                out[j] = out[j] + m * image
+    return out
+
+
+@contextlib.contextmanager
+def degree_cap(cap: int):
+    """Run the body with the module-level degree cap set to ``cap``."""
+    saved = poly.DEGREE_CAP
+    poly.DEGREE_CAP = cap
+    try:
+        yield
+    finally:
+        poly.DEGREE_CAP = saved
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except TriderivError as exc:
+        return type(exc), str(exc)

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 
-from conftest import gn_elems, lie_elems, rand_poly, rationals
+from conftest import (conjugate_by_polys, degree_cap, gn_elems, lie_elems,
+                      outcome, rand_poly, rationals)
 from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
-                       Poly, TriAut, TriderivError, act, bracket, commutator,
+                       Poly, TriAut, TruncationError, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
-from triderive.autgroup import _apply_feeds, _apply_unit_series
+from triderive.verify import _apply_feeds, _apply_unit_series
+from triderive.dsl import parse_lie
 from triderive.lie import standard_generators
 from triderive.poly import DEFAULT_ORDER
 from triderive.triaut import normalize_mod_shn
@@ -95,6 +97,19 @@ def act_by_factors(g: GnElem, u: LieElem) -> LieElem:
     return conjugate_derivation(g.tau, torus_formula(g.t, w))
 
 
+def act_by_poly_route(g: GnElem, u: LieElem) -> LieElem:
+    """Oracle for act: its steps on coefficient polynomials, the unit
+    series and the feeds through OpSeries.apply and the frame map through
+    Poly arithmetic, with the errors in the same order."""
+    if g.n != u.n:
+        raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
+    coeffs = _apply_feeds(g.e, _apply_unit_series(g.f, u.coefficient_polys()))
+    frame = g._frame_map()
+    if not frame.is_identity():
+        coeffs = conjugate_by_polys(frame, coeffs)
+    return LieElem.from_coefficients(coeffs)
+
+
 def rand_gn(rng: random.Random, n: int, form: str) -> GnElem:
     """A seeded element with exact series; in Form B the triangular part
     keeps the constant terms that Form A moves into the shift."""
@@ -162,12 +177,11 @@ def inverse_by_pure_factors(g: GnElem, order=None) -> GnElem:
     return out
 
 
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and text of the error it raised."""
-    try:
-        return fn(*args)
-    except TriderivError as exc:
-        return type(exc), str(exc)
+# Elements at ranks 2-5 with exact series and with series stored through
+# degree 2, which multi-term derivations of degree up to 4 outrun.
+ACT_ELEMS = {(n, form, order): gn_elems(n, form, order)
+             for n in (2, 3, 4, 5) for form in "AB" for order in (None, 2)}
+DERIVATIONS = {n: lie_elems(n, max_degree=4, max_terms=4) for n in (2, 3, 4, 5)}
 
 
 class TestGnElem:
@@ -239,6 +253,71 @@ class TestAction:
                 coeffs[:-1] + [Poly.zero(n)]))
             for u in probes:
                 assert act(g, u) == act_by_factors(g, u)
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @pytest.mark.parametrize("form", ["A", "B"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_matches_factor_by_factor_on_random_derivations(
+            self, n, form, order, data):
+        g = data.draw(ACT_ELEMS[n, form, order])
+        u = data.draw(DERIVATIONS[n])
+        got = outcome(act, g, u)
+        want = outcome(act_by_factors, g, u)
+        if isinstance(want, LieElem):
+            assert got == want
+        else:
+            # act_by_factors applies the feeds before f in Form A, so
+            # when both would fail, the first failure named may differ.
+            assert want[0] is TruncationError and got[0] is TruncationError
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_poly_route_errors_included(self, seed):
+        """Values, and truncation and degree-cap errors with their type,
+        text and order, are those of the Poly route; caps from 2 to 20
+        make cap errors common."""
+        rng = random.Random(f"act-cap:{seed}")
+        n = 2 + seed % 4
+        for _ in range(40):
+            form = rng.choice("AB")
+            g = rand_gn(rng, n, form)
+            if rng.random() < 0.3:
+                g = GnElem(n, form, g.t, g.tau, g.s, g.f.truncate(3),
+                           [series.truncate(3) for series in g.e])
+            u = LieElem.from_coefficients(
+                [rand_poly(rng, n, 4, 6, i) for i in range(n)])
+            g._frame_map()  # built under the full cap, so the low one hits act
+            with degree_cap(rng.randint(2, 20)):
+                assert outcome(act, g, u) == outcome(act_by_poly_route, g, u)
+
+    @pytest.mark.parametrize("u, message", [
+        # f is checked before the feeds, on the whole d_3 coefficient
+        ("x1^5*d2 + x2^3*d3 + x1^7*d3",
+         "need series coefficients through degree 3, stored through 2"),
+        ("x1^5*d2 + x1^7*d3",
+         "need series coefficients through degree 5, stored through 2"),
+        ("x1^2*d2 + x2^2*d3", None),
+    ])
+    def test_truncation_names_the_first_series_that_falls_short(
+            self, u, message):
+        g = gn(3, f=OpSeries("F", 2, 2, {1: 1}),
+               e=[OpSeries("E", 1, 2, {2: Fraction(1, 2)})])
+        v = parse_lie(u, 3)
+        if message is None:
+            assert act(g, v) == act_by_poly_route(g, v)
+        else:
+            with pytest.raises(TruncationError) as info:
+                act(g, v)
+            assert str(info.value) == message
+            assert (info.value.required, info.value.available) == \
+                (int(message.split()[5].rstrip(",")), 2)
+            assert outcome(act_by_poly_route, g, v) == \
+                (TruncationError, message)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(DomainError, match="mixed ranks: 3 vs 2"):
+            act(gn(3), LieElem.d(2, 1))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_frame_map_is_built_once(self, seed):
@@ -400,9 +479,7 @@ class TestGroupOperations:
     @pytest.mark.parametrize("order", [None, 6])
     @pytest.mark.parametrize("form", ["A", "B"])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    # The explain phase would rerun a failing draw for minutes.
-    @settings(max_examples=20,
-              phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=20)
     @given(data=st.data())
     def test_product_and_inverse_match_the_oracles(self, n, form, order, data):
         elems = GN_ELEMS[n, form, order]

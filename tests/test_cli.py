@@ -113,6 +113,49 @@ class TestCommands:
         assert code == 0
         assert out2.strip() == "d1 - 2*x1*d2"
 
+    # A rank-3 Form A element whose series are stored through degree 8.
+    TRUNCATED = {
+        "n": 3, "form": "A", "t": ["-2/3", "1", "-1/3"],
+        "tau": {"a": ["0", "-5/2*x1", "-4*x1*x2 - 2*x2^2"],
+                "lambda": ["1", "1", "1"]},
+        "s": ["4/3"], "f": {"order": 8, "coeffs": {"1": "1", "2": "-4", "6": "1"}},
+        "e": [{"i": 2, "order": 8, "coeffs": {"2": "3", "3": "-3", "4": "3"}}],
+    }
+
+    def test_decompose_reads_a_json_element_through_its_stored_order(
+            self, capsys):
+        blob = json.dumps(self.TRUNCATED)
+        code, out, err = run(capsys, "decompose", blob)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == self.TRUNCATED
+        assert run(capsys, "--order", "8", "decompose", blob) == (0, out, "")
+        # the smallest stored order rules, an exact series stores all
+        for f_order in (7, None):
+            mixed = dict(self.TRUNCATED,
+                         f={"order": f_order, "coeffs": {"1": "1"}},
+                         e=[{"i": 2, "order": 5, "coeffs": {"2": "3"}}])
+            code, out, err = run(capsys, "decompose", json.dumps(mixed))
+            assert (code, err) == (0, "")
+            assert json.loads(out)["f"]["order"] == 5
+        # an order-0 series is read through 1, where it falls short
+        empty = dict(self.TRUNCATED, f={"order": 0, "coeffs": {}})
+        code, out, err = run(capsys, "decompose", json.dumps(empty))
+        assert (code, out) == (4, "") and "stored through 0" in err
+        # a given --order is read through as it is
+        assert run(capsys, "--order", "9", "decompose", blob) == (
+            4, "", "error: need series coefficients through degree 9, "
+                   "stored through 8\n")
+
+    def test_decompose_of_an_exact_json_element_uses_the_default_order(
+            self, capsys):
+        exact = dict(self.TRUNCATED, f={"order": None, "coeffs": {"1": "1"}},
+                     e=[{"i": 2, "order": None, "coeffs": {"2": "3"}}])
+        blob = json.dumps(exact)
+        code, out, err = run(capsys, "decompose", blob)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["f"]["order"] == 16
+        assert run(capsys, "--order", "16", "decompose", blob) == (0, out, "")
+
     def test_mul_and_inv(self, capsys):
         code, gtext, _ = run(capsys, "--n", "2", "decompose", "[0, x1^2]")
         assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import given
 from conftest import (assert_lowest_terms, frac_add, polys, rand_poly,
                       rationals, sympy_terms, to_sympy)
 from triderive import DegreeCapError, DomainError, Poly, rat, rat_str
-from triderive.poly import format_poly, iter_exponents
+from triderive.poly import _Images, format_poly, iter_exponents
 
 
 def x(i: int, nvars: int = 3) -> Poly:
@@ -175,6 +175,16 @@ class TestSubstitution:
         p = Poly.var(2, 2) - Poly.var(2, 1) ** 2
         q = p.substitute([Poly.var(2, 1), Poly.var(2, 2) + Poly.var(2, 1) ** 2])
         assert q.terms == {(0, 1): Fraction(1)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_image_powers_asked_out_of_order(self, seed):
+        # 5 and 4 by squaring, 6 from the kept 5th power, 1 the image
+        rng = random.Random(f"powers:{seed}")
+        image = rand_poly(rng, 3, 3, 2)
+        images = _Images([image, Poly.var(3, 2), Poly.var(3, 3)])
+        for e in (5, 4, 6, 1, 6):
+            assert images.power(0, e) == image ** e
+        assert sorted(images._powers[0]) == [1, 4, 5, 6]
 
     def test_embed(self):
         p = Poly.var(2, 1) * Poly.var(2, 2)

@@ -7,12 +7,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (lie_elems, rand_poly, rand_triaut, rationals,
-                      sympy_terms, to_sympy, triangular_auts, unipotent_auts)
-from triderive import (AutoAction, DomainError, LieElem, Poly,
+from conftest import (conjugate_by_polys, degree_cap, lie_elems, outcome,
+                      rand_poly, rand_triaut, rationals, sympy_terms, to_sympy,
+                      triangular_auts, unipotent_auts)
+from triderive import (AutoAction, DomainError, InternalError, LieElem, Poly,
                        TriAut, act, bracket, conjugate_derivation, decompose,
                        exp_ad_apply, exp_map, log_map, normalize_mod_shn,
                        reconstruct_from_frames)
+from triderive import triaut
 from triderive.dsl import parse_lie, parse_triaut
 from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
 
@@ -209,6 +211,36 @@ def rand_lie(rng: random.Random, n: int) -> LieElem:
 
 class TestConjugationKernel:
     """conjugate_derivation goes through the cached inverse Jacobian."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_poly_route_errors_included(self, seed):
+        """Values, and degree-cap errors with their type, text and order
+        (substitution of p_i, then the products of column i, then
+        p_{i+1}), are those of Poly arithmetic; caps from 2 to 20 make
+        cap errors common."""
+        rng = random.Random(f"conjugate-cap:{seed}")
+        n = 2 + seed % 4
+        for _ in range(30):
+            sigma = rand_triaut(rng, n, max_total=3)
+            u = LieElem.from_coefficients(
+                [rand_poly(rng, n, 4, 6, i) for i in range(n)])
+            with degree_cap(rng.randint(2, 20)):
+                assert outcome(conjugate_derivation, sigma, u) == outcome(
+                    lambda: LieElem.from_coefficients(
+                        conjugate_by_polys(sigma, u.coefficient_polys())))
+
+    def test_rank_mismatch(self):
+        with pytest.raises(DomainError, match="mixed ranks: 2 vs 3"):
+            conjugate_derivation(TriAut.identity(2), LieElem.d(3, 1))
+
+    def test_a_result_off_the_algebra_is_an_internal_error(self, monkeypatch):
+        # a d_2 coefficient that uses x2 cannot come out of a conjugation
+        monkeypatch.setattr(triaut, "_conjugate",
+                            lambda sigma, den, parts: (1, [{}, {(0, 1): 1}]))
+        with pytest.raises(InternalError) as info:
+            conjugate_derivation(TriAut.identity(2), LieElem.d(2, 1))
+        assert str(info.value) == ("conjugation left the triangular algebra: "
+                                   "coefficient of d_2 may only use x1..x1")
 
     @given(triangular_auts(3), lie_elems(3))
     def test_matches_the_definition(self, sigma, u):
