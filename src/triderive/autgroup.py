@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, InternalError
 from .lie import LieElem, _join, bracket, exp_ad_apply, standard_generators
 from .poly import DEFAULT_ORDER, RatLike, _add_terms, rat
-from .series import OpSeries, factor_shift, _min_order
+from .series import OpSeries, _derivative_terms, _min_order, factor_shift
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
@@ -162,24 +162,6 @@ class GnElem:
 # -- evaluating the action ------------------------------------------------------
 
 
-def _derivative_terms(series: OpSeries, need: int, scale: int,
-                      part: dict[tuple[int, ...], int]):
-    """The terms of sum_{k=1..need} c_k D^k, the series without its unit,
-    on the integer terms in part, times scale (a multiple of the
-    denominators of c_1..c_need): k outermost, each D^k x^a by the
-    falling factorial a!/(a-k)!."""
-    v = series.var - 1
-    for k in range(1, need + 1):
-        c = series.coeffs.get(k)
-        if c:
-            ck = c.numerator * (scale // c.denominator)
-            for exps, num in part.items():
-                a = exps[v]
-                if a >= k:
-                    yield (exps[:v] + (a - k,) + exps[v + 1:],
-                           num * ck * math.perm(a, k))
-
-
 def act(g: GnElem, u: LieElem) -> LieElem:
     """Evaluate the automorphism on a derivation.
 
@@ -285,13 +267,14 @@ def exp_ad_auto(u: LieElem) -> AutoAction:
 # -- recovering coordinates from the action --------------------------------------
 
 
-def _spot_check(action: AutoAction, rng: random.Random, pairs: int = 20) -> None:
+def _spot_check(action: AutoAction, order: int, rng: random.Random) -> None:
     """Cheap sanity probes: the action must be linear and respect brackets
-    on random generator pairs before we trust it with a decomposition."""
-    n = action.n
-    gens = standard_generators(n, 3)
+    on 20 random generator pairs before we trust it with a decomposition.
+    The generators have exponents up to 3, and no more than the order, so
+    that series stored through the order suffice."""
+    gens = standard_generators(action.n, min(3, order))
     scalars = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
-    for _ in range(pairs):
+    for _ in range(20):
         u = rng.choice(gens)
         v = rng.choice(gens)
         c1 = rng.choice(scalars)
@@ -328,7 +311,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     n = action.n
     if order < 1:
         raise DomainError("order must be at least 1")
-    _spot_check(action, random.Random(7042))
+    _spot_check(action, order, random.Random(7042))
 
     # The images of d_i are the frame of t . tau, scaled by 1/t_i.
     probes = [LieElem.d(n, i) for i in range(1, n + 1)]

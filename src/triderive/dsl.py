@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator
 
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie

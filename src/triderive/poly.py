@@ -15,13 +15,14 @@ construction.  The helpers of this layout (``_over_lcm``, ``_lowest``,
 ``_sum_ints``, ``_scale_ints``, ``_fractions``) serve ``LieElem`` too.
 
 Products and substitutions multiply and add plain ints.  A substitution
-puts its terms over the lcm of the denominators of the image powers they
-need, so every term lands on the same denominator.  Those powers are
-kept by the image set it is given: a triangular automorphism holds one
-such set for its lifetime, so repeated substitutions by the same map
-compute each power once.  The substitution kernel, ``_substitute_ints``,
-also serves the conjugation of derivations in the triaut module, which
-substitutes their integer coefficients without building polynomials.
+takes every variable of a term through a power of its image and puts the
+terms over the lcm of the denominators of those powers, so every term
+lands on the same denominator.  The powers are kept by the image set it
+is given: a triangular automorphism holds one such set for its lifetime,
+so repeated substitutions by the same map compute each power once.  The
+substitution kernel, ``_substitute_ints``, also serves the conjugation
+of derivations in the triaut module, which substitutes their integer
+coefficients without building polynomials.
 
 Total degrees are guarded by a module-level cap so that runaway growth in
 composed substitutions fails loudly instead of consuming the machine.
@@ -403,7 +404,6 @@ def _substitute_ints(images: _Images,
     formed; the terms are put over the lcm of the denominators of the
     image powers they need."""
     degs = images.degs
-    fixed = images.fixed
     # First pass: check every term against the cap, and collect the
     # denominators of the image powers to put them over one.
     plan = []
@@ -413,28 +413,22 @@ def _substitute_ints(images: _Images,
         den = 1
         factors = []
         for i, e in enumerate(exps):
-            if e and not fixed[i]:
+            if e:
                 power = images.power(i, e)
                 den *= power._den
                 factors.append(power._nums.items())
-        head = tuple(e if fixed[i] else 0 for i, e in enumerate(exps)) \
-            if any(exps[i] for i in images.fixed_at) else None
-        plan.append((head, num, den, factors))
+        plan.append((num, den, factors))
         dens.append(den)
     common = math.lcm(*dens)
     # Second pass: integer products, accumulated over ``common``.  A key
     # that cancels is dropped at once, as Fraction sums would be.
     acc: dict[tuple[int, ...], int] = {}
-    for head, num, den, factors in plan:
+    unit = [((0,) * images.target, 1)]
+    for num, den, factors in plan:
         scale = num * (common // den)
-        if not factors:
-            pieces = [(head or (0,) * images.target, 1)]
-        else:
-            pieces = factors[0]
-            for pairs in factors[1:]:
-                pieces = _mul_ints(pieces, pairs).items()
-            if head is not None:
-                pieces = [(tuple(map(add, head, e)), v) for e, v in pieces]
+        pieces = factors[0] if factors else unit
+        for pairs in factors[1:]:
+            pieces = _mul_ints(pieces, pairs).items()
         for key, v in pieces:
             s = acc.get(key, 0) + scale * v
             if s:
@@ -447,11 +441,10 @@ def _substitute_ints(images: _Images,
 class _Images(tuple):
     """Substitution images, with what Poly.substitute derives from them.
 
-    Holds each image's total degree, which variables are mapped to
-    themselves (they contribute a bare monomial factor), and, computed on
-    demand, the powers of the images.  The cap check in substitute
-    bounds every requested exponent of an image of positive degree by
-    DEGREE_CAP, and so the number of powers kept per image.
+    Holds each image's total degree and, computed on demand, the powers
+    of the images.  The cap check in substitute bounds every requested
+    exponent of an image of positive degree by DEGREE_CAP, and so the
+    number of powers kept per image.
     """
 
     def __new__(cls, images: Iterable[Poly]) -> _Images:
@@ -461,14 +454,6 @@ class _Images(tuple):
             raise DomainError("substitution images live in different rings")
         self.target = target
         self.degs = [max(im.total_degree(), 0) for im in self]
-        fixed = [False] * len(self)
-        if target == len(self):
-            for i, im in enumerate(self):
-                if len(im._nums) == 1 and im._den == 1:
-                    (exps, c), = im._nums.items()
-                    fixed[i] = c == 1 and sum(exps) == 1 and exps[i] == 1
-        self.fixed = fixed
-        self.fixed_at = [i for i, f in enumerate(fixed) if f]
         self._powers: list[dict[int, Poly]] = [{} for _ in self]
         return self
 

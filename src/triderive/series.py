@@ -13,16 +13,19 @@ rather than guessing zero.  ``order=None`` marks an exact series, i.e. a
 polynomial in D whose higher coefficients are genuinely zero.  Products
 and sums propagate the smallest order involved; the one lossy operation
 is splitting off an exponential shift factor, which turns an exact
-series into a truncated one.
+series into a truncated one.  A series applies to a polynomial by one
+kernel of falling factorials over a common denominator; ``verify`` keeps
+the route by repeated derivatives as its oracle.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, TruncationError
-from .poly import Poly, RatLike, _add_terms, _format_terms, rat
+from .poly import Poly, RatLike, _add_terms, _format_terms, _lowest, _new, rat
 
 KINDS = ("F", "FP", "E")
 
@@ -150,21 +153,18 @@ class OpSeries:
 
         Exact whenever the stored order covers the x_var degree of p;
         beyond that the missing coefficients would matter, so it raises.
+        Runs on the falling-factorial kernel; ``verify`` holds its oracle.
         """
         if p.nvars < self.var:
             raise DomainError("polynomial does not involve the series variable")
         need = p.degree_in(self.var)
         self._require_order(need)
-        out = Poly.zero(p.nvars) if self.kind == "E" else p
-        deriv = p
-        for k in range(1, max(need, 0) + 1):
-            deriv = deriv.diff(self.var)
-            if not deriv:
-                break
-            c = self.coeffs.get(k)
-            if c:
-                out = out + deriv.scale(c)
-        return out
+        scale = math.lcm(*(c.denominator for k, c in self.coeffs.items()
+                           if k <= need))
+        acc = {} if self.kind == "E" else \
+            {exps: c * scale for exps, c in p._nums.items()}
+        _add_terms(acc, _derivative_terms(self, need, scale, p._nums))
+        return _new(p.nvars, *_lowest(p._den * scale, acc))
 
     def _require_order(self, need: int) -> None:
         """Raise TruncationError unless the stored order covers an
@@ -282,6 +282,24 @@ class OpSeries:
     def __repr__(self) -> str:
         return (f"OpSeries({self.kind!r}, var={self.var}, order={self.order}, "
                 f"{format_series(self)!r})")
+
+
+def _derivative_terms(series: OpSeries, need: int, scale: int,
+                      part: Mapping[tuple[int, ...], int]):
+    """The terms of sum_{k=1..need} c_k D^k, the series without its unit,
+    on the integer terms in part, times scale (a multiple of the
+    denominators of c_1..c_need): k outermost, each D^k x^a by the
+    falling factorial a!/(a-k)!.  ``apply`` and ``autgroup.act`` run on it."""
+    v = series.var - 1
+    for k in range(1, need + 1):
+        c = series.coeffs.get(k)
+        if c:
+            ck = c.numerator * (scale // c.denominator)
+            for exps, num in part.items():
+                a = exps[v]
+                if a >= k:
+                    yield (exps[:v] + (a - k,) + exps[v + 1:],
+                           num * ck * math.perm(a, k))
 
 
 def factor_shift(f: OpSeries, order: int | None = None) -> tuple[Fraction, OpSeries]:

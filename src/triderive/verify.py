@@ -26,7 +26,7 @@ from .errors import TriderivError
 from .lie import (LieElem, bracket, center_solve, exp_ad_apply,
                   basis_compare, ideal_membership, iter_basis_keys,
                   key_sort_key, ord_of_element, standard_generators)
-from .ordinals import OrdinalCNF, ord_of_basis
+from .ordinals import ord_of_basis
 from .poly import Poly
 from .series import OpSeries, factor_shift
 from .triaut import (TriAut, conjugate_derivation, exp_map, log_map,
@@ -133,15 +133,27 @@ def _random_gn(rng: random.Random, n: int, form: str, order: int | None,
 # -- action-level helpers ----------------------------------------------------------
 
 
+def _apply_by_diff(series: OpSeries, p: Poly) -> Poly:
+    """sum_k c_k (d/dx_var)^k on p by repeated Poly.diff, the stored
+    order checked first: the oracle for OpSeries.apply."""
+    need = p.degree_in(series.var)
+    series._require_order(need)
+    out = Poly.zero(p.nvars) if series.kind == "E" else p
+    for k in range(1, need + 1):
+        p = p.diff(series.var)
+        out = out + p.scale(series.coeffs.get(k, 0))
+    return out
+
+
 def _apply_feeds(e: Sequence[OpSeries], coeffs: list[Poly]) -> list[Poly]:
     """p_n  ->  p_n + sum_i e_i(p_i) on the coefficients p_1..p_n of a
-    derivation, through OpSeries.apply; the other coefficients stay.  An
-    oracle for the feeds step of ``act``."""
+    derivation, through repeated Poly.diff; the other coefficients stay.
+    An oracle for the feeds step of ``act``."""
     extra = Poly.zero(len(coeffs))
     for k, series in enumerate(e):
         pi = coeffs[k + 1]
         if pi:
-            extra = extra + series.apply(pi)
+            extra = extra + _apply_by_diff(series, pi)
     if not extra:
         return coeffs
     return coeffs[:-1] + [coeffs[-1] + extra]
@@ -149,12 +161,12 @@ def _apply_feeds(e: Sequence[OpSeries], coeffs: list[Poly]) -> list[Poly]:
 
 def _apply_unit_series(f: OpSeries, coeffs: list[Poly]) -> list[Poly]:
     """p_n  ->  f(p_n) on the coefficients p_1..p_n of a derivation,
-    through OpSeries.apply; the other coefficients stay.  An oracle for
-    the unit series step of ``act``."""
+    through repeated Poly.diff; the other coefficients stay.  An oracle
+    for the unit series step of ``act``."""
     pn = coeffs[-1]
     if not pn:
         return coeffs
-    return coeffs[:-1] + [f.apply(pn)]
+    return coeffs[:-1] + [_apply_by_diff(f, pn)]
 
 
 def _f_action(n: int, f: OpSeries) -> AutoAction:

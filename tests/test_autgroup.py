@@ -13,7 +13,7 @@ from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
                        Poly, TriAut, TruncationError, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
-from triderive.verify import _apply_feeds, _apply_unit_series
+from triderive.verify import _apply_by_diff, _apply_feeds, _apply_unit_series
 from triderive.dsl import parse_lie
 from triderive.lie import standard_generators
 from triderive.poly import DEFAULT_ORDER
@@ -65,7 +65,7 @@ def feeds_by_derivation(e, u: LieElem) -> LieElem:
     for k, series in enumerate(e):
         pi = u.coefficient_poly(k + 2)
         if pi:
-            extra = extra + series.apply(pi)
+            extra = extra + _apply_by_diff(series, pi)
     if not extra:
         return u
     coeffs = coefficients(u)
@@ -80,7 +80,7 @@ def unit_series_by_derivation(f: OpSeries, u: LieElem) -> LieElem:
     if not pn:
         return u
     coeffs = coefficients(u)
-    coeffs[n - 1] = f.apply(pn)
+    coeffs[n - 1] = _apply_by_diff(f, pn)
     return LieElem.from_coefficients(coeffs)
 
 
@@ -99,7 +99,7 @@ def act_by_factors(g: GnElem, u: LieElem) -> LieElem:
 
 def act_by_poly_route(g: GnElem, u: LieElem) -> LieElem:
     """Oracle for act: its steps on coefficient polynomials, the unit
-    series and the feeds through OpSeries.apply and the frame map through
+    series and the feeds by repeated Poly.diff and the frame map through
     Poly arithmetic, with the errors in the same order."""
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
@@ -136,13 +136,14 @@ def rand_gn(rng: random.Random, n: int, form: str) -> GnElem:
 def product_by_derivation_correction(g: GnElem, h: GnElem) -> GnElem:
     """Oracle for multiply_formula: the correction c d_n is built as a
     derivation, conjugated by g's torus and exponentiated, and composed
-    between g's triangular part and h's conjugated by the torus."""
+    between g's triangular part and h's conjugated by the torus; the
+    series apply by repeated Poly.diff."""
     n = g.n
     b = h.tau.a
-    c = g.f.apply_without_unit(b[n - 1])
+    c = _apply_by_diff(g.f, b[n - 1]) - b[n - 1]
     for k, series in enumerate(g.e):
         if b[k + 1]:
-            c = c + series.apply(b[k + 1])
+            c = c + _apply_by_diff(series, b[k + 1])
     tt = TriAut.torus(g.t)
     tau = g.tau
     if c:
@@ -488,7 +489,13 @@ class TestGroupOperations:
         assert outcome(gn_inverse, g, inv_order) == \
             outcome(inverse_by_pure_factors, g, inv_order)
         gb, hb = convert_form(g, "B", 6), convert_form(h, "B", 6)
-        assert multiply_formula(gb, hb) == product_by_derivation_correction(gb, hb)
+        # g's series stored through 1 fall short of h's translation parts
+        # of degree 2 in x_{n-1} or x_{i-1}, and both sides must say so.
+        low = data.draw(st.sampled_from([None, 1]))
+        gb = GnElem(n, "B", gb.t, gb.tau, None, gb.f.truncate(low),
+                    [series.truncate(low) for series in gb.e])
+        assert outcome(multiply_formula, gb, hb) == \
+            outcome(product_by_derivation_correction, gb, hb)
 
     def test_commutator_of_tori_is_trivial(self):
         a = gn(3, t=[2, 3, 5], form="B", s=None)

@@ -146,6 +146,16 @@ class TestCommands:
             4, "", "error: need series coefficients through degree 9, "
                    "stored through 8\n")
 
+    def test_decompose_of_an_element_stored_through_order_2(self, capsys):
+        # the spot check stays within the stored order
+        low = {"n": 3, "form": "A", "t": ["1", "1", "1"],
+               "tau": {"a": ["0", "0", "0"], "lambda": ["1", "1", "1"]},
+               "s": ["0"], "f": {"order": 2, "coeffs": {"1": "1"}},
+               "e": [{"i": 2, "order": 2, "coeffs": {"2": "3"}}]}
+        code, out, err = run(capsys, "decompose", json.dumps(low))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == low
+
     def test_decompose_of_an_exact_json_element_uses_the_default_order(
             self, capsys):
         exact = dict(self.TRUNCATED, f={"order": None, "coeffs": {"1": "1"}},

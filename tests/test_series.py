@@ -4,10 +4,37 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import unit_series
+from conftest import assert_lowest_terms, polys, rationals, unit_series
 from triderive import DomainError, OpSeries, Poly, TruncationError, factor_shift
+from triderive.series import KINDS
+from triderive.verify import _apply_by_diff
+
+
+@st.composite
+def series_on_polys(draw):
+    """A series of any kind in d/dx_var, exact or stored through 0..6,
+    and a polynomial in 1..4 variables, var among them, of degree <= 5."""
+    nvars = draw(st.integers(1, 4))
+    var = draw(st.integers(1, nvars))
+    kind = draw(st.sampled_from(KINDS))
+    order = draw(st.none() | st.integers(0, 6))
+    lowest = 2 if kind == "FP" else 1
+    top = 6 if order is None else order
+    coeffs = draw(st.dictionaries(st.integers(1, 6), rationals(nonzero=True),
+                                  max_size=4))
+    series = OpSeries(kind, var, order,
+                      {k: c for k, c in coeffs.items() if lowest <= k <= top})
+    return series, draw(polys(nvars, max_total=5, max_terms=4))
+
+
+def applied(fn, series: OpSeries, p: Poly):
+    """fn(series, p), or the text and degrees of its TruncationError."""
+    try:
+        return fn(series, p)
+    except TruncationError as exc:
+        return str(exc), exc.required, exc.available
 
 
 class TestConstruction:
@@ -63,6 +90,15 @@ class TestApplication:
     def test_product_acts_by_composition(self, f, g):
         p = Poly.var(1, 1) ** 3
         assert f.mul(g).apply(p) == f.apply(g.apply(p))
+
+    @settings(max_examples=300)
+    @given(series_on_polys())
+    def test_apply_matches_the_repeated_derivative_oracle(self, pair):
+        series, p = pair
+        got = applied(OpSeries.apply, series, p)
+        assert got == applied(_apply_by_diff, series, p)
+        if isinstance(got, Poly):
+            assert_lowest_terms(got)
 
     def test_series_variable_must_exist(self):
         with pytest.raises(DomainError):
