@@ -354,7 +354,8 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     """Rewrite between Form A and Form B.
 
     The only information loss possible is truncation when an exponential
-    shift factor meets an exact series; the result's series orders record
+    shift factor meets an exact series (through DEFAULT_ORDER when neither
+    it nor ``order`` gives one); the result's series orders record
     exactly what is still known.
     """
     if target not in ("A", "B"):
@@ -364,6 +365,8 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     n = g.n
     tt = TriAut.torus(g.t)
     if target == "B":
+        if g.f.coeffs.get(1) and _min_order(g.f.order, order) is None:
+            order = DEFAULT_ORDER
         lam1, fp = factor_shift(g.f, order)
         frame = g._frame_map()
         if lam1:

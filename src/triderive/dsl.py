@@ -535,10 +535,9 @@ def parse_gnelem(text: str) -> GnElem:
 # -- entry points ------------------------------------------------------------------------------
 
 
-def parse(kind: str, text: str, *, n: int | None = None,
-          series_kind: str = "F", series_var: int = 1,
-          order: int | None = None):
-    """Parse one value of the given kind from text."""
+def parse(kind: str, text: str, *, n: int | None = None):
+    """Parse one value of the given kind from text; a series is read as
+    an exact unit series (kind F) in D = d/dx1."""
     if kind == "poly":
         return parse_poly(text, n)
     if kind == "lie":
@@ -548,7 +547,7 @@ def parse(kind: str, text: str, *, n: int | None = None,
     if kind == "ordinal":
         return parse_ordinal(text)
     if kind == "series":
-        return parse_series(text, series_kind, series_var, order)
+        return parse_series(text)
     if kind == "gnelem-json":
         return parse_gnelem(text)
     raise DomainError(f"unknown input kind {kind!r}")

@@ -5,15 +5,12 @@ tuples with exactly i-1 coordinates, so the coefficient of d_i only uses
 x1..x_{i-1}.  Elements are finite rational combinations of these basis
 derivations.
 
-An element is stored in the integer layout of ``Poly`` (see the poly
-module, whose helpers it shares): ``_nums`` maps keys (a, i) to nonzero
-ints, ``_den`` is at least 1, and the pair is in lowest terms,
-gcd(_den, *_nums) == 1, with ``_den == 1`` for zero.  Equality and
-hashing compare that form.  The structure constants of the basis are
-integers, [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j for i < j, so brackets,
-sums and scalings work on the numerators and end with at most one gcd.
-``terms``, the coefficients as Fractions, is built on first read, for
-printing and for callers that read coefficients.
+An element is stored in the integer layout described in the poly
+module, keyed by basis keys (a, i); ``LieElem`` takes its value
+semantics from that layout's owner, ``poly._IntLayout``.  The structure
+constants of the basis are integers, [x^a d_i, x^b d_j] = b_i
+x^(a+b-e_i) d_j for i < j, so brackets work on the numerators too and
+end with at most one gcd.
 
 The basis carries a linear order (larger derivation index first is
 SMALLER; within one index, compare exponents from the most significant
@@ -40,9 +37,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (Poly, RatLike, _check_cap, _format_terms, _fractions,
-                   _lowest, _new as _new_poly, _over_lcm, _scale_ints,
-                   _sum_ints, format_monomial, iter_exponents, rat)
+from .poly import (Poly, RatLike, _check_cap, _format_terms, _IntLayout,
+                   _lowest, _new as _new_poly, _over_lcm, format_monomial,
+                   iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -58,10 +55,10 @@ def _check_key(alpha: tuple[int, ...], i: int, n: int) -> None:
         raise DomainError("negative exponent")
 
 
-class LieElem:
+class LieElem(_IntLayout):
     """Immutable element of the rank-n triangular derivation algebra."""
 
-    __slots__ = ("n", "_den", "_nums", "_terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[Key, RatLike] | None = None):
         if n < 2:
@@ -109,36 +106,19 @@ class LieElem:
                               {e: c * (den // p._den) for e, c in p._nums.items()}
                               for p in polys])
 
+    # -- the hooks of the integer layout -----------------------------------
+
+    def _rank(self) -> int:
+        return self.n
+
+    def _with(self, den: int, nums: dict[Key, int]) -> LieElem:
+        return _new(self.n, den, nums)
+
+    def _require_same_rank(self, other: LieElem) -> None:
+        if self.n != other.n:
+            raise DomainError(f"mixed ranks: {self.n} vs {other.n}")
+
     # -- structure queries ----------------------------------------------
-
-    @property
-    def terms(self) -> dict[Key, Fraction]:
-        """The coefficients as Fractions, keyed by (alpha, i).  Built on
-        first read and kept; do not mutate it."""
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = _fractions(self._den, self._nums)
-        return terms
-
-    def _coefficient(self, key: Key) -> Fraction:
-        """The coefficient of one basis derivation, read without the
-        Fraction view."""
-        return Fraction(self._nums.get(key, 0), self._den)
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieElem):
-            return NotImplemented
-        return (self.n == other.n and self._den == other._den
-                and self._nums == other._nums)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._den, frozenset(self._nums.items())))
 
     def degree(self) -> int:
         """Largest |alpha| over the support; -1 when zero."""
@@ -168,35 +148,6 @@ class LieElem:
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""
         return min((i for _, i in self._nums), default=self.n + 1)
-
-    # -- linear arithmetic ------------------------------------------------
-
-    def _require_same_rank(self, other: LieElem) -> None:
-        if self.n != other.n:
-            raise DomainError(f"mixed ranks: {self.n} vs {other.n}")
-
-    def __add__(self, other: LieElem) -> LieElem:
-        self._require_same_rank(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        return _new(self.n,
-                    *_sum_ints(self._den, self._nums, other._den, other._nums))
-
-    def __neg__(self) -> LieElem:
-        return _new(self.n, self._den, {k: -c for k, c in self._nums.items()})
-
-    def __sub__(self, other: LieElem) -> LieElem:
-        return self + (-other)
-
-    def scale(self, factor: RatLike) -> LieElem:
-        f = rat(factor)
-        if f == 1:
-            return self
-        if not f:
-            return LieElem(self.n)
-        return _new(self.n, *_scale_ints(self._den, self._nums, f))
 
     # -- as an operator on polynomials -------------------------------------
 

@@ -1,18 +1,17 @@
 """Exact sparse polynomials over the rationals.
 
-A polynomial in x1..xn is stored as integer numerators over one positive
-denominator, the layout of FLINT's fmpq_poly: ``_nums`` maps exponent
-tuples of length ``nvars`` to nonzero ints, ``_den`` is at least 1, and
-the pair is kept in lowest terms, gcd(_den, *_nums) == 1, with
-``_den == 1`` for the zero polynomial.  The form is canonical, so
-equality and hashing compare it as it is.  Every operation works on the
-integers and ends with at most one gcd, skipped when the denominator is
-1.  Fractions are built only where a caller reads coefficients:
-``terms`` is a dict of Fractions built on first read and kept, and
-``constant_term`` and ``coefficient`` build one each.  All operations
-are exact and return fresh objects; instances are never mutated after
-construction.  The helpers of this layout (``_over_lcm``, ``_lowest``,
-``_sum_ints``, ``_scale_ints``, ``_fractions``) serve ``LieElem`` too.
+Polynomials, and the triangular derivations of the lie module, store
+exact rationals in one integer layout, that of FLINT's fmpq_poly:
+``_nums`` maps keys (here exponent tuples of length ``nvars``) to
+nonzero ints, ``_den`` is at least 1, and the pair is kept in lowest
+terms, gcd(_den, *_nums) == 1, with ``_den == 1`` for zero.  The form is
+canonical, so equality and hashing compare it as it is.  Every operation
+works on the integers and ends with at most one gcd, skipped when the
+denominator is 1.  Fractions are built only where a caller reads
+coefficients; ``terms`` is built on first read and kept.  Values are
+exact and never mutated after construction.  One class owns the layout:
+``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds its value
+semantics, next to the helpers that the subclasses' own operations use.
 
 Products and substitutions multiply and add plain ints.  A substitution
 takes every variable of a term through a power of its image and puts the
@@ -42,6 +41,7 @@ Rat = Fraction
 RatLike = Union[Fraction, int]
 _K = TypeVar("_K")
 _N = TypeVar("_N", int, Fraction)
+_L = TypeVar("_L", bound="_IntLayout")
 
 # Maximum total degree any operation may produce.  Reassign to loosen or
 # tighten; operations check bounds before doing the expensive work.
@@ -88,10 +88,144 @@ def _check_cap(degree: int, context: str) -> None:
             degree, DEGREE_CAP)
 
 
-class Poly:
+# -- the integer layout --------------------------------------------------------
+#
+# A value is a pair (den, nums) of a positive denominator and a dict of
+# nonzero integer numerators, in lowest terms.
+
+
+def _over_lcm(terms: Mapping[_K, Fraction]) -> tuple[int, dict[_K, int]]:
+    """Nonzero Fractions in lowest terms as (den, nums) over the lcm of
+    their denominators.  No gcd is needed: for each prime p of den, the
+    term whose denominator holds the full power of p in den keeps a
+    numerator prime to p."""
+    if not terms:
+        return 1, {}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _lowest(den: int, nums: dict[_K, int]) -> tuple[int, dict[_K, int]]:
+    """nums / den (no zero numerators, den >= 1) in lowest terms, by one
+    gcd; the zero value comes out with den 1."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: c // g for k, c in nums.items()}
+    return den, nums
+
+
+def _sum_ints(d1: int, n1: Mapping[_K, int], d2: int, n2: Mapping[_K, int]
+              ) -> tuple[int, dict[_K, int]]:
+    """n1/d1 + n2/d2 over the lcm of the denominators, in lowest terms."""
+    if d1 == d2:
+        den = d1
+        acc = dict(n1)
+        items: Iterable[tuple[_K, int]] = n2.items()
+    else:
+        den = math.lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        acc = {k: c * m1 for k, c in n1.items()}
+        items = [(k, c * m2) for k, c in n2.items()]
+    return _lowest(den, _add_terms(acc, items))
+
+
+def _scale_ints(den: int, nums: Mapping[_K, int], f: Fraction
+                ) -> tuple[int, dict[_K, int]]:
+    """nums/den times the nonzero rational f, in lowest terms."""
+    num = f.numerator
+    return _lowest(den * f.denominator, {k: c * num for k, c in nums.items()})
+
+
+def _fractions(den: int, nums: Mapping[_K, int]) -> dict[_K, Fraction]:
+    """The Fraction view of nums / den."""
+    if den == 1:
+        return {k: Fraction(c) for k, c in nums.items()}
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N]:
+    """Add each (key, nonzero coefficient) pair into acc, dropping every
+    key whose sum is zero, and return acc.  The sparse sum of
+    polynomials, derivations and series."""
+    for key, c in items:
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = c
+        else:
+            s = prev + c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
+
+
+class _IntLayout:
+    """The value semantics of the integer layout.  A subclass keeps its
+    rank in a slot of its own and gives ``_rank``, ``_with`` (a value of
+    its class and rank from a canonical (den, nums)) and
+    ``_require_same_rank`` (which raises on a rank mismatch)."""
+
+    __slots__ = ("_den", "_nums", "_terms")
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, keyed as ``_nums``.  Built on
+        first read and kept; do not mutate it."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _fractions(self._den, self._nums)
+        return terms
+
+    def _coefficient(self, key) -> Fraction:
+        """One coefficient, read without the Fraction view."""
+        return Fraction(self._nums.get(key, 0), self._den)
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._rank() == other._rank() and self._den == other._den
+                and self._nums == other._nums)
+
+    def __hash__(self) -> int:
+        return hash((self._rank(), self._den, frozenset(self._nums.items())))
+
+    def __add__(self: _L, other: _L) -> _L:
+        self._require_same_rank(other)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        return self._with(*_sum_ints(self._den, self._nums,
+                                     other._den, other._nums))
+
+    def __neg__(self: _L) -> _L:
+        return self._with(self._den, {k: -c for k, c in self._nums.items()})
+
+    def __sub__(self: _L, other: _L) -> _L:
+        return self + (-other)
+
+    def scale(self: _L, factor: RatLike) -> _L:
+        f = rat(factor)
+        if f == 1:
+            return self
+        if not f:
+            return self._with(1, {})
+        return self._with(*_scale_ints(self._den, self._nums, f))
+
+
+class Poly(_IntLayout):
     """Immutable sparse polynomial with a fixed number of variables."""
 
-    __slots__ = ("nvars", "_den", "_nums", "_terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], RatLike] | None = None):
         if nvars < 0:
@@ -132,31 +266,20 @@ class Poly:
     def monomial(nvars: int, exps: Sequence[int], coeff: RatLike = 1) -> Poly:
         return Poly(nvars, {tuple(exps): rat(coeff)})
 
+    # -- the hooks of the integer layout -------------------------------
+
+    def _rank(self) -> int:
+        return self.nvars
+
+    def _with(self, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+        return _new(self.nvars, den, nums)
+
+    def _require_same_rank(self, other: Poly) -> None:
+        if self.nvars != other.nvars:
+            raise DomainError(
+                f"mixed variable counts: {self.nvars} vs {other.nvars}")
+
     # -- basic queries -----------------------------------------------
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """The coefficients as Fractions, keyed by exponent tuple.  Built
-        on first read and kept; do not mutate it."""
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = _fractions(self._den, self._nums)
-        return terms
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.nvars == other.nvars and self._den == other._den
-                and self._nums == other._nums)
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
@@ -170,7 +293,7 @@ class Poly:
         return self.coefficient((0,) * self.nvars)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._nums.get(tuple(exps), 0), self._den)
+        return self._coefficient(tuple(exps))
 
     def max_var(self) -> int:
         """Largest variable index actually used; 0 for constants."""
@@ -188,37 +311,8 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _require_same_ring(self, other: Poly) -> None:
-        if self.nvars != other.nvars:
-            raise DomainError(
-                f"mixed variable counts: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: Poly) -> Poly:
-        self._require_same_ring(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        return _new(self.nvars,
-                    *_sum_ints(self._den, self._nums, other._den, other._nums))
-
-    def __neg__(self) -> Poly:
-        return _new(self.nvars, self._den,
-                    {e: -c for e, c in self._nums.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def scale(self, factor: RatLike) -> Poly:
-        f = rat(factor)
-        if f == 1:
-            return self
-        if not f:
-            return Poly(self.nvars)
-        return _new(self.nvars, *_scale_ints(self._den, self._nums, f))
-
     def __mul__(self, other: Poly) -> Poly:
-        self._require_same_ring(other)
+        self._require_same_rank(other)
         if not self._nums or not other._nums:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
@@ -306,80 +400,6 @@ def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
     p._nums = nums
     p._terms = None
     return p
-
-
-# -- the integer layout --------------------------------------------------------
-#
-# Shared by Poly and LieElem: a value is a pair (den, nums) of a positive
-# denominator and a dict of nonzero integer numerators, in lowest terms.
-
-
-def _over_lcm(terms: Mapping[_K, Fraction]) -> tuple[int, dict[_K, int]]:
-    """Nonzero Fractions in lowest terms as (den, nums) over the lcm of
-    their denominators.  No gcd is needed: for each prime p of den, the
-    term whose denominator holds the full power of p in den keeps a
-    numerator prime to p."""
-    if not terms:
-        return 1, {}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-
-
-def _lowest(den: int, nums: dict[_K, int]) -> tuple[int, dict[_K, int]]:
-    """nums / den (no zero numerators, den >= 1) in lowest terms, by one
-    gcd; the zero value comes out with den 1."""
-    if den != 1:
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {k: c // g for k, c in nums.items()}
-    return den, nums
-
-
-def _sum_ints(d1: int, n1: Mapping[_K, int], d2: int, n2: Mapping[_K, int]
-              ) -> tuple[int, dict[_K, int]]:
-    """n1/d1 + n2/d2 over the lcm of the denominators, in lowest terms."""
-    if d1 == d2:
-        den = d1
-        acc = dict(n1)
-        items: Iterable[tuple[_K, int]] = n2.items()
-    else:
-        den = math.lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        acc = {k: c * m1 for k, c in n1.items()}
-        items = [(k, c * m2) for k, c in n2.items()]
-    return _lowest(den, _add_terms(acc, items))
-
-
-def _scale_ints(den: int, nums: Mapping[_K, int], f: Fraction
-                ) -> tuple[int, dict[_K, int]]:
-    """nums/den times the nonzero rational f, in lowest terms."""
-    num = f.numerator
-    return _lowest(den * f.denominator, {k: c * num for k, c in nums.items()})
-
-
-def _fractions(den: int, nums: Mapping[_K, int]) -> dict[_K, Fraction]:
-    """The Fraction view of nums / den."""
-    if den == 1:
-        return {k: Fraction(c) for k, c in nums.items()}
-    return {k: Fraction(c, den) for k, c in nums.items()}
-
-
-def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N]:
-    """Add each (key, nonzero coefficient) pair into acc, dropping every
-    key whose sum is zero, and return acc.  The sparse sum of
-    polynomials, derivations and series."""
-    for key, c in items:
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = c
-        else:
-            s = prev + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return acc
 
 
 def _mul_ints(left: Iterable[tuple[tuple[int, ...], int]],

@@ -177,6 +177,32 @@ class TestCommands:
         assert data["tau"]["a"] == ["0", "0"]
         assert data["f"]["coeffs"] == {}
 
+    EXACT_SHIFT = json.dumps(
+        {"n": 2, "form": "A", "t": ["1", "1"],
+         "tau": {"a": ["0", "0"], "lambda": ["1", "1"]}, "s": [],
+         "f": {"order": None, "coeffs": {"1": "1"}}, "e": []})
+
+    @pytest.mark.parametrize("argv", [["inv", EXACT_SHIFT],
+                                      ["mul", EXACT_SHIFT, EXACT_SHIFT]])
+    def test_inv_and_mul_split_an_exact_shift_through_the_default_order(
+            self, capsys, argv):
+        # f = 1 + D is exact, and splitting off exp(D) truncates: without
+        # --order that goes through 16, as --order's help says
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["f"]["order"] == 16
+        assert run(capsys, "--order", "16", *argv) == (0, out, "")
+
+    def test_inv_of_an_exact_shift_is_the_inverse(self, capsys):
+        from triderive.autgroup import act
+        from triderive.dsl import parse_gnelem
+        from triderive.lie import standard_generators
+        g = parse_gnelem(self.EXACT_SHIFT)
+        _, out, _ = run(capsys, "inv", self.EXACT_SHIFT)
+        ginv = parse_gnelem(out)
+        for u in standard_generators(2, 4):
+            assert act(ginv, act(g, u)) == u
+
     def test_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0

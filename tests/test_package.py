@@ -63,3 +63,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """The private functions, classes and methods that the given modules
+    define and none of them names anywhere (as a name, an attribute or
+    an imported name), with their module and line numbers.  Dunders are
+    exempt."""
+    defined = []
+    named = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((module, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{module}: {name} (line {line})"
+            for module, name, line in defined if name not in named]
+
+
+def test_unreferenced_private_defs_are_found():
+    sources = {
+        "a": "def _used(): pass\ndef _unused(): pass\nclass _C:\n"
+             "    def _hook(self): pass\n    def __eq__(self, o): pass\n"
+             "    def _called(self): self._hook2()\n",
+        "b": "from a import _used as u\nclass D:\n    def _hook2(self): pass\n"
+             "    def m(self, c): c._called()\n",
+    }
+    assert unreferenced_private_defs(sources) == [
+        "a: _unused (line 2)", "a: _C (line 3)", "a: _hook (line 4)"]
+
+
+def test_every_private_definition_is_used():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
