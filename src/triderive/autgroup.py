@@ -354,9 +354,9 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     """Rewrite between Form A and Form B.
 
     The only information loss possible is truncation when an exponential
-    shift factor meets an exact series (through DEFAULT_ORDER when neither
-    it nor ``order`` gives one); the result's series orders record
-    exactly what is still known.
+    shift factor meets an exact series, through ``order`` or, when that
+    is None, DEFAULT_ORDER; the result's series orders record exactly
+    what is still known.
     """
     if target not in ("A", "B"):
         raise DomainError(f"unknown form {target!r}")
