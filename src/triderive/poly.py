@@ -171,7 +171,7 @@ class _IntLayout:
     __slots__ = ("_den", "_nums", "_terms")
 
     @property
-    def terms(self) -> dict:
+    def terms(self) -> dict[tuple, Fraction]:
         """The coefficients as Fractions, keyed as ``_nums``.  Built on
         first read and kept; do not mutate it."""
         terms = self._terms
@@ -179,7 +179,7 @@ class _IntLayout:
             terms = self._terms = _fractions(self._den, self._nums)
         return terms
 
-    def _coefficient(self, key) -> Fraction:
+    def _coefficient(self, key: tuple) -> Fraction:
         """One coefficient, read without the Fraction view."""
         return Fraction(self._nums.get(key, 0), self._den)
 
