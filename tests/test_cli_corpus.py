@@ -7,7 +7,7 @@ suite itself.
 The corpus covers every subcommand in both ``--format``s, truncation
 exits (4), degree-cap exits (2), parse errors (1), and seeded Form A and
 Form B elements of ranks 2-4, some exact and some stored through orders
-1-8.  To rewrite it after an intended output change, run
+0-8, among them ``decompose`` asked beyond the stored order.  To rewrite it after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -187,6 +187,21 @@ def corpus_argvs() -> list[list[str]]:
             out.append(["--format", "json", *argv])
     out += [["--format", "json", *argv] if k % 2 else argv
             for k, argv in enumerate(seeded)]
+    # decompose above the stored order exits 4 and names the first degree
+    # it asks for.  The spot check asks first, up to degree 3, so all but
+    # the last (stored through 2) would name a lower degree if the reads
+    # asked first: these pin the order of the questions.
+    rng = random.Random(17)
+    for n, form, stored, order in ((2, "A", 1, 3), (2, "B", 1, 5),
+                                   (3, "A", 0, 2), (3, "B", 0, 4),
+                                   (3, "A", 1, 6), (3, "B", 1, 3),
+                                   (4, "A", 0, 3), (4, "B", 0, 6),
+                                   (4, "A", 2, 4)):
+        out.append(["--order", str(order), "decompose",
+                    _element(rng, n, form, stored)])
+    # act on a map in bracket notation is its conjugation at any --order.
+    out += [["act", "[0, x1]", "x1^20*d2"],
+            ["--order", "4", "act", "[0, x1]", "x1^5*d2"]]
     return out
 
 
