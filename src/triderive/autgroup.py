@@ -38,14 +38,14 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError
 from .lie import LieElem, _join, bracket, exp_ad_apply, standard_generators
-from .poly import DEFAULT_ORDER, RatLike, _add_terms, rat
+from .poly import DEFAULT_ORDER, RatLike, _add_terms, _Keyed, rat
 from .series import OpSeries, _derivative_terms, _min_order, factor_shift
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
 
 
-class GnElem:
+class GnElem(_Keyed):
     """Immutable group element in canonical coordinates (Form A or B).
 
     The element builds its frame map, the whole triangular factor (torus
@@ -98,14 +98,14 @@ class GnElem:
                     "term in its last translation")
             if f.kind != "FP":
                 raise DomainError("Form B unit series must lack a linear term")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "t", tvals)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "s", svals)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "e", evals)
-        object.__setattr__(self, "_frame", None)
+        self.n = n
+        self.form = form
+        self.t = tvals
+        self.tau = tau
+        self.s = svals
+        self.f = f
+        self.e = evals
+        self._frame = None
 
     @staticmethod
     def identity(n: int, form: str = "A") -> GnElem:
@@ -119,16 +119,8 @@ class GnElem:
                 and (self.s is None or not any(self.s))
                 and self.f.is_one() and all(x.is_zero_e() for x in self.e))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GnElem):
-            return NotImplemented
-        return (self.n == other.n and self.form == other.form
-                and self.t == other.t and self.tau == other.tau
-                and self.s == other.s and self.f == other.f
-                and self.e == other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.form, self.t, self.tau, self.s, self.f, self.e))
+    def _key(self) -> tuple:
+        return self.n, self.form, self.t, self.tau, self.s, self.f, self.e
 
     def agrees_with(self, other: GnElem, through: int | None = None) -> bool:
         """Structural equality with series compared through the common order."""
@@ -151,7 +143,7 @@ class GnElem:
                 frame = tt.compose(self.tau)
                 if any(self.s):
                     frame = frame.compose(TriAut.shift(self.s + (0, 0)))
-            object.__setattr__(self, "_frame", frame)
+            self._frame = frame
         return frame
 
     def __repr__(self) -> str:
@@ -229,9 +221,9 @@ class AutoAction:
     def __init__(self, n: int, fn: Callable[[LieElem], LieElem]):
         if n < 2:
             raise DomainError("rank must be at least 2")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_memo", {})
+        self.n = n
+        self._fn = fn
+        self._memo = {}
 
     def __call__(self, u: LieElem) -> LieElem:
         if u.n != self.n:

@@ -89,17 +89,25 @@ def _resolve(text: str) -> str:
     return text
 
 
-def _element(text: str, n: int | None, order: int):
-    """A group element operand: JSON coordinates, or a triangular
-    automorphism in bracket notation taken as its conjugation action,
-    decomposed through the given series order."""
-    from .autgroup import AutoAction, decompose
+def _operand(text: str, n: int | None):
+    """A group element operand as its action, with its coordinates when
+    it is JSON; a triangular automorphism in bracket notation acts by
+    conjugation and comes with None."""
+    from .autgroup import AutoAction
     from .dsl import parse_gnelem, parse_triaut
     text = _resolve(text)
     if text.lstrip().startswith("{"):
-        return parse_gnelem(text)
-    sigma = parse_triaut(text, n)
-    return decompose(AutoAction.from_triaut(sigma), order=order)
+        g = parse_gnelem(text)
+        return AutoAction.from_gnelem(g), g
+    return AutoAction.from_triaut(parse_triaut(text, n)), None
+
+
+def _element(text: str, n: int | None, order: int):
+    """A group element operand as coordinates: a bracket-notation one is
+    decomposed through the given series order."""
+    from .autgroup import decompose
+    action, g = _operand(text, n)
+    return g if g is not None else decompose(action, order=order)
 
 
 def _emit(value: Any, kind: str, fmt: str) -> None:
@@ -132,7 +140,7 @@ def _run(args: argparse.Namespace) -> int:
     command = args.command
     order = args.order if args.order is not None else DEFAULT_ORDER
     # Each command imports only the modules it runs.
-    from .dsl import parse_gnelem, parse_lie, parse_ordinal, parse_triaut
+    from .dsl import parse_lie, parse_ordinal, parse_triaut
     from .lie import bracket, center_solve, ideal_membership, ord_of_element
 
     if command == "bracket":
@@ -159,22 +167,16 @@ def _run(args: argparse.Namespace) -> int:
         frames = [parse_lie(_resolve(chunk), rank) for chunk in args.frame]
         _emit(reconstruct_from_frames(frames), "triaut", args.format)
     elif command == "act":
-        from .autgroup import act
-        g = _element(args.element, n, order)
-        u = parse_lie(_resolve(args.derivation), g.n)
-        _emit(act(g, u), "lie", args.format)
+        action, _ = _operand(args.element, n)
+        u = parse_lie(_resolve(args.derivation), action.n)
+        _emit(action(u), "lie", args.format)
     elif command == "decompose":
-        from .autgroup import AutoAction, decompose
-        text = _resolve(args.element)
-        if text.lstrip().startswith("{"):
-            g = parse_gnelem(text)
-            if args.order is None:
-                # Read through what the element stores, not beyond it.
-                stored = [s.order for s in (g.f, *g.e) if s.order is not None]
-                order = max(min(stored, default=DEFAULT_ORDER), 1)
-            action = AutoAction.from_gnelem(g)
-        else:
-            action = AutoAction.from_triaut(parse_triaut(text, n))
+        from .autgroup import decompose
+        action, g = _operand(args.element, n)
+        if g is not None and args.order is None:
+            # Read through what the element stores, not beyond it.
+            stored = [s.order for s in (g.f, *g.e) if s.order is not None]
+            order = max(min(stored, default=DEFAULT_ORDER), 1)
         _emit(decompose(action, order=order), "gnelem", args.format)
     elif command == "mul":
         from .autgroup import convert_form, multiply_formula

@@ -30,8 +30,6 @@ from .lie import LieElem, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
 from .poly import Poly, _add_terms, format_poly, rat, rat_str
 
-KINDS = ("poly", "lie", "triaut", "ordinal", "series", "gnelem-json")
-
 
 # -- tokens ----------------------------------------------------------------------
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DomainError
+from .poly import _Keyed
 
 
-class OrdinalCNF:
+class OrdinalCNF(_Keyed):
     """Immutable ordinal below w^w."""
 
     __slots__ = ("coeffs",)
@@ -28,7 +29,7 @@ class OrdinalCNF:
                     raise DomainError("ordinal coefficients must be nonnegative")
                 if c:
                     clean[exp] = c
-        object.__setattr__(self, "coeffs", clean)
+        self.coeffs = clean
 
     @staticmethod
     def zero() -> OrdinalCNF:
@@ -46,15 +47,9 @@ class OrdinalCNF:
         return not self.coeffs
 
     def _key(self) -> tuple[tuple[int, int], ...]:
+        """The terms from the highest exponent down, which compare as the
+        ordinals do."""
         return tuple(sorted(self.coeffs.items(), reverse=True))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrdinalCNF):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __lt__(self, other: OrdinalCNF) -> bool:
         return ord_compare(self, other) < 0
@@ -77,13 +72,8 @@ class OrdinalCNF:
 
 def ord_compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
     """Three-way CNF comparison: -1, 0 or 1."""
-    exps = sorted(set(a.coeffs) | set(b.coeffs), reverse=True)
-    for e in exps:
-        ca = a.coeffs.get(e, 0)
-        cb = b.coeffs.get(e, 0)
-        if ca != cb:
-            return 1 if ca > cb else -1
-    return 0
+    ka, kb = a._key(), b._key()
+    return (ka > kb) - (ka < kb)
 
 
 def format_ordinal(a: OrdinalCNF) -> str:

@@ -12,6 +12,8 @@ coefficients; ``terms`` is built on first read and kept.  Values are
 exact and never mutated after construction.  One class owns the layout:
 ``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds its value
 semantics, next to the helpers that the subclasses' own operations use.
+The other values of the package take theirs from one key, through
+``_Keyed``.
 
 Products and substitutions multiply and add plain ints.  A substitution
 takes every variable of a term through a power of its image and puts the
@@ -160,6 +162,22 @@ def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N
             else:
                 del acc[key]
     return acc
+
+
+class _Keyed:
+    """Value semantics from one key: a subclass gives ``_key()``, a tuple
+    of its fields; two values of the same class are equal when their
+    keys are, and a value hashes as its key."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class _IntLayout:

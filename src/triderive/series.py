@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, TruncationError
-from .poly import Poly, RatLike, _add_terms, _format_terms, _lowest, _new, rat
+from .poly import (Poly, RatLike, _add_terms, _format_terms, _Keyed, _lowest,
+                   _new, rat)
 
 KINDS = ("F", "FP", "E")
 
@@ -38,7 +39,7 @@ def _min_order(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-class OpSeries:
+class OpSeries(_Keyed):
     """Immutable truncated series in one partial derivative."""
 
     __slots__ = ("kind", "var", "order", "coeffs")
@@ -65,10 +66,10 @@ class OpSeries:
                     clean[deg] = cf
         if kind == "FP" and clean.get(1):
             raise DomainError("this series kind forbids a linear term")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
+        self.kind = kind
+        self.var = var
+        self.order = order
+        self.coeffs = clean
 
     # -- constructors -----------------------------------------------------
 
@@ -123,15 +124,8 @@ class OpSeries:
     def is_zero_e(self) -> bool:
         return self.kind == "E" and not self.coeffs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpSeries):
-            return NotImplemented
-        return (self.kind == other.kind and self.var == other.var
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.var, self.order,
-                     frozenset(self.coeffs.items())))
+    def _key(self) -> tuple:
+        return self.kind, self.var, self.order, frozenset(self.coeffs.items())
 
     def agrees_with(self, other: OpSeries, through: int | None = None) -> bool:
         """Equality of coefficients through the common valid order."""

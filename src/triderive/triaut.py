@@ -20,11 +20,11 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError
 from .lie import LieElem, _derive, _join, _split, bracket
-from .poly import (Poly, RatLike, _check_cap, _Images, _lowest, _new, rat,
-                   rat_str, _substitute_ints)
+from .poly import (Poly, RatLike, _check_cap, _Images, _Keyed, _lowest, _new,
+                   rat, rat_str, _substitute_ints)
 
 
-class TriAut:
+class TriAut(_Keyed):
     """Immutable triangular automorphism of the rank-n polynomial ring."""
 
     __slots__ = ("n", "a", "lam", "_images", "_inv", "_jac_inv")
@@ -48,12 +48,10 @@ class TriAut:
             if not p.uses_only(i - 1):
                 raise DomainError(f"translation part of x{i} may only use x1..x{i - 1}")
             polys.append(p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", tuple(polys))
-        object.__setattr__(self, "lam", lams)
-        object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_jac_inv", None)
+        self.n = n
+        self.a = tuple(polys)
+        self.lam = lams
+        self._images = self._inv = self._jac_inv = None
 
     # -- constructors ---------------------------------------------------
 
@@ -111,7 +109,7 @@ class TriAut:
         if cached is None:
             cached = _Images(Poly.var(self.n, i).scale(lam) + a
                              for i, (lam, a) in enumerate(zip(self.lam, self.a), start=1))
-            object.__setattr__(self, "_images", cached)
+            self._images = cached
         return cached
 
     def apply(self, p: Poly) -> Poly:
@@ -127,9 +125,10 @@ class TriAut:
         return _from_images(self.n, [self.apply(q) for q in other.images()])
 
     def invert(self) -> TriAut:
-        """Group inverse, built coordinate by coordinate.  Cached: the
-        instance is immutable and conjugation inverts the same map over
-        and over."""
+        """Group inverse, built coordinate by coordinate.  Cached both ways
+        (the inverse keeps this map as its own), since the instance is
+        immutable: repeated calls, such as inverting a map and inverting
+        back, build nothing new.  Conjugation never inverts."""
         cached = self._inv
         if cached is not None:
             return cached
@@ -141,8 +140,8 @@ class TriAut:
             shifted = Poly.var(n, i) - self.a[i - 1].substitute(images)
             inverse_images.append(shifted.scale(1 / self.lam[i - 1]))
         inv = _from_images(n, inverse_images)
-        object.__setattr__(self, "_inv", inv)
-        object.__setattr__(inv, "_inv", self)
+        self._inv = inv
+        inv._inv = self
         return inv
 
     def _inverse_jacobian(self) -> tuple[tuple[Poly, ...], ...]:
@@ -168,16 +167,11 @@ class TriAut:
                 row.append(Poly.const(n, 1 / self.lam[j]))
                 rows.append(tuple(row))
             cached = tuple(rows)
-            object.__setattr__(self, "_jac_inv", cached)
+            self._jac_inv = cached
         return cached
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriAut):
-            return NotImplemented
-        return self.n == other.n and self.lam == other.lam and self.a == other.a
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.lam, self.a))
+    def _key(self) -> tuple:
+        return self.n, self.lam, self.a
 
     def __str__(self) -> str:
         return format_triaut(self)
@@ -200,7 +194,7 @@ def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
             raise InternalError(f"image of x{i} is not triangular: {q}")
         lams.append(lam)
     sigma = TriAut(parts, lams)
-    object.__setattr__(sigma, "_images", _Images(images))
+    sigma._images = _Images(images)
     return sigma
 
 

@@ -205,6 +205,21 @@ class TestGnElem:
         with pytest.raises(DomainError):
             gn(3, e=[OpSeries.zero_e(2)])
 
+    @given(gn_elems(3, "A") | gn_elems(3, "B", order=4))
+    def test_hash_and_equality(self, g):
+        assert hash(g) == hash((g.n, g.form, g.t, g.tau, g.s, g.f, g.e))
+        assert g == GnElem(g.n, g.form, g.t, g.tau, g.s, g.f, g.e)
+        t = (-g.t[0],) + g.t[1:]
+        assert g != GnElem(g.n, g.form, t, g.tau, g.s, g.f, g.e)
+        f = OpSeries(g.f.kind, g.f.var, 6 if g.f.order is None else None,
+                     g.f.coeffs)
+        assert g != GnElem(g.n, g.form, g.t, g.tau, g.s, f, g.e)
+
+    def test_forms_differ(self):
+        assert GnElem.identity(3, "A") != GnElem.identity(3, "B")
+        assert GnElem.identity(3, "A") == GnElem.identity(3, "A")
+        assert GnElem.identity(3, "A") != TriAut.identity(3)
+
     def test_agrees_with_ignores_deep_coefficients(self):
         a = gn(3, f=OpSeries("F", 2, 4, {2: 1}))
         b = gn(3, f=OpSeries("F", 2, 2, {2: 1}))

@@ -81,14 +81,25 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "d1 - 2*x1*d2"
 
-    def test_act_decomposes_at_the_given_order(self, capsys):
-        # --order reaches the decomposition of a bracket-notation operand
+    def test_act_on_a_bracket_map_is_its_conjugation(self, capsys):
+        # a bracket-notation operand acts by conjugation: no series, so
+        # --order does not apply to it
         sigma = "[0,x1^2,x1*x2^2,x3^2;2,1,3,1]"
         code, out, _ = run(capsys, "--order", "4", "act", sigma, "d1")
         assert code == 0
         code, expected, _ = run(capsys, "conjugate", sigma, "d1")
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize("options, derivation", [
+        ((), "x1^20*d2"), (("--order", "4"), "x1^5*d2")])
+    def test_act_on_a_bracket_map_beyond_the_order(self, capsys, options,
+                                                   derivation):
+        # decomposing the map first would store its series through the
+        # order, and the derivation needs more of them
+        expected = run(capsys, "conjugate", "[0, x1]", derivation)
+        assert expected == (0, derivation + "\n", "")
+        assert run(capsys, *options, "act", "[0, x1]", derivation) == expected
 
     def test_act_and_decompose_under_the_degree_cap(self, capsys):
         # the inverse of this map has higher degree than the map; at the

@@ -35,6 +35,17 @@ class TestNormalForm:
         assert format_ordinal(OrdinalCNF.omega_power(1, 2)) == "w*2"
 
 
+def compare_by_exponents(a: OrdinalCNF, b: OrdinalCNF) -> int:
+    """The oracle for ``ord_compare``: walk the union of the exponents
+    from the highest down, and the first coefficient that differs
+    decides."""
+    for e in sorted(set(a.coeffs) | set(b.coeffs), reverse=True):
+        ca, cb = a.coeffs.get(e, 0), b.coeffs.get(e, 0)
+        if ca != cb:
+            return 1 if ca > cb else -1
+    return 0
+
+
 class TestCompare:
     def test_oracle_chain(self):
         # 0 < 5 < w < w*2 < w^2 < w^2 + w*5
@@ -51,6 +62,21 @@ class TestCompare:
     def test_rich_comparisons(self):
         assert OrdinalCNF.from_int(3) < OrdinalCNF.omega_power(1)
         assert OrdinalCNF.omega_power(2) >= OrdinalCNF({1: 9, 0: 9})
+
+    @given(ordinals(), ordinals())
+    def test_agrees_with_the_exponent_walk(self, a, b):
+        assert ord_compare(a, b) == compare_by_exponents(a, b)
+        assert (a < b, a <= b, a > b, a >= b, a == b) == (
+            ord_compare(a, b) < 0, ord_compare(a, b) <= 0,
+            ord_compare(a, b) > 0, ord_compare(a, b) >= 0,
+            ord_compare(a, b) == 0)
+
+    @given(ordinals())
+    def test_value_semantics(self, a):
+        assert hash(a) == hash(tuple(sorted(a.coeffs.items(), reverse=True)))
+        assert a == OrdinalCNF(dict(a.coeffs)) and a != a.coeffs
+        bigger = OrdinalCNF({**a.coeffs, 0: a.coeffs.get(0, 0) + 1})
+        assert a != bigger and a < bigger
 
     @given(ordinals(), ordinals(), ordinals())
     def test_strict_total_order(self, a, b, c):

@@ -65,6 +65,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def setattr_bypasses(source: str) -> list[int]:
+    """The lines that call ``object.__setattr__``: the package's values
+    set their attributes plainly."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__"
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "object")
+
+
+def test_setattr_bypasses_are_found():
+    source = ("class A:\n    def __init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "        self.y = 2\n        super().__setattr__('z', 3)\n"
+              "object.__setattr__(A(), 'w', 4)\n")
+    assert setattr_bypasses(source) == [3, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_setattr_bypass(path):
+    assert setattr_bypasses(path.read_text()) == []
+
+
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     """The private functions, classes and methods that the given modules
     define and none of them names anywhere (as a name, an attribute or

@@ -69,6 +69,25 @@ class TestConstruction:
         assert s.support() == 5
 
 
+class TestValueSemantics:
+    @given(series_on_polys())
+    def test_hash_and_equality(self, pair):
+        s = pair[0]
+        assert hash(s) == hash((s.kind, s.var, s.order,
+                                frozenset(s.coeffs.items())))
+        assert s == OpSeries(s.kind, s.var, s.order, dict(s.coeffs))
+        other_order = None if s.order is not None else 6
+        assert s != OpSeries(s.kind, s.var, other_order, s.coeffs)
+        assert s != OpSeries(s.kind, s.var + 1, s.order, s.coeffs)
+
+    def test_fields_that_differ(self):
+        s = OpSeries("F", 1, 4, {2: 1})
+        assert s != OpSeries("F", 1, 5, {2: 1})
+        assert s != OpSeries("FP", 1, 4, {2: 1})
+        assert s != OpSeries("F", 1, 4, {2: 2})
+        assert s != {2: 1}
+
+
 class TestApplication:
     def test_taylor_shift(self):
         # exp(2 D) acts as x -> x + 2

@@ -44,6 +44,25 @@ class TestConstruction:
         assert sigma.image(2) == Poly.var(2, 2).scale(3) + Poly.var(2, 1) ** 2
 
 
+class TestValueSemantics:
+    @given(triangular_auts(3))
+    def test_hash_and_equality(self, sigma):
+        assert hash(sigma) == hash((sigma.n, sigma.lam, sigma.a))
+        assert sigma == TriAut(sigma.a, sigma.lam)
+        lam = (sigma.lam[0] + 1 or 1,) + sigma.lam[1:]
+        assert sigma != TriAut(sigma.a, lam)
+        shifted = (sigma.a[0] + Poly.const(3, 1),) + sigma.a[1:]
+        assert sigma != TriAut(shifted, sigma.lam)
+        assert sigma != sigma.a
+
+    def test_caches_do_not_take_part(self):
+        sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2], [2, 3])
+        fresh = TriAut(sigma.a, sigma.lam)
+        sigma.invert()
+        sigma.images()
+        assert sigma == fresh and hash(sigma) == hash(fresh)
+
+
 class TestGroupLaws:
     @given(triangular_auts(3))
     def test_inverse(self, sigma):
