@@ -7,7 +7,8 @@ suite itself.
 The corpus covers every subcommand in both ``--format``s, truncation
 exits (4), degree-cap exits (2), parse errors (1), and seeded Form A and
 Form B elements of ranks 2-4, some exact and some stored through orders
-0-8, among them ``decompose`` asked beyond the stored order.  To rewrite it after an intended output change, run
+0-8, among them ``decompose`` asked beyond the stored order.  To rewrite
+it after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
