@@ -1,5 +1,6 @@
 """The automorphism group in canonical coordinates: action, product, inverse."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -415,7 +416,67 @@ ROUND_TRIP = {
 }
 
 
+def decompose_questions(n: int, order: int, s) -> list:
+    """Oracle for the questions ``decompose`` asks, in order and without
+    repeats: 20 linearity and bracket checks on generator pairs drawn by
+    random.Random(7042), the images of d_1..d_n, then the probes of the
+    shift, the unit series and the feeds, built from Fractions."""
+    gens = [LieElem.d(n, 1)] + [
+        LieElem.basis(n, (0,) * (i - 2) + (j,), i)
+        for i in range(2, n + 1) for j in range(min(3, order) + 1)]
+    scalars = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2),
+               Fraction(3)]
+    rng = random.Random(7042)
+    asked = []
+    for _ in range(20):
+        u, v = rng.choice(gens), rng.choice(gens)
+        c1, c2 = rng.choice(scalars), rng.choice(scalars)
+        asked += [u.scale(c1) + v.scale(c2), u, v, bracket(u, v)]
+
+    def probe(i: int, k: int, shift: Fraction = Fraction(0)) -> LieElem:
+        pad = (0,) * (i - 2)
+        return LieElem(n, {(pad + (j,), i): (-shift) ** (k - j)
+                           / (math.factorial(j) * math.factorial(k - j))
+                           for j in range(k + 1)})
+
+    asked += [LieElem.d(n, i) for i in range(1, n + 1)]
+    asked += [probe(i + 1, 1) for i in range(1, n - 1)]
+    asked += [probe(n, k) for k in range(1, order + 1)]
+    asked += [probe(i, k, Fraction(s[i - 2]))
+              for i in range(2, n) for k in range(1, order + 1)]
+    out = []
+    for u in asked:
+        if u not in out:
+            out.append(u)
+    return out
+
+
+# Form A elements whose shifts are zero, negative and fractional.
+QUESTION_SHIFTS = {2: [()], 3: [(0,), (-3,), (Fraction(1, 2),)],
+                   4: [(0, Fraction(-2, 3)), (Fraction(1, 2), -3),
+                       (Fraction(-5, 2), 0)]}
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("form", ["A", "B"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_asks_the_pinned_questions_in_order(self, n, form):
+        rng = random.Random(f"questions:{n}{form}")
+        for s in QUESTION_SHIFTS[n]:
+            a = rand_gn(rng, n, "A")
+            a = GnElem(n, "A", a.t, a.tau, s, a.f, a.e)
+            g = a if form == "A" else convert_form(a, "B")
+            for order in range(1, 9):
+                asked = []
+
+                def fn(u, g=g, asked=asked):
+                    asked.append(u)
+                    return act(g, u)
+
+                got = decompose(AutoAction(n, fn), order=order)
+                assert got.s == a.s
+                assert asked == decompose_questions(n, order, a.s)
+
     @pytest.mark.parametrize("g", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
     def test_round_trip_pinned(self, g):
         assert decompose(AutoAction.from_gnelem(g), order=6) == g
