@@ -31,14 +31,15 @@ moves between the two layouts.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _join, bracket, exp_ad_apply, standard_generators
-from .poly import DEFAULT_ORDER, RatLike, _add_terms, _Keyed, rat
+from .lie import LieElem, _join, _new, bracket, exp_ad_apply, standard_generators
+from .poly import DEFAULT_ORDER, RatLike, _add_terms, _Keyed, _lowest, rat
 from .series import OpSeries, _derivative_terms, _min_order, factor_shift
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
@@ -259,39 +260,53 @@ def exp_ad_auto(u: LieElem) -> AutoAction:
 # -- recovering coordinates from the action --------------------------------------
 
 
-def _spot_check(action: AutoAction, order: int, rng: random.Random) -> None:
-    """Cheap sanity probes: the action must be linear and respect brackets
-    on 20 random generator pairs before we trust it with a decomposition.
-    The generators have exponents up to 3, and no more than the order, so
-    that series stored through the order suffice."""
-    gens = standard_generators(action.n, min(3, order))
+@functools.cache
+def _spot_pairs(n: int, degree: int) -> tuple[tuple, ...]:
+    """The spot check's 20 generator pairs at rank n, with exponents up to
+    degree: random.Random(7042) draws the same pairs, in the same order,
+    for each (n, degree), so they are built once.  Each is (u, v, c1, c2,
+    c1 u + c2 v, [u, v])."""
+    gens = standard_generators(n, degree)
     scalars = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
+    rng = random.Random(7042)
+    pairs = []
     for _ in range(20):
-        u = rng.choice(gens)
-        v = rng.choice(gens)
-        c1 = rng.choice(scalars)
-        c2 = rng.choice(scalars)
-        combo = action(u.scale(c1) + v.scale(c2))
-        if combo != action(u).scale(c1) + action(v).scale(c2):
+        u, v = rng.choice(gens), rng.choice(gens)
+        c1, c2 = rng.choice(scalars), rng.choice(scalars)
+        pairs.append((u, v, c1, c2, u.scale(c1) + v.scale(c2), bracket(u, v)))
+    return tuple(pairs)
+
+
+def _spot_check(action: AutoAction, order: int) -> None:
+    """Cheap sanity probes: the action must be linear and respect brackets
+    on 20 generator pairs before we trust it with a decomposition.  The
+    pairs are fixed for each rank and order, and built once.  The
+    generators have exponents up to 3, and no more than the order, so
+    that series stored through the order suffice."""
+    for u, v, c1, c2, combo, uv in _spot_pairs(action.n, min(3, order)):
+        if action(combo) != action(u).scale(c1) + action(v).scale(c2):
             raise DomainError("action is not linear on generators")
-        if action(bracket(u, v)) != bracket(action(u), action(v)):
+        if action(uv) != bracket(action(u), action(v)):
             raise DomainError("action does not respect brackets on generators")
 
 
 def _probe(n: int, i: int, k: int, shift: Fraction = Fraction(0)) -> LieElem:
-    """(x_{i-1} - shift)^k / k! d_i, expanded."""
+    """(x_{i-1} - shift)^k / k! d_i, expanded.  With -shift = p/q, the
+    x_{i-1}^j term is C(k, j) p^(k-j) q^j over q^k k!."""
+    p, q = -shift.numerator, shift.denominator
     pad = (0,) * (i - 2)
-    return LieElem(n, {(pad + (j,), i): (-shift) ** (k - j)
-                       / (math.factorial(j) * math.factorial(k - j))
-                       for j in range(k + 1)})
+    nums = {(pad + (j,), i): c for j in range(k + 1)
+            if (c := math.comb(k, j) * p ** (k - j) * q ** j)}
+    return _new(n, *_lowest(q ** k * math.factorial(k), nums))
 
 
 def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     """Recover Form A coordinates of an automorphism from action queries.
 
-    After a spot check of linearity and brackets on random generator
-    pairs, the images of d_1..d_n fix the torus and the triangular part
-    together, as the frame map t . tau.  The frame map t . tau . s sends
+    After a spot check of linearity and brackets on generator pairs,
+    fixed for each rank and order and built once, the images of d_1..d_n
+    fix the torus and the triangular part together, as the frame map
+    t . tau, which the result keeps.  The frame map t . tau . s sends
     the origin to (s_1, ..., s_{n-2}, 0, 0), so every other coordinate
     is t_i times one constant: that of the d_i coefficient of the image
     of a probe whose series factors leave a known value at that point.
@@ -303,7 +318,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
     n = action.n
     if order < 1:
         raise DomainError("order must be at least 1")
-    _spot_check(action, order, random.Random(7042))
+    _spot_check(action, order)
 
     # The images of d_i are the frame of t . tau, scaled by 1/t_i.
     probes = [LieElem.d(n, i) for i in range(1, n + 1)]
@@ -332,6 +347,8 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
          for i in range(2, n)]
 
     g = GnElem(n, "A", t, tau, s, f, e)
+    # g's frame map t . tau . s is the recovered t . tau, then the shift.
+    g._frame = tt_tau.compose(TriAut.shift(s + (0, 0))) if any(s) else tt_tau
     for u in probes:
         if act(g, u) != action(u):
             raise DomainError(f"the decomposition does not reproduce the "

@@ -364,8 +364,7 @@ def _generator_keys(n: int, max_exponent: int) -> list[Key]:
 
 def standard_generators(n: int, max_exponent: int) -> list[LieElem]:
     """d_1 together with x_{i-1}^j d_i for 2 <= i <= n, 0 <= j <= max_exponent."""
-    return [LieElem.basis(n, alpha, i)
-            for alpha, i in _generator_keys(n, max_exponent)]
+    return [_new(n, 1, {key: 1}) for key in _generator_keys(n, max_exponent)]
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int

@@ -15,7 +15,7 @@ from .poly import _Keyed
 
 
 class OrdinalCNF(_Keyed):
-    """Immutable ordinal below w^w."""
+    """Immutable ordinal below w^w, its terms kept from the highest down."""
 
     __slots__ = ("coeffs",)
 
@@ -29,7 +29,7 @@ class OrdinalCNF(_Keyed):
                     raise DomainError("ordinal coefficients must be nonnegative")
                 if c:
                     clean[exp] = c
-        self.coeffs = clean
+        self.coeffs = dict(sorted(clean.items(), reverse=True))
 
     @staticmethod
     def zero() -> OrdinalCNF:
@@ -49,7 +49,7 @@ class OrdinalCNF(_Keyed):
     def _key(self) -> tuple[tuple[int, int], ...]:
         """The terms from the highest exponent down, which compare as the
         ordinals do."""
-        return tuple(sorted(self.coeffs.items(), reverse=True))
+        return tuple(self.coeffs.items())
 
     def __lt__(self, other: OrdinalCNF) -> bool:
         return ord_compare(self, other) < 0
@@ -81,7 +81,7 @@ def format_ordinal(a: OrdinalCNF) -> str:
     if not a.coeffs:
         return "0"
     parts = []
-    for exp, c in sorted(a.coeffs.items(), reverse=True):
+    for exp, c in a.coeffs.items():
         if exp == 0:
             parts.append(str(c))
         elif exp == 1:
@@ -106,15 +106,16 @@ def ord_of_basis(alpha: Sequence[int], i: int, n: int) -> OrdinalCNF:
         raise DomainError(f"exponent for d_{i} needs {i - 1} coordinates")
     if any(a < 0 for a in alpha):
         raise DomainError("negative exponent")
-    coeffs: dict[int, int] = {}
-    for k in range(i, n):
-        coeffs[k] = 1
-    for m in range(1, i):
-        a = alpha[m - 1]
-        if a:
-            coeffs[m - 1] = coeffs.get(m - 1, 0) + a
-    coeffs[0] = coeffs.get(0, 0) + 1
-    return OrdinalCNF(coeffs)
+    # The stored form, exponents from the highest down, of the digits
+    # checked above; so the constructor's checks and sort are skipped.
+    coeffs = dict.fromkeys(range(n - 1, i - 1, -1), 1)
+    for m in range(i - 1, 1, -1):
+        if alpha[m - 1]:
+            coeffs[m - 1] = alpha[m - 1]
+    coeffs[0] = alpha[0] + 1 if alpha else 1
+    out = OrdinalCNF.__new__(OrdinalCNF)
+    out.coeffs = coeffs
+    return out
 
 
 def ord_of_algebra(n: int) -> OrdinalCNF:

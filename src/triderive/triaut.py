@@ -144,13 +144,14 @@ class TriAut(_Keyed):
         inv._inv = self
         return inv
 
-    def _inverse_jacobian(self) -> tuple[tuple[Poly, ...], ...]:
-        """The inverse Jacobian M of this map, row j holding M[j][i] for
-        i <= j: M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j),
-        and M[j][j] = 1/lambda_j.  Built once, by forward substitution in
-        J M = 1 (J = the Jacobian of sigma, lower triangular with the
-        lambdas on its diagonal), which needs products but no inversion
-        and no substitution."""
+    def _inverse_jacobian(self) -> tuple[tuple[tuple[int, Poly, int], ...], ...]:
+        """The inverse Jacobian M of this map, by columns: column i holds
+        (j, M[j][i], total degree of M[j][i]) for the j >= i with M[j][i]
+        nonzero, ascending, so it starts with M[i][i] = 1/lambda_i.  Here
+        M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j).  Built
+        once, by forward substitution in J M = 1 (J = the Jacobian of
+        sigma, lower triangular with the lambdas on its diagonal), which
+        needs products but no inversion and no substitution."""
         cached = self._jac_inv
         if cached is None:
             n = self.n
@@ -165,8 +166,11 @@ class TriAut(_Keyed):
                             acc = acc + grad[k] * rows[k][i]
                     row.append(acc.scale(-1 / self.lam[j]))
                 row.append(Poly.const(n, 1 / self.lam[j]))
-                rows.append(tuple(row))
-            cached = tuple(rows)
+                rows.append(row)
+            cached = tuple(tuple((j, m, m.total_degree())
+                                 for j in range(i, n + 1)
+                                 if (m := rows[j - 1][i - 1]))
+                           for i in range(1, n + 1))
             self._jac_inv = cached
         return cached
 
@@ -230,28 +234,26 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
 
     Each nonzero p_i is substituted through sigma's images, checked
     against the cap term by term, and then each product M[j][i] sigma(p_i)
-    with j > i is checked, in that order, before the next index.  The
+    with j > i is checked, in that order, before the next index; sigma's
+    cache gives column i of M with the degree of each entry.  The
     products go straight into one dict per index j, over one denominator.
     """
-    n = sigma.n
     images = sigma.images()
     jac = sigma._inverse_jacobian()
     columns = []
-    for i, part in enumerate(parts, start=1):
+    for part, column in zip(parts, jac):
         if not part:
             continue
         common, image = _substitute_ints(images, part.items())
         deg = max(map(sum, image))
-        column = [(j, jac[j - 1][i - 1]) for j in range(i, n + 1)
-                  if jac[j - 1][i - 1]]
-        for _, m in column[1:]:
-            _check_cap(m.total_degree() + deg, "product")
+        for _, _, mdeg in column[1:]:
+            _check_cap(mdeg + deg, "product")
         columns.append((common, image.items(), column))
     lcm = math.lcm(*(common * m._den
-                     for common, _, column in columns for _, m in column))
-    out: list[dict] = [{} for _ in range(n)]
+                     for common, _, column in columns for _, m, _ in column))
+    out: list[dict] = [{} for _ in range(sigma.n)]
     for common, image, column in columns:
-        for j, m in column:
+        for j, m, _ in column:
             scale = lcm // (common * m._den)
             acc = out[j - 1]
             for e1, c1 in m._nums.items():

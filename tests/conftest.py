@@ -188,8 +188,10 @@ def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
     """Oracle for the conjugation kernel: the d_1..d_n coefficient
     polynomials of u in, those of sigma u sigma^(-1) out, through Poly
     arithmetic: each nonzero p_i substituted by TriAut.apply, then
-    scaled by 1/lambda_i and multiplied into the inverse Jacobian's
-    column i.  Degree-cap checks come in the same order as the kernel's."""
+    scaled by 1/lambda_i and multiplied into each nonzero entry below
+    the diagonal of the inverse Jacobian's column i, as sigma's cache
+    lists them.  Degree-cap checks come in the same order as the
+    kernel's."""
     n = sigma.n
     jac = sigma._inverse_jacobian()
     out = [Poly.zero(n)] * n
@@ -198,10 +200,8 @@ def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
             continue
         image = sigma.apply(p)
         out[i - 1] = out[i - 1] + image.scale(1 / sigma.lam[i - 1])
-        for j in range(i, n):
-            m = jac[j][i - 1]
-            if m:
-                out[j] = out[j] + m * image
+        for j, m, _ in jac[i - 1][1:]:
+            out[j - 1] = out[j - 1] + m * image
     return out
 
 

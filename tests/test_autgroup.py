@@ -8,12 +8,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (conjugate_by_polys, degree_cap, gn_elems, lie_elems,
-                      outcome, rand_poly, rationals)
+from conftest import (assert_lowest_terms, conjugate_by_polys, degree_cap,
+                      gn_elems, lie_elems, outcome, rand_poly, rationals)
 from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
                        Poly, TriAut, TruncationError, act, bracket, commutator,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
+from triderive.autgroup import _probe
 from triderive.verify import _apply_by_diff, _apply_feeds, _apply_unit_series
 from triderive.dsl import parse_lie
 from triderive.lie import standard_generators
@@ -476,6 +477,31 @@ class TestDecompose:
                 got = decompose(AutoAction(n, fn), order=order)
                 assert got.s == a.s
                 assert asked == decompose_questions(n, order, a.s)
+
+    @given(st.integers(2, 4).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           st.integers(0, 16),
+           st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)))
+    def test_probe_is_the_fraction_expansion(self, rank_index, k, shift):
+        n, i = rank_index
+        got = _probe(n, i, k, shift)
+        pad = (0,) * (i - 2)
+        assert got == LieElem(n, {(pad + (j,), i): (-shift) ** (k - j)
+                                   / (math.factorial(j) * math.factorial(k - j))
+                                   for j in range(k + 1)})
+        assert_lowest_terms(got)
+        powers = [alpha[-1] for alpha, _ in got._nums]
+        assert powers == sorted(powers)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_frame_is_the_recovered_one(self, n, data):
+        h = decompose(AutoAction.from_gnelem(data.draw(gn_elems(n, "A"))),
+                      order=3)
+        assert h._frame is not None and h._frame_map() is h._frame
+        assert h._frame == TriAut.torus(h.t).compose(h.tau).compose(
+            TriAut.shift(h.s + (0, 0)))
 
     @pytest.mark.parametrize("g", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
     def test_round_trip_pinned(self, g):

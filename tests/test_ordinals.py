@@ -72,6 +72,7 @@ class TestCompare:
 
     @given(ordinals())
     def test_value_semantics(self, a):
+        assert list(a.coeffs) == sorted(a.coeffs, reverse=True)
         assert hash(a) == hash(tuple(sorted(a.coeffs.items(), reverse=True)))
         assert a == OrdinalCNF(dict(a.coeffs)) and a != a.coeffs
         bigger = OrdinalCNF({**a.coeffs, 0: a.coeffs.get(0, 0) + 1})
@@ -99,6 +100,20 @@ class TestBasisDegrees:
     def test_alpha_length_must_match_index(self):
         with pytest.raises(DomainError):
             ord_of_basis((1, 1), 2, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_digit_sum(self, n):
+        # w^(n-1) + ... + w^i, plus alpha_m w^(m-1) for each m, plus 1,
+        # built through the validating constructor.
+        for alpha, i in iter_basis_keys(n, 3):
+            coeffs = dict.fromkeys(range(i, n), 1)
+            for m, a in enumerate(alpha, start=1):
+                coeffs[m - 1] = coeffs.get(m - 1, 0) + a
+            coeffs[0] = coeffs.get(0, 0) + 1
+            got = ord_of_basis(alpha, i, n)
+            assert got == OrdinalCNF(coeffs)
+            assert list(got.coeffs.items()) == \
+                list(OrdinalCNF(coeffs).coeffs.items())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_order_isomorphism_on_initial_segment(self, n):

@@ -297,10 +297,16 @@ class TestConjugationKernel:
             u = rand_lie(rng, n)
             assert conjugate_derivation(sigma, u) == conjugate_by_substitution(sigma, u)
             assert sigma._jac_inv is jac
-        # M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j).
-        for j, q in enumerate(sigma.invert().images(), start=1):
-            assert jac[j - 1] == tuple(sigma.apply(q.diff(i))
-                                       for i in range(1, j + 1))
+        # Column i lists (j, M[j][i], its degree) for the nonzero M[j][i]
+        # with j >= i, where M[j][i] = sigma(d q_j / d x_i) and
+        # q_j = sigma^(-1)(x_j).
+        qs = sigma.invert().images()
+        for i in range(1, n + 1):
+            entries = [(j, sigma.apply(qs[j - 1].diff(i)))
+                       for j in range(i, n + 1)]
+            assert jac[i - 1] == tuple((j, m, m.total_degree())
+                                       for j, m in entries if m)
+            assert jac[i - 1][0] == (i, Poly.const(n, 1 / sigma.lam[i - 1]), 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sympy(self, seed):
