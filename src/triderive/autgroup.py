@@ -106,7 +106,7 @@ class GnElem(_Keyed):
         self.s = svals
         self.f = f
         self.e = evals
-        self._frame = None
+        self._frame = self._key_cache = None
 
     @staticmethod
     def identity(n: int, form: str = "A") -> GnElem:
@@ -120,7 +120,7 @@ class GnElem(_Keyed):
                 and (self.s is None or not any(self.s))
                 and self.f.is_one() and all(x.is_zero_e() for x in self.e))
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return self.n, self.form, self.t, self.tau, self.s, self.f, self.e
 
     def agrees_with(self, other: GnElem, through: int | None = None) -> bool:

@@ -37,9 +37,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (Poly, RatLike, _check_cap, _format_terms, _IntLayout,
-                   _lowest, _new as _new_poly, _over_lcm, format_monomial,
-                   iter_exponents, rat)
+from .poly import (Poly, RatLike, _add_terms, _check_cap, _format_terms,
+                   _IntLayout, _lowest, _new as _new_poly, _over_lcm,
+                   format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i).
 Key = tuple[tuple[int, ...], int]
@@ -56,9 +56,12 @@ def _check_key(alpha: tuple[int, ...], i: int, n: int) -> None:
 
 
 class LieElem(_IntLayout):
-    """Immutable element of the rank-n triangular derivation algebra."""
+    """Immutable element of the rank-n triangular derivation algebra.
 
-    __slots__ = ("n",)
+    The hash is computed on first use and kept: the memos of black-box
+    actions hash each probe and each image they are given."""
+
+    __slots__ = ("n", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Key, RatLike] | None = None):
         if n < 2:
@@ -74,6 +77,7 @@ class LieElem(_IntLayout):
         self.n = n
         self._den, self._nums = _over_lcm(clean)
         self._terms = clean
+        self._hash = None
 
     # -- constructors --------------------------------------------------
 
@@ -117,6 +121,12 @@ class LieElem(_IntLayout):
     def _require_same_rank(self, other: LieElem) -> None:
         if self.n != other.n:
             raise DomainError(f"mixed ranks: {self.n} vs {other.n}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = _IntLayout.__hash__(self)
+        return h
 
     # -- structure queries ----------------------------------------------
 
@@ -171,6 +181,7 @@ def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
     u._den = den
     u._nums = nums
     u._terms = None
+    u._hash = None
     return u
 
 
@@ -323,6 +334,10 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     weigh the sum of the weights of x^a d_i and x^b d_j.  So (ad u)^k v = 0
     for k > top(v) + max_i w_i, where top(v) is the largest weight of a
     term of v.  Passing that bound is a bug and raises InternalError.
+
+    The sum is kept as one dict of numerators over the lcm of the terms'
+    denominators, rescaled only when a term brings a new factor, and put
+    in lowest terms once, at the end.
     """
     u._require_same_rank(v)
     w = [1] * u.n  # w[i - 1] is w_i, read from w_1..w_{i-1}: ascending i
@@ -330,7 +345,8 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
         w[i - 1] = max(w[i - 1], 1 + sum(map(mul, a, w)))
     cap = max([sum(map(mul, a, w)) - w[i - 1] for a, i in v._nums],
               default=0) + max(w) + 1
-    out = term = v
+    term = v
+    den, acc = v._den, dict(v._nums)
     k = 0
     while term:
         k += 1
@@ -338,8 +354,14 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
             raise InternalError("exp(ad u) failed to terminate within its bound")
         term = bracket(u, term)
         term = _new(u.n, *_lowest(term._den * k, term._nums))  # times 1/k
-        out = out + term
-    return out
+        lcm = math.lcm(den, term._den)
+        if lcm != den:
+            m = lcm // den
+            den, acc = lcm, {key: c * m for key, c in acc.items()}
+        m = den // term._den
+        _add_terms(acc, term._nums.items() if m == 1 else
+                   [(key, c * m) for key, c in term._nums.items()])
+    return _new(u.n, *_lowest(den, acc))
 
 
 # -- generators and the center ------------------------------------------------

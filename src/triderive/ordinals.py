@@ -30,6 +30,7 @@ class OrdinalCNF(_Keyed):
                 if c:
                     clean[exp] = c
         self.coeffs = dict(sorted(clean.items(), reverse=True))
+        self._key_cache = None
 
     @staticmethod
     def zero() -> OrdinalCNF:
@@ -46,7 +47,7 @@ class OrdinalCNF(_Keyed):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _key(self) -> tuple[tuple[int, int], ...]:
+    def _fields(self) -> tuple[tuple[int, int], ...]:
         """The terms from the highest exponent down, which compare as the
         ordinals do."""
         return tuple(self.coeffs.items())
@@ -115,6 +116,7 @@ def ord_of_basis(alpha: Sequence[int], i: int, n: int) -> OrdinalCNF:
     coeffs[0] = alpha[0] + 1 if alpha else 1
     out = OrdinalCNF.__new__(OrdinalCNF)
     out.coeffs = coeffs
+    out._key_cache = None
     return out
 
 

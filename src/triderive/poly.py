@@ -12,8 +12,11 @@ coefficients; ``terms`` is built on first read and kept.  Values are
 exact and never mutated after construction.  One class owns the layout:
 ``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds its value
 semantics, next to the helpers that the subclasses' own operations use.
-The other values of the package take theirs from one key, through
-``_Keyed``.
+A ``LieElem`` keeps its hash once computed, since the memos of black-box
+actions hash every probe and image they see; a ``Poly`` hashes afresh
+and stays one slot smaller.  The other values of the package take theirs
+from one key, through ``_Keyed``, which computes the key once and keeps
+it.
 
 Products and substitutions multiply and add plain ints.  A substitution
 takes every variable of a term through a power of its image and puts the
@@ -165,11 +168,19 @@ def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N
 
 
 class _Keyed:
-    """Value semantics from one key: a subclass gives ``_key()``, a tuple
-    of its fields; two values of the same class are equal when their
-    keys are, and a value hashes as its key."""
+    """Value semantics from one key: a subclass gives ``_fields()``, a
+    tuple of its fields, and sets ``_key_cache`` to None when it builds a
+    value.  ``_key()`` computes the key on first use and keeps it, as the
+    fields never change.  Two values of the same class are equal when
+    their keys are, and a value hashes as its key."""
 
-    __slots__ = ()
+    __slots__ = ("_key_cache",)
+
+    def _key(self) -> tuple:
+        key = self._key_cache
+        if key is None:
+            key = self._key_cache = self._fields()
+        return key
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -70,6 +70,7 @@ class OpSeries(_Keyed):
         self.var = var
         self.order = order
         self.coeffs = clean
+        self._key_cache = None
 
     # -- constructors -----------------------------------------------------
 
@@ -124,7 +125,7 @@ class OpSeries(_Keyed):
     def is_zero_e(self) -> bool:
         return self.kind == "E" and not self.coeffs
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return self.kind, self.var, self.order, frozenset(self.coeffs.items())
 
     def agrees_with(self, other: OpSeries, through: int | None = None) -> bool:

@@ -51,7 +51,7 @@ class TriAut(_Keyed):
         self.n = n
         self.a = tuple(polys)
         self.lam = lams
-        self._images = self._inv = self._jac_inv = None
+        self._images = self._inv = self._jac_inv = self._key_cache = None
 
     # -- constructors ---------------------------------------------------
 
@@ -174,7 +174,7 @@ class TriAut(_Keyed):
             self._jac_inv = cached
         return cached
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return self.n, self.lam, self.a
 
     def __str__(self) -> str:
@@ -237,6 +237,10 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
     with j > i is checked, in that order, before the next index; sigma's
     cache gives column i of M with the degree of each entry.  The
     products go straight into one dict per index j, over one denominator.
+    An entry of degree 0 is one constant c, so its product adds c times
+    each term of sigma(p_i) under the term's own exponents, which are the
+    keys the sum of exponents would give: the diagonal 1/lambda_i always
+    takes this route, and every entry does when sigma is affine.
     """
     images = sigma.images()
     jac = sigma._inverse_jacobian()
@@ -253,9 +257,15 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
                      for common, _, column in columns for _, m, _ in column))
     out: list[dict] = [{} for _ in range(sigma.n)]
     for common, image, column in columns:
-        for j, m, _ in column:
+        for j, m, mdeg in column:
             scale = lcm // (common * m._den)
             acc = out[j - 1]
+            if not mdeg:
+                c1, = m._nums.values()
+                c1 *= scale
+                for e2, c2 in image:
+                    acc[e2] = acc.get(e2, 0) + c1 * c2
+                continue
             for e1, c1 in m._nums.items():
                 c1 *= scale
                 for e2, c2 in image:

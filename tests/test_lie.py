@@ -12,7 +12,7 @@ from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
                        ideal_membership, leading_term, ord_compare,
                        ord_of_element, project)
 from triderive.dsl import parse_lie
-from triderive.lie import (_nullspace, basis_compare, format_lie,
+from triderive.lie import (_join, _new, _nullspace, basis_compare, format_lie,
                            iter_basis_keys, key_sort_key, standard_generators)
 
 
@@ -213,6 +213,23 @@ class TestLayout:
             assert p.terms == {alpha + (0,) * (4 - j): x
                                for (alpha, k), x in s.items() if k == j}
 
+    @given(lie_elems(3), lie_elems(3), rationals(nonzero=True), small, small)
+    def test_hash_is_that_of_the_layout(self, u, v, c, a, b):
+        """Every construction path hashes as (rank, den, numerators): on
+        the first call, which computes a derivation's hash and keeps it,
+        and on the second, which reads it back."""
+        values = [LieElem(3, u.terms), _new(3, u._den, dict(u._nums)),
+                  _join(3, u._den, u._parts()), u + v, u - v, -u,
+                  u.scale(c), bracket(u, v), project(u, 2),
+                  exp_ad_apply(a, b), *u.coefficient_polys()]
+        # u + 0 is u itself: each object once, so its first call is first
+        for w in {id(w): w for w in values}.values():
+            expected = hash((w._rank(), w._den, frozenset(w._nums.items())))
+            if isinstance(w, LieElem):
+                assert w._hash is None
+            assert hash(w) == expected
+            assert hash(w) == expected
+
     def test_zero_has_denominator_one(self):
         half = LieElem.basis(3, (1,), 2, Fraction(1, 2))
         for zero in (half - half, half.scale(0), bracket(half, half),
@@ -265,6 +282,36 @@ class TestExpAd:
         v = LieElem.d(2, 1)
         out = exp_ad_apply(u, v)
         assert out == v + LieElem.basis(2, (1,), 2, -2)
+
+    @given(lie_elems(3, max_degree=2, max_terms=2),
+           lie_elems(3, max_degree=2, max_terms=2))
+    def test_sums_in_place_as_running_sums_would(self, u, v):
+        """The numerators come out in the order that adding each term to
+        a new running sum leaves them in, cancelled keys dropped."""
+        out = term = v
+        k = 0
+        while term:
+            k += 1
+            term = bracket(u, term).scale(Fraction(1, k))
+            out = out + term
+        got = exp_ad_apply(u, v)
+        assert list(got._nums.items()) == list(out._nums.items())
+        assert got._den == out._den
+
+    @pytest.mark.parametrize("u, v, expected", [
+        ("x1^2*d2", "0", "0"),
+        ("0", "1/2*d1 + x1*d2", "1/2*d1 + x1*d2"),
+        # [x1*d2, d1] = -d2 cancels the d2 of v
+        ("x1*d2", "d1 + d2", "d1"),
+        # the first term cancels the d2 of v, the second writes it again
+        ("d1", "d2 - x1*d2 + x1^2*d2", "x1^2*d2 + x1*d2 + d2"),
+    ])
+    def test_zero_and_cancelling_sums(self, u, v, expected):
+        u, v = parse_lie(u, 2), parse_lie(v, 2)
+        got = exp_ad_apply(u, v)
+        assert got.terms == exp_ad_by_fractions(u.terms, v.terms)
+        assert str(got) == expected
+        assert_lowest_terms(got)
 
     @given(lie_elems(3, max_degree=2, max_terms=2),
            lie_elems(3, max_degree=2, max_terms=2),

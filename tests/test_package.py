@@ -1,9 +1,10 @@
 """The package namespace: every exported name loads its submodule on
 first use and is the object of that submodule; no module imports a name
-it does not use."""
+it does not use, nor a module from outside the standard library."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules that import statements name outside the standard
+    library and the package itself, with their line numbers.  Relative
+    imports name the package."""
+    allowed = sys.stdlib_module_names | {"triderive"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_foreign_imports_are_found():
+    source = ("import os, numpy\nfrom numpy.linalg import solve\n"
+              "from . import poly\nfrom .lie import bracket\n"
+              "import triderive.poly\nfrom xml.dom import minidom\n")
+    assert foreign_imports(source) == ["numpy (line 1)",
+                                       "numpy.linalg (line 2)"]
+    injected = "import numpy\n" + (SRC / "poly.py").read_text()
+    assert foreign_imports(injected) == ["numpy (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def setattr_bypasses(source: str) -> list[int]:

@@ -1,21 +1,24 @@
 """Triangular automorphisms: group laws, exp/log, conjugation."""
 
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import (conjugate_by_polys, degree_cap, lie_elems, outcome,
-                      rand_poly, rand_triaut, rationals, sympy_terms, to_sympy,
-                      triangular_auts, unipotent_auts)
+                      polys, rand_poly, rand_triaut, rationals, sympy_terms,
+                      to_sympy, triangular_auts, unipotent_auts)
 from triderive import (AutoAction, DomainError, InternalError, LieElem, Poly,
                        TriAut, act, bracket, conjugate_derivation, decompose,
                        exp_ad_apply, exp_map, log_map, normalize_mod_shn,
                        reconstruct_from_frames)
 from triderive import triaut
 from triderive.dsl import parse_lie, parse_triaut
+from triderive.poly import _check_cap, _substitute_ints
 from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
 
 
@@ -47,7 +50,9 @@ class TestConstruction:
 class TestValueSemantics:
     @given(triangular_auts(3))
     def test_hash_and_equality(self, sigma):
-        assert hash(sigma) == hash((sigma.n, sigma.lam, sigma.a))
+        # the first call computes the key and keeps it, the second reads it
+        key = (sigma.n, sigma.lam, sigma.a)
+        assert [hash(sigma), hash(sigma)] == [hash(key)] * 2
         assert sigma == TriAut(sigma.a, sigma.lam)
         lam = (sigma.lam[0] + 1 or 1,) + sigma.lam[1:]
         assert sigma != TriAut(sigma.a, lam)
@@ -228,6 +233,53 @@ def rand_lie(rng: random.Random, n: int) -> LieElem:
         [rand_poly(rng, n, 2, 2, i - 1) for i in range(1, n + 1)])
 
 
+def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
+                               ) -> tuple[int, list[dict]]:
+    """The conjugation kernel with one route for every entry of the
+    inverse Jacobian: each product sums exponent tuples, constant entries
+    included.  The reference for the values of ``_conjugate`` and for the
+    order of the keys of each dict it returns."""
+    columns = []
+    for part, column in zip(parts, sigma._inverse_jacobian()):
+        if part:
+            common, image = _substitute_ints(sigma.images(), part.items())
+            deg = max(map(sum, image))
+            for _, _, mdeg in column[1:]:
+                _check_cap(mdeg + deg, "product")
+            columns.append((common, image, column))
+    lcm = math.lcm(*(common * m._den
+                     for common, _, column in columns for _, m, _ in column))
+    out: list[dict] = [{} for _ in range(sigma.n)]
+    for common, image, column in columns:
+        for j, m, _ in column:
+            scale = lcm // (common * m._den)
+            for e1, c1 in m._nums.items():
+                for e2, c2 in image.items():
+                    key = tuple(map(add, e1, e2))
+                    out[j - 1][key] = out[j - 1].get(key, 0) + c1 * scale * c2
+    return den * lcm, out
+
+
+@st.composite
+def frames_and_derivations(draw, affine: bool):
+    """(sigma, u) at ranks 2..5, sigma with a torus and shifts.  An affine
+    sigma has translation parts of degree <= 1, so every entry of its
+    inverse Jacobian is constant.  Otherwise a_2 gains c*x1^2, so column 1
+    holds the entry of degree 1 that d a_2 / d x1 brings."""
+    n = draw(st.integers(2, 5))
+    parts = [Poly.const(n, draw(rationals()))]
+    for i in range(2, n + 1):
+        parts.append(draw(polys(n, 1 if affine or i == 2 else 3,
+                                max_terms=3, max_var=i - 1)))
+    if not affine:
+        square = (2,) + (0,) * (n - 1)
+        parts[1] = parts[1] + Poly.monomial(n, square,
+                                            draw(rationals(nonzero=True)))
+    lams = draw(st.lists(rationals(span=3, nonzero=True), min_size=n,
+                         max_size=n))
+    return TriAut(parts, lams), draw(lie_elems(n, max_degree=4, max_terms=4))
+
+
 class TestConjugationKernel:
     """conjugate_derivation goes through the cached inverse Jacobian."""
 
@@ -247,6 +299,30 @@ class TestConjugationKernel:
                 assert outcome(conjugate_derivation, sigma, u) == outcome(
                     lambda: LieElem.from_coefficients(
                         conjugate_by_polys(sigma, u.coefficient_polys())))
+
+    @pytest.mark.parametrize("affine", [True, False], ids=["affine", "mixed"])
+    @given(data=st.data())
+    def test_constant_entries_take_their_own_route(self, affine, data):
+        """Frames whose inverse Jacobian is all constant, and frames with
+        an entry of positive degree too: values, key order and cap errors
+        are those of the one-route kernel, and values and cap errors
+        those of Poly arithmetic, under caps from 1 to 5."""
+        sigma, u = data.draw(frames_and_derivations(affine))
+        degrees = [[mdeg for _, _, mdeg in column]
+                   for column in sigma._inverse_jacobian()]
+        assert all(column[0] == 0 for column in degrees)
+        assert any(map(any, degrees)) is not affine
+
+        def kernel(fn):
+            den, parts = fn(sigma, u._den, u._parts())
+            return den, [list(part.items()) for part in parts]
+
+        with degree_cap(data.draw(st.integers(1, 5))):
+            assert outcome(kernel, triaut._conjugate) == outcome(
+                kernel, conjugate_by_exponent_sums)
+            assert outcome(conjugate_derivation, sigma, u) == outcome(
+                lambda: LieElem.from_coefficients(
+                    conjugate_by_polys(sigma, u.coefficient_polys())))
 
     def test_rank_mismatch(self):
         with pytest.raises(DomainError, match="mixed ranks: 2 vs 3"):
