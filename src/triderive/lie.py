@@ -56,10 +56,7 @@ def _check_key(alpha: tuple[int, ...], i: int, n: int) -> None:
 
 
 class LieElem(_IntLayout):
-    """Immutable element of the rank-n triangular derivation algebra.
-
-    The hash is computed on first use and kept: the memos of black-box
-    actions hash each probe and each image they are given."""
+    """Immutable element of the rank-n triangular derivation algebra."""
 
     __slots__ = ("n", "_hash")
 
@@ -123,6 +120,7 @@ class LieElem(_IntLayout):
             raise DomainError(f"mixed ranks: {self.n} vs {other.n}")
 
     def __hash__(self) -> int:
+        """The layout's hash, computed on first use and kept."""
         h = self._hash
         if h is None:
             h = self._hash = _IntLayout.__hash__(self)
