@@ -9,16 +9,15 @@ _HOMES = {
     "errors": ("TriderivError", "DomainError", "DegreeCapError",
                "TruncationError", "InternalError", "DslError", "ParseError",
                "SemanticError"),
-    "poly": ("Rat", "rat", "rat_str", "Poly"),
-    "ordinals": ("OrdinalCNF", "ord_compare", "ord_of_basis", "ord_of_algebra"),
+    "poly": ("rat", "rat_str", "Poly"),
+    "ordinals": ("OrdinalCNF", "ord_compare", "ord_of_basis"),
     "lie": ("LieElem", "basis_compare", "bracket", "exp_ad_apply",
-            "leading_term", "ord_of_element", "ideal_membership", "project",
-            "center_solve"),
+            "leading_term", "ord_of_element", "ideal_membership", "center_solve"),
     "triaut": ("TriAut", "conjugate_derivation", "exp_map", "log_map",
                "reconstruct_from_frames", "normalize_mod_shn"),
     "series": ("OpSeries", "factor_shift"),
     "autgroup": ("GnElem", "AutoAction", "act", "decompose", "convert_form",
-                 "multiply_formula", "gn_inverse", "commutator", "exp_ad_auto"),
+                 "multiply_formula", "gn_inverse", "exp_ad_auto"),
     "dsl": ("parse", "print_value", "gnelem_from_json", "gnelem_to_json"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

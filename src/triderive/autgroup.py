@@ -464,12 +464,3 @@ def gn_inverse(g: GnElem, order: int | None = None) -> GnElem:
     if g.form == "A":
         return convert_form(out, "A", order)
     return out
-
-
-def commutator(g: GnElem, h: GnElem) -> GnElem:
-    """g h g^(-1) h^(-1) through the multiplication formula."""
-    gb = convert_form(g, "B")
-    hb = convert_form(h, "B")
-    out = multiply_formula(gb, hb)
-    out = multiply_formula(out, gn_inverse(gb))
-    return multiply_formula(out, gn_inverse(hb))

@@ -43,9 +43,6 @@ class _Token:
         self.start = start
         self.end = end
 
-    def __repr__(self) -> str:
-        return f"_Token({self.kind}, {self.text!r}, {self.start}..{self.end})"
-
 
 _SYMBOLS = {"+", "-", "*", "/", "^", "[", "]", ";", ","}
 _DIGITS = frozenset("0123456789")
@@ -412,6 +409,12 @@ def _rat_from_json(value: Any, what: str) -> Fraction:
     raise DomainError(f"{what}: rationals are written as strings")
 
 
+def _list_from_json(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a list")
+    return value
+
+
 def _series_from_json(obj: Any, kind: str, var: int, what: str) -> OpSeries:
     from .series import OpSeries
     if not isinstance(obj, dict):
@@ -460,7 +463,7 @@ def gnelem_from_json(obj: Any) -> GnElem:
     form = obj["form"]
     if form not in ("A", "B"):
         raise DomainError(f"unknown form {form!r}")
-    t = [_rat_from_json(v, "t") for v in obj["t"]]
+    t = [_rat_from_json(v, "t") for v in _list_from_json(obj["t"], "t")]
     tau_obj = obj["tau"]
     if not isinstance(tau_obj, dict) or "a" not in tau_obj:
         raise DomainError("tau must carry translation parts")
@@ -469,25 +472,25 @@ def gnelem_from_json(obj: Any) -> GnElem:
         raise DomainError("tau needs n translation parts")
     parts = []
     for i, chunk in enumerate(a_texts, start=1):
+        if not isinstance(chunk, str):
+            raise DomainError(f"tau entry {i}: polynomials are written as strings")
         try:
             parts.append(parse_poly(chunk, n))
         except (ParseError, SemanticError) as exc:
             raise DomainError(f"tau entry {i}: {exc.reason}")
-    lam = [_rat_from_json(v, "tau.lambda") for v in tau_obj.get("lambda", [1] * n)]
+    lam = [_rat_from_json(v, "tau.lambda")
+           for v in _list_from_json(tau_obj.get("lambda", [1] * n), "tau.lambda")]
     tau = TriAut(parts, lam)
     s = obj.get("s")
     if form == "A":
         if s is None:
             raise DomainError("Form A carries shift data")
-        s = [_rat_from_json(v, "s") for v in s]
+        s = [_rat_from_json(v, "s") for v in _list_from_json(s, "s")]
     elif s is not None:
         raise DomainError("Form B has no shift field")
     f = _series_from_json(obj["f"], "F" if form == "A" else "FP", n - 1, "f")
-    e_raw = obj["e"]
-    if not isinstance(e_raw, list):
-        raise DomainError("e must be a list")
     e_map: dict[int, OpSeries] = {}
-    for entry in e_raw:
+    for entry in _list_from_json(obj["e"], "e"):
         if not isinstance(entry, dict) or "i" not in entry:
             raise DomainError("each feed series carries its target index i")
         i = entry["i"]

@@ -128,10 +128,6 @@ class LieElem(_IntLayout):
 
     # -- structure queries ----------------------------------------------
 
-    def degree(self) -> int:
-        """Largest |alpha| over the support; -1 when zero."""
-        return max((sum(alpha) for alpha, _ in self._nums), default=-1)
-
     def coefficient_poly(self, i: int) -> Poly:
         """The d_i coefficient as a polynomial in the full rank-n ring."""
         if not 1 <= i <= self.n:
@@ -272,15 +268,6 @@ def ord_of_element(u: LieElem) -> OrdinalCNF:
 def ideal_membership(u: LieElem, lam: OrdinalCNF) -> bool:
     """Whether u lies in the span of basis derivations of degree <= lam."""
     return ord_compare(ord_of_element(u), lam) <= 0
-
-
-def project(u: LieElem, i: int) -> LieElem:
-    """Image in the quotient by the span of derivations with index > i,
-    i.e. the terms with derivation index <= i."""
-    if not 1 <= i <= u.n:
-        raise DomainError(f"index {i} out of range 1..{u.n}")
-    return _new(u.n, *_lowest(u._den, {k: c for k, c in u._nums.items()
-                                       if k[1] <= i}))
 
 
 # -- bracket -----------------------------------------------------------------

@@ -36,14 +36,6 @@ class OrdinalCNF(_Keyed):
     def zero() -> OrdinalCNF:
         return OrdinalCNF()
 
-    @staticmethod
-    def from_int(value: int) -> OrdinalCNF:
-        return OrdinalCNF({0: value})
-
-    @staticmethod
-    def omega_power(exp: int, coeff: int = 1) -> OrdinalCNF:
-        return OrdinalCNF({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -118,10 +110,3 @@ def ord_of_basis(alpha: Sequence[int], i: int, n: int) -> OrdinalCNF:
     out.coeffs = coeffs
     out._key_cache = None
     return out
-
-
-def ord_of_algebra(n: int) -> OrdinalCNF:
-    """Ordinal degree of the largest basis derivation d_1 in rank n."""
-    if n < 1:
-        raise DomainError("rank must be at least 1")
-    return OrdinalCNF({k: 1 for k in range(n)})

@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import DegreeCapError, DomainError
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 _K = TypeVar("_K")
 _N = TypeVar("_N", int, Fraction)
@@ -59,7 +58,7 @@ DEFAULT_ORDER = 16
 _RAT_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def rat(value: RatLike | str) -> Rat:
+def rat(value: RatLike | str) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
     A string is an optional sign and ASCII digits, optionally followed by
@@ -79,7 +78,7 @@ def rat(value: RatLike | str) -> Rat:
     raise DomainError(f"not a rational: {value!r}")
 
 
-def rat_str(value: Rat) -> str:
+def rat_str(value: Fraction) -> str:
     """Canonical text for a rational: bare integer or "p/q"."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -397,15 +396,6 @@ class Poly(_IntLayout):
             images = _Images(images)
         common, acc = _substitute_ints(images, self._nums.items())
         return _new(images.target, *_lowest(self._den * common, acc))
-
-    def embed(self, nvars: int) -> Poly:
-        """Reinterpret in a ring with more variables (padding exponents)."""
-        if nvars < self.nvars:
-            raise DomainError("cannot embed into fewer variables")
-        if nvars == self.nvars:
-            return self
-        pad = (0,) * (nvars - self.nvars)
-        return _new(nvars, self._den, {e + pad: c for e, c in self._nums.items()})
 
     # -- canonical term order ------------------------------------------
 

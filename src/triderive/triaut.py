@@ -96,12 +96,6 @@ class TriAut(_Keyed):
 
     # -- the group operations ----------------------------------------------
 
-    def image(self, i: int) -> Poly:
-        """The polynomial this map sends x_i to."""
-        if not 1 <= i <= self.n:
-            raise DomainError(f"variable index {i} out of range 1..{self.n}")
-        return self.images()[i - 1]
-
     def images(self) -> tuple[Poly, ...]:
         """All images, built once.  The tuple also keeps the powers that
         substitutions by this map compute, since the map never changes."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from conftest import (assert_lowest_terms, conjugate_by_polys, degree_cap,
                       gn_elems, lie_elems, outcome, rand_poly, rationals)
 from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
-                       Poly, TriAut, TruncationError, act, bracket, commutator,
+                       Poly, TriAut, TruncationError, act, bracket,
                        conjugate_derivation, convert_form, decompose,
                        exp_ad_auto, exp_map, gn_inverse, multiply_formula)
 from triderive.autgroup import _probe
@@ -600,11 +600,6 @@ class TestGroupOperations:
                     [series.truncate(low) for series in gb.e])
         assert outcome(multiply_formula, gb, hb) == \
             outcome(product_by_derivation_correction, gb, hb)
-
-    def test_commutator_of_tori_is_trivial(self):
-        a = gn(3, t=[2, 3, 5], form="B", s=None)
-        b = gn(3, t=[7, 1, 2], form="B", s=None)
-        assert commutator(a, b).is_identity()
 
     def test_multiplication_needs_form_b(self):
         with pytest.raises(DomainError):

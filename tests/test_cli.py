@@ -1,15 +1,23 @@
 """Command line front end: commands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import triderive
+from conftest import gn_elems, lie_elems, ordinals, triangular_auts, unipotent_auts
+from triderive import LieElem, conjugate_derivation
 from triderive.cli import main
+from triderive.dsl import gnelem_to_json, print_value
 
 
 def run(capsys, *argv):
@@ -302,6 +310,155 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert run(capsys, "bracket")[0] == 2
+
+    VALID = {"n": 3, "form": "A", "t": ["2", "1", "1"],
+             "tau": {"a": ["0", "x1", "x1*x2"], "lambda": ["1", "1", "1"]},
+             "s": ["1/2"], "f": {"order": None, "coeffs": {"1": "1"}},
+             "e": [{"i": 2, "order": None, "coeffs": {"2": "3"}}]}
+
+    @pytest.mark.parametrize("command", ["inv", "act", "decompose"])
+    @pytest.mark.parametrize("value", [5, 1.5, True, None, "12", {}])
+    @pytest.mark.parametrize("field", ["t", "s", "tau.lambda", "tau.a[0]"])
+    def test_json_field_of_the_wrong_type(self, capsys, command, value, field):
+        # One field of a valid element replaced by another JSON type is
+        # refused with the field's name; a string is not a list of its
+        # characters.
+        obj = json.loads(json.dumps(self.VALID))
+        reason = f"{field} must be a list"
+        if field == "tau.a[0]":
+            obj["tau"]["a"][0] = [] if value == "12" else value
+            reason = "tau entry 1: polynomials are written as strings"
+        elif field == "tau.lambda":
+            obj["tau"]["lambda"] = value
+        else:
+            obj[field] = value
+            if field == "s" and value is None:
+                reason = "Form A carries shift data"
+        blob = json.dumps(obj)
+        argv = [command, blob] + (["d1"] if command == "act" else [])
+        assert run(capsys, *argv) == (
+            1, "", f"error: {reason} at 0..{len(blob)}\n")
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``main`` on argv, with its exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_documented(code: int, err: str) -> None:
+    """The exit code is one of README's, nothing is an internal error,
+    and an operand error points at its span."""
+    assert code in (0, 1, 2, 3, 4), err
+    assert "internal error:" not in err
+    if code == 1:
+        assert re.fullmatch(r"error: .* at \d+\.\.\d+\n", err), err
+
+
+@st.composite
+def elements(draw, n: int) -> str:
+    """A group element operand: JSON coordinates or a bracket map."""
+    if draw(st.booleans()):
+        return print_value(draw(triangular_auts(n)))
+    form = draw(st.sampled_from("AB"))
+    order = draw(st.sampled_from([None, 2, 6]))
+    return json.dumps(gnelem_to_json(draw(gn_elems(n, form, order))))
+
+
+COMMANDS = ["bracket", "exp", "log", "conjugate", "reconstruct", "act",
+            "decompose", "mul", "inv", "ord", "ideal"]
+
+
+@st.composite
+def canonical_argv(draw, command: str) -> list[str]:
+    """The command on the canonical text of values of one rank, with
+    --n absent or that rank and --order absent or 1-6."""
+    n = draw(st.integers(2, 4))
+    options = ["--n", str(n)] if draw(st.booleans()) else []
+    order = draw(st.none() | st.integers(1, 6))
+    options += [] if order is None else ["--order", str(order)]
+    lie = lie_elems(n, max_degree=2, max_terms=2).map(print_value)
+    if command == "bracket":
+        operands = [draw(lie), draw(lie)]
+    elif command in ("exp", "ord"):
+        operands = [draw(lie)]
+    elif command == "log":
+        operands = [print_value(draw(unipotent_auts(n)))]
+    elif command == "conjugate":
+        operands = [print_value(draw(triangular_auts(n))), draw(lie)]
+    elif command == "reconstruct":
+        sigma = draw(triangular_auts(n))
+        operands = [print_value(conjugate_derivation(sigma, LieElem.d(n, i)))
+                    for i in range(1, n + 1)]
+    elif command == "act":
+        operands = [draw(elements(n)), draw(lie)]
+    elif command == "mul":
+        operands = [draw(elements(n)), draw(elements(n))]
+    elif command == "ideal":
+        operands = [draw(lie), print_value(draw(ordinals()))]
+    else:
+        operands = [draw(elements(n))]
+    return options + [command, "--", *operands]
+
+
+def json_type(value) -> type:
+    """The JSON type of a parsed value; ints and floats are one type."""
+    return int if type(value) is float else type(value)
+
+
+def json_paths(value, path=()):
+    """Every field of parsed JSON, nested ones included, as key paths."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = (st.integers(-2, 5) | st.sampled_from([1.5, True, False, None])
+               | st.text("0123456789x1/-", max_size=3)
+               | st.lists(st.sampled_from(["1", 0]), max_size=3)
+               | st.dictionaries(st.sampled_from(["1", "a"]), st.just("1"),
+                                 max_size=1))
+
+
+@st.composite
+def malformed_argv(draw) -> list[str]:
+    """inv, act or decompose of a JSON element with one field, at any
+    depth, replaced by a value of another JSON type."""
+    n = draw(st.integers(2, 4))
+    obj = gnelem_to_json(draw(gn_elems(n, draw(st.sampled_from("AB")))))
+    path = draw(st.sampled_from(list(json_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = draw(JSON_VALUES.filter(
+        lambda new: json_type(new) is not json_type(old)))
+    command = draw(st.sampled_from(["inv", "act", "decompose"]))
+    return [command, json.dumps(obj)] + (["d1"] if command == "act" else [])
+
+
+class TestFuzz:
+    """Every drawn command exits as README's table says."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_canonical_operands(self, command, data):
+        argv = data.draw(canonical_argv(command))
+        code, err = run_quietly(argv)
+        assert_documented(code, err)
+        assert code != 1, (argv, err)
+
+    @settings(max_examples=150)
+    @given(malformed_argv())
+    def test_json_fields_of_another_type(self, argv):
+        assert_documented(*run_quietly(argv))
 
 
 # A fresh interpreter runs one command and reports the triderive modules

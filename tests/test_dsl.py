@@ -106,7 +106,7 @@ class TestOrdinalText:
     def test_examples(self):
         assert parse_ordinal("0").is_zero()
         assert parse_ordinal("w^2*3 + w*1 + 4") == OrdinalCNF({2: 3, 1: 1, 0: 4})
-        assert parse_ordinal("w") == OrdinalCNF.omega_power(1)
+        assert parse_ordinal("w") == OrdinalCNF({1: 1})
 
     def test_w0_rejected(self):
         with pytest.raises(SemanticError):
@@ -289,7 +289,7 @@ class TestGnElemJson:
 class TestDispatcher:
     def test_kinds(self):
         assert parse("poly", "x1", n=2) == Poly.var(2, 1)
-        assert parse("ordinal", "3") == OrdinalCNF.from_int(3)
+        assert parse("ordinal", "3") == OrdinalCNF({0: 3})
         blob = json.dumps(gnelem_to_json(GnElem.identity(2)))
         assert parse("gnelem-json", blob) == GnElem.identity(2)
 

@@ -10,10 +10,10 @@ from conftest import assert_lowest_terms, frac_add, lie_elems, polys, rationals
 from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
                        Poly, bracket, center_solve, exp_ad_apply,
                        ideal_membership, leading_term, ord_compare,
-                       ord_of_element, project)
+                       ord_of_element)
 from triderive.dsl import parse_lie
 from triderive.lie import (_join, _new, _nullspace, basis_compare, format_lie,
-                           iter_basis_keys, key_sort_key, standard_generators)
+                           iter_basis_keys, standard_generators)
 
 
 class TestConstruction:
@@ -46,7 +46,6 @@ class TestConstruction:
     def test_min_index_and_degree(self):
         u = LieElem.basis(3, (2,), 2) + LieElem.d(3, 3)
         assert u.min_index() == 2
-        assert u.degree() == 2
         assert LieElem.zero(3).is_zero()
 
 
@@ -177,10 +176,9 @@ class TestLayout:
 
     small = lie_elems(3, max_degree=2, max_terms=2)
 
-    @given(lie_elems(3), lie_elems(3), rationals(), st.integers(1, 3),
-           small, small)
-    def test_results_are_in_lowest_terms(self, u, v, c, i, a, b):
-        results = [u + v, u - v, -u, u.scale(c), bracket(u, v), project(u, i),
+    @given(lie_elems(3), lie_elems(3), rationals(), small, small)
+    def test_results_are_in_lowest_terms(self, u, v, c, a, b):
+        results = [u + v, u - v, -u, u.scale(c), bracket(u, v),
                    exp_ad_apply(a, b),
                    LieElem.from_coefficients(u.coefficient_polys()),
                    LieElem(3, u.terms), *u.coefficient_polys()]
@@ -198,16 +196,14 @@ class TestLayout:
             assert hash(other) == hash(u)
             assert (other._den, other._nums) == (u._den, u._nums)
 
-    @given(lie_elems(3), lie_elems(3), rationals(), st.integers(1, 3),
-           small, small)
-    def test_terms_match_fraction_arithmetic(self, u, v, c, i, a, b):
+    @given(lie_elems(3), lie_elems(3), rationals(), small, small)
+    def test_terms_match_fraction_arithmetic(self, u, v, c, a, b):
         s, t = u.terms, v.terms
         assert (u + v).terms == frac_add(s, t)
         assert (u - v).terms == frac_add(s, {k: -x for k, x in t.items()})
         assert (-u).terms == {k: -x for k, x in s.items()}
         assert u.scale(c).terms == {k: x * c for k, x in s.items() if x * c}
         assert bracket(u, v).terms == bracket_by_fractions(s, t)
-        assert project(u, i).terms == {k: x for k, x in s.items() if k[1] <= i}
         assert exp_ad_apply(a, b).terms == exp_ad_by_fractions(a.terms, b.terms)
         for j, p in enumerate(u.coefficient_polys(), start=1):
             assert p.terms == {alpha + (0,) * (4 - j): x
@@ -220,7 +216,7 @@ class TestLayout:
         and on the second, which reads it back."""
         values = [LieElem(3, u.terms), _new(3, u._den, dict(u._nums)),
                   _join(3, u._den, u._parts()), u + v, u - v, -u,
-                  u.scale(c), bracket(u, v), project(u, 2),
+                  u.scale(c), bracket(u, v),
                   exp_ad_apply(a, b), *u.coefficient_polys()]
         # u + 0 is u itself: each object once, so its first call is first
         for w in {id(w): w for w in values}.values():
@@ -233,7 +229,7 @@ class TestLayout:
     def test_zero_has_denominator_one(self):
         half = LieElem.basis(3, (1,), 2, Fraction(1, 2))
         for zero in (half - half, half.scale(0), bracket(half, half),
-                     project(half, 1), LieElem.zero(3),
+                     LieElem.zero(3),
                      LieElem.from_coefficients([Poly.zero(3)] * 3)):
             assert zero._den == 1 and not zero._nums
             assert zero == LieElem.zero(3)
@@ -265,14 +261,11 @@ class TestOrderAndDegrees:
             cap = max(ord_of_element(u), ord_of_element(v))
             assert ord_compare(ord_of_element(w), cap) == -1
 
-    def test_ideal_membership_and_project(self):
+    def test_ideal_membership(self):
         u = LieElem.basis(3, (1,), 2) + LieElem.d(3, 3)
         lam = ord_of_element(u)
         assert ideal_membership(u, lam)
         assert not ideal_membership(LieElem.d(3, 1), lam)
-        assert project(u, 3) == u
-        assert project(u, 2) == LieElem.basis(3, (1,), 2)
-        assert project(u, 1).is_zero()
 
 
 class TestExpAd:

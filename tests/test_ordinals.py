@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import ordinals
-from triderive import DomainError, OrdinalCNF, ord_compare, ord_of_algebra, ord_of_basis
+from triderive import DomainError, OrdinalCNF, ord_compare, ord_of_basis
 from triderive.lie import iter_basis_keys, key_sort_key
 from triderive.ordinals import format_ordinal
 
@@ -15,11 +15,11 @@ class TestNormalForm:
         assert format_ordinal(OrdinalCNF.zero()) == "0"
 
     def test_from_int(self):
-        assert format_ordinal(OrdinalCNF.from_int(7)) == "7"
-        assert OrdinalCNF.from_int(0).is_zero()
+        assert format_ordinal(OrdinalCNF({0: 7})) == "7"
+        assert OrdinalCNF({0: 0}).is_zero()
 
     def test_zero_coefficients_are_dropped(self):
-        assert OrdinalCNF({2: 0, 0: 3}) == OrdinalCNF.from_int(3)
+        assert OrdinalCNF({2: 0, 0: 3}) == OrdinalCNF({0: 3})
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(DomainError):
@@ -32,7 +32,7 @@ class TestNormalForm:
     def test_format(self):
         a = OrdinalCNF({2: 1, 1: 3, 0: 4})
         assert format_ordinal(a) == "w^2*1 + w*3 + 4"
-        assert format_ordinal(OrdinalCNF.omega_power(1, 2)) == "w*2"
+        assert format_ordinal(OrdinalCNF({1: 2})) == "w*2"
 
 
 def compare_by_exponents(a: OrdinalCNF, b: OrdinalCNF) -> int:
@@ -49,9 +49,8 @@ def compare_by_exponents(a: OrdinalCNF, b: OrdinalCNF) -> int:
 class TestCompare:
     def test_oracle_chain(self):
         # 0 < 5 < w < w*2 < w^2 < w^2 + w*5
-        chain = [OrdinalCNF.zero(), OrdinalCNF.from_int(5),
-                 OrdinalCNF.omega_power(1), OrdinalCNF.omega_power(1, 2),
-                 OrdinalCNF.omega_power(2), OrdinalCNF({2: 1, 1: 5})]
+        chain = [OrdinalCNF.zero(), OrdinalCNF({0: 5}), OrdinalCNF({1: 1}),
+                 OrdinalCNF({1: 2}), OrdinalCNF({2: 1}), OrdinalCNF({2: 1, 1: 5})]
         for i, a in enumerate(chain):
             for j, b in enumerate(chain):
                 assert ord_compare(a, b) == (i > j) - (i < j)
@@ -60,8 +59,8 @@ class TestCompare:
         assert ord_compare(OrdinalCNF({1: 2, 0: 3}), OrdinalCNF({1: 2, 0: 4})) == -1
 
     def test_rich_comparisons(self):
-        assert OrdinalCNF.from_int(3) < OrdinalCNF.omega_power(1)
-        assert OrdinalCNF.omega_power(2) >= OrdinalCNF({1: 9, 0: 9})
+        assert OrdinalCNF({0: 3}) < OrdinalCNF({1: 1})
+        assert OrdinalCNF({2: 1}) >= OrdinalCNF({1: 9, 0: 9})
 
     @given(ordinals(), ordinals())
     def test_agrees_with_the_exponent_walk(self, a, b):
@@ -94,10 +93,6 @@ class TestBasisDegrees:
         assert format_ordinal(ord_of_basis((0, 2), 3, 3)) == "w*2 + 1"
         assert format_ordinal(ord_of_basis((0, 0), 3, 3)) == "1"
         assert format_ordinal(ord_of_basis((4,), 2, 3)) == "w^2*1 + 5"
-
-    def test_algebra_degree_is_degree_of_d1(self):
-        assert ord_of_algebra(2) == ord_of_basis((), 1, 2)
-        assert format_ordinal(ord_of_algebra(3)) == "w^2*1 + w*1 + 1"
 
     def test_alpha_length_must_match_index(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ it does not use, nor a module from outside the standard library."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import triderive
 
 SRC = Path(triderive.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve_to_their_home_objects():
@@ -161,3 +163,52 @@ def test_unreferenced_private_defs_are_found():
 def test_every_private_definition_is_used():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def unused_exports(exports: list[str], sources: dict[str, str],
+                   readme: str) -> list[str]:
+    """The exported names that no module but ``__init__.py`` names outside
+    the definition of that name, and that no code span or fenced block
+    of the README shows."""
+    used = set()
+    for module, source in sources.items():
+        if module == "__init__.py":
+            continue
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, re.DOTALL):
+        used.update(re.findall(r"\w+", code))
+    return [name for name in exports if name not in used]
+
+
+def test_unused_exports_are_found():
+    sources = {
+        "__init__.py": "_HOMES = {'m': ('used', 'shown', 'recursive', 'lone')}",
+        "m.py": "def used(): pass\ndef shown(): pass\n"
+                "def recursive(k): return recursive(k - 1)\ndef lone(): pass\n"
+                "class C:\n    def m(self): return used()\n",
+    }
+    readme = "Prose names lone and recursive.\n\n```python\nshown()\n```\n"
+    assert unused_exports(["used", "shown", "recursive", "lone"], sources,
+                          readme) == ["recursive", "lone"]
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    package["poly.py"] += "\ndef unused_export():\n    return unused_export\n"
+    assert unused_exports([*triderive.__all__, "unused_export"], package,
+                          README.read_text()) == ["unused_export"]
+
+
+def test_every_export_is_used():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_exports(triderive.__all__, sources,
+                          README.read_text()) == []

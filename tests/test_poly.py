@@ -186,11 +186,6 @@ class TestSubstitution:
             assert images.power(0, e) == image ** e
         assert sorted(images._powers[0]) == [1, 4, 5, 6]
 
-    def test_embed(self):
-        p = Poly.var(2, 1) * Poly.var(2, 2)
-        q = p.embed(4)
-        assert q.nvars == 4 and q.degree_in(1) == 1
-
 
 def frac_mul(a: dict, b: dict) -> dict:
     out: dict = {}
@@ -222,7 +217,7 @@ class TestLayout:
     def test_results_are_in_lowest_terms(self, p, q, c, i, images):
         results = [p + q, p - q, -p, p.scale(c), p * q, p ** 2, p ** 3,
                    p.diff(i), p.substitute(images),
-                   p.embed(4), Poly(3, p.terms)]
+                   Poly(3, p.terms)]
         for r in results:
             assert_lowest_terms(r)
             assert all(type(v) is Fraction for v in r.terms.values())
