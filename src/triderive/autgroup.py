@@ -38,8 +38,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _join, _new, bracket, exp_ad_apply, standard_generators
-from .poly import DEFAULT_ORDER, RatLike, _add_terms, _Keyed, _lowest, rat
+from .lie import (LieElem, _join, _new, _tag, bracket, exp_ad_apply,
+                  standard_generators)
+from .poly import (_FIELD, _W, DEFAULT_ORDER, RatLike, _add_terms,
+                   _check_limit, _Keyed, _lowest, rat)
 from .series import OpSeries, _derivative_terms, _min_order, factor_shift
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
@@ -178,7 +180,8 @@ def act(g: GnElem, u: LieElem) -> LieElem:
     live = []
     for series, part in zip((g.f, *g.e), (parts[-1], *parts[1:-1])):
         if part:
-            need = max(exps[series.var - 1] for exps in part)
+            shift = _W * (series.var - 1)
+            need = max(key >> shift & _FIELD for key in part)
             series._require_order(need)
             live.append((series, part, need))
     den = u._den
@@ -196,7 +199,7 @@ def act(g: GnElem, u: LieElem) -> LieElem:
         # Each feed is summed apart, then into the sum of the feeds, then
         # into p_n, as Poly sums would: the order of the terms of p_n
         # decides which term a degree-cap error names.
-        feeds: dict[tuple[int, ...], int] = {}
+        feeds: dict[int, int] = {}
         for series, part, need in live:
             terms = _derivative_terms(series, need, scale, part)
             if series.kind == "E":
@@ -293,9 +296,10 @@ def _spot_check(action: AutoAction, order: int) -> None:
 def _probe(n: int, i: int, k: int, shift: Fraction = Fraction(0)) -> LieElem:
     """(x_{i-1} - shift)^k / k! d_i, expanded.  With -shift = p/q, the
     x_{i-1}^j term is C(k, j) p^(k-j) q^j over q^k k!."""
+    _check_limit(k, "probe")
     p, q = -shift.numerator, shift.denominator
-    pad = (0,) * (i - 2)
-    nums = {(pad + (j,), i): c for j in range(k + 1)
+    field, tag = _W * (i - 2), _tag(n, i)
+    nums = {(j << field) + tag: c for j in range(k + 1)
             if (c := math.comb(k, j) * p ** (k - j) * q ** j)}
     return _new(n, *_lowest(q ** k * math.factorial(k), nums))
 
@@ -332,7 +336,7 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
         """t_i times the constant term of the d_i coefficient of action(u);
         u joins the probes that the result is checked on."""
         probes.append(u)
-        return t[i - 1] * action(u)._coefficient(((0,) * (i - 1), i))
+        return t[i - 1] * action(u)._coefficient(_tag(n, i))
 
     # Shift: x_i d_{i+1} takes the value s_i at the point.
     s = tuple(read(_probe(n, i + 1, 1), i + 1) for i in range(1, n - 1))

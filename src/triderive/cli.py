@@ -102,12 +102,26 @@ def _operand(text: str, n: int | None):
     return AutoAction.from_triaut(parse_triaut(text, n)), None
 
 
-def _element(text: str, n: int | None, order: int):
-    """A group element operand as coordinates: a bracket-notation one is
-    decomposed through the given series order."""
-    from .autgroup import decompose
-    action, g = _operand(text, n)
-    return g if g is not None else decompose(action, order=order)
+def _element(text: str, n: int | None, order: int | None):
+    """A group element operand as coordinates.  A bracket-notation map
+    sigma acts by conjugation, the element of T^n . UAut_K(P_n)_n with
+    t = lambda, tau = sigma . torus(lambda)^(-1) modulo shifts of x_n,
+    f = 1 and e = 0.  It is built exactly, and given in Form A, as
+    decompose gives it: truncated through the order only when Form A's f
+    takes up a shift of x_{n-1}."""
+    from .autgroup import GnElem, convert_form
+    from .dsl import parse_gnelem, parse_triaut
+    from .triaut import TriAut, normalize_mod_shn
+    text = _resolve(text)
+    if text.lstrip().startswith("{"):
+        return parse_gnelem(text)
+    sigma = parse_triaut(text, n)
+    if sigma.n < 2:
+        raise DomainError("rank must be at least 2")
+    one = GnElem.identity(sigma.n, "B")
+    tau = normalize_mod_shn(sigma.compose(TriAut.torus(sigma.lam).invert()))
+    return convert_form(GnElem(sigma.n, "B", sigma.lam, tau, None, one.f,
+                               one.e), "A", order)
 
 
 def _emit(value: Any, kind: str, fmt: str) -> None:
@@ -180,8 +194,8 @@ def _run(args: argparse.Namespace) -> int:
         _emit(decompose(action, order=order), "gnelem", args.format)
     elif command == "mul":
         from .autgroup import convert_form, multiply_formula
-        g = _element(args.left, n, order)
-        h = _element(args.right, n, order)
+        g = _element(args.left, n, args.order)
+        h = _element(args.right, n, args.order)
         product = multiply_formula(convert_form(g, "B", args.order),
                                    convert_form(h, "B", args.order))
         if g.form == "A":
@@ -189,7 +203,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit(product, "gnelem", args.format)
     elif command == "inv":
         from .autgroup import gn_inverse
-        g = _element(args.element, n, order)
+        g = _element(args.element, n, args.order)
         _emit(gn_inverse(g, args.order), "gnelem", args.format)
     elif command == "ord":
         _emit(ord_of_element(parse_lie(_resolve(args.derivation), n)),

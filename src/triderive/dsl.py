@@ -432,6 +432,10 @@ def _series_from_json(obj: Any, kind: str, var: int, what: str) -> OpSeries:
         try:
             deg = int(key)
         except ValueError:
+            deg = -1
+        # Only the spelling gnelem_to_json prints: no sign, space, "_",
+        # leading zero or non-ASCII digit, so no two keys name one degree.
+        if deg < 0 or str(deg) != key:
             raise DomainError(f"{what}: bad degree {key!r}")
         coeffs[deg] = _rat_from_json(val, what)
     try:

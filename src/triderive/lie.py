@@ -6,15 +6,18 @@ x1..x_{i-1}.  Elements are finite rational combinations of these basis
 derivations.
 
 An element is stored in the integer layout described in the poly
-module, keyed by basis keys (a, i); ``LieElem`` takes its value
-semantics from that layout's owner, ``poly._IntLayout``.  The structure
-constants of the basis are integers, [x^a d_i, x^b d_j] = b_i
-x^(a+b-e_i) d_j for i < j, so brackets work on the numerators too and
-end with at most one gcd.
+module; ``LieElem`` takes its value semantics from that layout's owner,
+``poly._IntLayout``.  Its public keys are basis keys (a, i); inside, the
+key of x^a d_i is a, packed as a monomial of x1..xn, plus n - i in the
+field above those n fields.  The structure constants of the basis are
+integers, [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j for i < j, so
+brackets work on the numerators too, form each key as one sum, and end
+with at most one gcd.
 
 The basis carries a linear order (larger derivation index first is
 SMALLER; within one index, compare exponents from the most significant
-coordinate x_{i-1} down) and an ordinal-valued degree compatible with it.
+coordinate x_{i-1} down), which is the order of the packed keys as
+plain ints, and an ordinal-valued degree compatible with it.
 Brackets strictly drop that degree, which powers the termination
 arguments used elsewhere.
 
@@ -32,16 +35,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (Poly, RatLike, _add_terms, _check_cap, _format_terms,
-                   _IntLayout, _lowest, _new as _new_poly, _over_lcm,
+from .poly import (_FIELD, _MAX_DEGREE, _W, Poly, RatLike, _add_terms,
+                   _check_cap, _check_limit, _format_terms, _IntLayout,
+                   _lowest, _new as _new_poly, _over_lcm, _pack, _unpack,
                    format_monomial, iter_exponents, rat)
 
-# A basis derivation x^alpha d_i is keyed by (alpha, i).
+# A basis derivation x^alpha d_i is keyed by (alpha, i) in public.
 Key = tuple[tuple[int, ...], int]
 
 
@@ -53,6 +57,14 @@ def _check_key(alpha: tuple[int, ...], i: int, n: int) -> None:
             f"exponent {alpha} for d_{i} needs {i - 1} coordinates")
     if any(a < 0 for a in alpha):
         raise DomainError("negative exponent")
+    _check_limit(sum(alpha), "term")
+
+
+def _tag(n: int, i: int) -> int:
+    """What the index i adds to a packed key at rank n: n - i in the field
+    above the n exponent fields, so that a larger key is a larger basis
+    element.  The key of d_i itself."""
+    return (n - i) << _W * n
 
 
 class LieElem(_IntLayout):
@@ -72,7 +84,9 @@ class LieElem(_IntLayout):
                 if c:
                     clean[(alpha, i)] = c
         self.n = n
-        self._den, self._nums = _over_lcm(clean)
+        self._den, nums = _over_lcm(clean)
+        self._nums = {_pack(alpha) + _tag(n, i): c
+                      for (alpha, i), c in nums.items()}
         self._terms = clean
         self._hash = None
 
@@ -112,8 +126,12 @@ class LieElem(_IntLayout):
     def _rank(self) -> int:
         return self.n
 
-    def _with(self, den: int, nums: dict[Key, int]) -> LieElem:
+    def _with(self, den: int, nums: dict[int, int]) -> LieElem:
         return _new(self.n, den, nums)
+
+    def _unkey(self, key: int) -> Key:
+        i = self.n - (key >> _W * self.n)
+        return _unpack(key, i - 1), i
 
     def _require_same_rank(self, other: LieElem) -> None:
         if self.n != other.n:
@@ -139,19 +157,22 @@ class LieElem(_IntLayout):
         return [_new_poly(self.n, *_lowest(self._den, part))
                 for part in self._parts()]
 
-    def _parts(self) -> list[dict[tuple[int, ...], int]]:
+    def _parts(self) -> list[dict[int, int]]:
         """The numerators of the d_1..d_n coefficients over ``_den``, one
-        dict per index keyed by exponent tuples of x1..xn."""
+        dict per index keyed by packed keys of x1..xn."""
         n = self.n
-        pads = [(0,) * (n - i) for i in range(n)]
-        parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-        for (alpha, i), c in self._nums.items():
-            parts[i - 1][alpha + pads[i - 1]] = c
+        top = _W * n
+        mask = (1 << top) - 1
+        parts: list[dict[int, int]] = [{} for _ in range(n)]
+        for key, c in self._nums.items():
+            parts[n - 1 - (key >> top)][key & mask] = c
         return parts
 
     def min_index(self) -> int:
         """Smallest derivation index in the support; n+1 when zero."""
-        return min((i for _, i in self._nums), default=self.n + 1)
+        if not self._nums:
+            return self.n + 1
+        return self.n - (max(self._nums) >> _W * self.n)
 
     # -- as an operator on polynomials -------------------------------------
 
@@ -168,7 +189,7 @@ class LieElem(_IntLayout):
         return f"LieElem({self.n}, {format_lie(self)!r})"
 
 
-def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
+def _new(n: int, den: int, nums: dict[int, int]) -> LieElem:
     """Internal constructor that trusts its canonical integer form."""
     u = LieElem.__new__(LieElem)
     u.n = n
@@ -179,19 +200,20 @@ def _new(n: int, den: int, nums: dict[Key, int]) -> LieElem:
     return u
 
 
-def _join(n: int, den: int, parts: Sequence[Mapping[tuple[int, ...], int]]
-          ) -> LieElem:
+def _join(n: int, den: int, parts: Sequence[Mapping[int, int]]) -> LieElem:
     """sum p_i d_i from the numerators of p_1..p_n over den, one dict per
-    index keyed by exponent tuples of x1..xn; zero numerators are
-    skipped.  Each p_i must use only x1..x_{i-1}."""
-    nums: dict[Key, int] = {}
+    index keyed by packed keys of x1..xn; zero numerators are skipped.
+    Each p_i must use only x1..x_{i-1}: its keys lie below 2**(W(i-1))."""
+    nums: dict[int, int] = {}
     for i, part in enumerate(parts, start=1):
-        for exps, c in part.items():
+        bound = 1 << _W * (i - 1)
+        tag = _tag(n, i)
+        for key, c in part.items():
             if c:
-                if any(exps[i - 1:]):
+                if key >= bound:
                     raise DomainError(
                         f"coefficient of d_{i} may only use x1..x{i - 1}")
-                nums[(exps[:i - 1], i)] = c
+                nums[key + tag] = c
     return _new(n, *_lowest(den, nums))
 
 
@@ -209,20 +231,23 @@ def _derive(den: int, parts: list, p: Poly) -> Poly:
     zero).  The products go over den * p._den into one dict and end with
     one gcd, as in ``bracket``.  Each index is first checked against the
     degree cap as the product p_i * dp/dx_i: deg p_i + deg dp/dx_i."""
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
+    get = acc.get
     for k, (deg, part) in enumerate(parts):
         if not part:
             continue
         # d/dx_{k+1}: lowering one exponent is injective, so no terms meet
-        dp = [(e[:k] + (e[k] - 1,) + e[k + 1:], c * e[k])
-              for e, c in p._nums.items() if e[k]]
+        shift = _W * k
+        one = 1 << shift
+        dp = [(e - one, c * a) for e, c in p._nums.items()
+              if (a := e >> shift & _FIELD)]
         if not dp:
             continue
-        _check_cap(deg + max(sum(e) for e, _ in dp), "product")
+        _check_cap(deg + max(e % _FIELD for e, _ in dp), "product")
         for e1, c1 in part:
             for e2, c2 in dp:
-                key = tuple(map(add, e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
+                key = e1 + e2
+                acc[key] = get(key, 0) + c1 * c2
     return _new_poly(p.nvars, *_lowest(den * p._den,
                                        {e: c for e, c in acc.items() if c}))
 
@@ -250,8 +275,8 @@ def leading_term(u: LieElem) -> tuple[Fraction, Key]:
     """Coefficient and key of the largest basis derivation in the support."""
     if not u._nums:
         raise DomainError("zero element has no leading term")
-    key = max(u._nums, key=key_sort_key)
-    return u._coefficient(key), key
+    key = max(u._nums)
+    return u._coefficient(key), u._unkey(key)
 
 
 def ord_of_element(u: LieElem) -> OrdinalCNF:
@@ -261,7 +286,7 @@ def ord_of_element(u: LieElem) -> OrdinalCNF:
     """
     if not u._nums:
         return OrdinalCNF.zero()
-    alpha, i = max(u._nums, key=key_sort_key)
+    alpha, i = u._unkey(max(u._nums))
     return ord_of_basis(alpha, i, u.n)
 
 
@@ -273,38 +298,39 @@ def ideal_membership(u: LieElem, lam: OrdinalCNF) -> bool:
 # -- bracket -----------------------------------------------------------------
 
 
-def _bracket_keys(a: tuple[int, ...], i: int, b: tuple[int, ...], j: int
-                  ) -> tuple[int, Key] | None:
-    """Structure constant: [x^a d_i, x^b d_j] for i < j."""
-    bi = b[i - 1]
-    if not bi:
-        return None
-    gamma = list(b)
-    gamma[i - 1] -= 1
-    for k, av in enumerate(a):
-        gamma[k] += av
-    return bi, (tuple(gamma), j)
-
-
 def bracket(u: LieElem, v: LieElem) -> LieElem:
-    """Lie bracket, computed from the structure constants.  They are
-    integers, so the product runs on the numerators, over
-    u._den * v._den, and ends with one gcd."""
+    """Lie bracket, computed from the structure constants [x^a d_i,
+    x^b d_j] = b_i x^(a+b-e_i) d_j for i < j: b_i is field i-1 of the
+    key of x^b d_j, and a plus that key minus e_i is the key of the term,
+    index field included.  The constants are integers, so the product
+    runs on the numerators, over u._den * v._den, and ends with one gcd.
+    A term has degree |a| + |b| - 1, checked against the key limit
+    before its key is formed."""
     u._require_same_rank(v)
-    acc: dict[Key, int] = {}
+    n = u.n
+    top = _W * n
+    mask = (1 << top) - 1
     right = v._nums.items()
-    for (a, i), ca in u._nums.items():
-        for (b, j), cb in right:
-            if i < j:
-                hit = _bracket_keys(a, i, b, j)
-                if hit is not None:
-                    factor, key = hit
-                    acc[key] = acc.get(key, 0) + factor * ca * cb
-            elif i > j:
-                hit = _bracket_keys(b, j, a, i)
-                if hit is not None:
-                    factor, key = hit
-                    acc[key] = acc.get(key, 0) - factor * ca * cb
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, ca in u._nums.items():
+        ta = ka >> top  # n - i
+        si = _W * (n - 1 - ta)  # the offset of field i-1
+        a = ka & mask
+        da = a % _FIELD
+        for kb, cb in right:
+            tb = kb >> top
+            if ta > tb:  # i < j
+                factor, key = kb >> si & _FIELD, a + kb - (1 << si)
+            elif ta < tb:
+                sj = _W * (n - 1 - tb)
+                factor, key = -(ka >> sj & _FIELD), (kb & mask) + ka - (1 << sj)
+            else:
+                continue
+            if factor:
+                if da + (kb & mask) % _FIELD > _MAX_DEGREE + 1:
+                    _check_limit(da + (kb & mask) % _FIELD - 1, "bracket")
+                acc[key] = get(key, 0) + factor * ca * cb
     return _new(u.n, *_lowest(u._den * v._den,
                               {k: c for k, c in acc.items() if c}))
 
@@ -325,11 +351,14 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     in lowest terms once, at the end.
     """
     u._require_same_rank(v)
-    w = [1] * u.n  # w[i - 1] is w_i, read from w_1..w_{i-1}: ascending i
-    for a, i in sorted(u._nums, key=itemgetter(1)):
-        w[i - 1] = max(w[i - 1], 1 + sum(map(mul, a, w)))
-    cap = max([sum(map(mul, a, w)) - w[i - 1] for a, i in v._nums],
-              default=0) + max(w) + 1
+    n = u.n
+    top = _W * n
+    w = [1] * n  # w[i - 1] is w_i, read from w_1..w_{i-1}: ascending i
+    for key in sorted(u._nums, reverse=True):  # the larger key, the smaller i
+        i = n - (key >> top)
+        w[i - 1] = max(w[i - 1], 1 + sum(map(mul, _unpack(key, i - 1), w)))
+    cap = max([sum(map(mul, _unpack(key, n), w)) - w[n - 1 - (key >> top)]
+               for key in v._nums], default=0) + max(w) + 1
     term = v
     den, acc = v._den, dict(v._nums)
     k = 0
@@ -359,14 +388,12 @@ def iter_basis_keys(n: int, max_degree: int) -> Iterator[Key]:
             yield (alpha, i)
 
 
-def _generator_keys(n: int, max_exponent: int) -> list[Key]:
-    keys: list[Key] = [((), 1)]
-    for i in range(2, n + 1):
-        for j in range(max_exponent + 1):
-            alpha = [0] * (i - 1)
-            alpha[i - 2] = j
-            keys.append((tuple(alpha), i))
-    return keys
+def _generator_keys(n: int, max_exponent: int) -> list[int]:
+    """The packed keys of the standard generators."""
+    _check_limit(max_exponent, "generator")
+    return [_tag(n, 1)] + [(j << _W * (i - 2)) + _tag(n, i)
+                           for i in range(2, n + 1)
+                           for j in range(max_exponent + 1)]
 
 
 def standard_generators(n: int, max_exponent: int) -> list[LieElem]:
@@ -451,29 +478,40 @@ def center_solve(n: int, max_degree: int) -> list[LieElem]:
         raise DomainError("degree bound must be nonnegative")
     if n < 2:
         raise DomainError("rank must be at least 2")
-    keys = list(iter_basis_keys(n, max_degree))
-    gens = _generator_keys(n, max_degree + 1)
-    equations: dict[tuple[int, Key], dict[int, int]] = {}
-    for pos, (a, i) in enumerate(keys):
-        for g_idx, (b, j) in enumerate(gens):
-            if i < j:
-                hit, sign = _bracket_keys(a, i, b, j), 1
-            elif i > j:
-                hit, sign = _bracket_keys(b, j, a, i), -1
+    # Each bracket has degree at most max_degree + (max_degree + 1) - 1.
+    _check_limit(2 * max_degree, "bracket")
+    top = _W * n
+    mask = (1 << top) - 1
+    # The generators with their n - j, as bracket reads them.
+    gens = [(kb, kb >> top) for kb in _generator_keys(n, max_degree + 1)]
+    keys = []
+    equations: dict[tuple[int, int], dict[int, int]] = {}
+    for pos, (alpha, i) in enumerate(iter_basis_keys(n, max_degree)):
+        a = _pack(alpha)
+        ka = a + _tag(n, i)
+        ta = n - i
+        si = _W * (i - 1)
+        keys.append(ka)
+        for g_idx, (kb, tb) in enumerate(gens):
+            # [x^a d_i, g] is one term, as in bracket
+            if ta > tb:
+                factor, out_key = kb >> si & _FIELD, a + kb - (1 << si)
+            elif ta < tb:
+                sj = _W * (n - 1 - tb)
+                factor, out_key = -(ka >> sj & _FIELD), (kb & mask) + ka - (1 << sj)
             else:
                 continue
-            if hit is not None:
-                factor, out_key = hit
+            if factor:
                 # one (basis key, generator) pair gives one term, so each
                 # entry is set once
-                equations.setdefault((g_idx, out_key), {})[pos] = sign * factor
+                equations.setdefault((g_idx, out_key), {})[pos] = factor
 
     out = []
     for vec in _nullspace(equations.values(), len(keys)):
         elem = _new(n, *_over_lcm({keys[pos]: c for pos, c in vec.items()}))
         lead, _ = leading_term(elem)
         out.append(elem.scale(1 / lead))
-    out.sort(key=lambda e: key_sort_key(leading_term(e)[1]))
+    out.sort(key=lambda e: max(e._nums))
     return out
 
 

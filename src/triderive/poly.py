@@ -2,21 +2,30 @@
 
 Polynomials, and the triangular derivations of the lie module, store
 exact rationals in one integer layout, that of FLINT's fmpq_poly:
-``_nums`` maps keys (here exponent tuples of length ``nvars``) to
-nonzero ints, ``_den`` is at least 1, and the pair is kept in lowest
-terms, gcd(_den, *_nums) == 1, with ``_den == 1`` for zero.  The form is
-canonical, so equality and hashing compare it as it is.  Every operation
-works on the integers and ends with at most one gcd, skipped when the
-denominator is 1.  Fractions are built only where a caller reads
-coefficients; ``terms`` is built on first read and kept.  Values are
-exact and never mutated after construction.  One class owns the layout:
-``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds its value
-semantics, next to the helpers that the subclasses' own operations use.
-A ``LieElem`` keeps its hash once computed, since the memos of black-box
-actions hash every probe and image they see; a ``Poly`` hashes afresh
-and stays one slot smaller.  The other values of the package take theirs
-from one key, through ``_Keyed``, which computes the key once and keeps
-it.
+``_nums`` maps keys to nonzero ints, ``_den`` is at least 1, and the
+pair is kept in lowest terms, gcd(_den, *_nums) == 1, with ``_den == 1``
+for zero.  The form is canonical, so equality and hashing compare it as
+it is.  Every operation works on the integers and ends with at most one
+gcd, skipped when the denominator is 1.  Fractions are built only where
+a caller reads coefficients; ``terms`` is built on first read and kept.
+Values are exact and never mutated after construction.  One class owns
+the layout: ``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds
+its value semantics, next to the helpers that the subclasses' own
+operations use.  A ``LieElem`` keeps its hash once computed, since the
+memos of black-box actions hash every probe and image they see; a
+``Poly`` hashes afresh and stays one slot smaller.  The other values of
+the package take theirs from one key, through ``_Keyed``, which computes
+the key once and keeps it.
+
+A key is one packed int (Monagan and Pearce's packed exponent vectors):
+the exponent of x_i sits in field i-1 of ``_W`` = 16 bits, x1 in the
+lowest, so the product of two monomials is the sum of their keys.  No
+key holds a total degree above ``_MAX_DEGREE`` = 2**16 - 2: then no
+field carries into the next, and key % (2**16 - 1) is the total degree.
+Construction refuses a term past that limit with DegreeCapError, and
+every operation that forms keys checks its degree first.  ``terms``,
+``coefficient`` and the constructors keep exponent tuples; ``_pack``
+and ``_unpack`` convert between the two.
 
 Products and substitutions multiply and add plain ints.  A substitution
 takes every variable of a term through a power of its image and puts the
@@ -37,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import DegreeCapError, DomainError
@@ -52,6 +61,12 @@ _L = TypeVar("_L", bound="_IntLayout")
 DEGREE_CAP = 64
 # Series truncation order when the inputs give none (autgroup, CLI).
 DEFAULT_ORDER = 16
+
+# Bits per exponent field of a packed key; a key holds total degree at
+# most _MAX_DEGREE, so no field overflows and key % _FIELD is the degree.
+_W = 16
+_FIELD = (1 << _W) - 1
+_MAX_DEGREE = _FIELD - 1
 
 
 # A rational as text: optional sign, ASCII digits, optional "/" denominator.
@@ -86,10 +101,35 @@ def rat_str(value: Fraction) -> str:
 
 
 def _check_cap(degree: int, context: str) -> None:
-    if degree > DEGREE_CAP:
+    """Refuse a degree over DEGREE_CAP, or over the key limit if smaller."""
+    if degree > DEGREE_CAP or degree > _MAX_DEGREE:
+        _check_limit(degree, context, min(DEGREE_CAP, _MAX_DEGREE))
+
+
+def _check_limit(degree: int, context: str, cap: int = _MAX_DEGREE) -> None:
+    """Refuse a degree over the cap, by default the key limit: the check of
+    construction and brackets, which the degree cap does not bound."""
+    if degree > cap:
         raise DegreeCapError(
-            f"{context} would reach total degree {degree}, over the cap {DEGREE_CAP}",
-            degree, DEGREE_CAP)
+            f"{context} would reach total degree {degree}, over the cap {cap}",
+            degree, cap)
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The key of an exponent sequence: x_i in field i-1."""
+    key = 0
+    for e in reversed(exps):
+        key = key << _W | e
+    return key
+
+
+def _unpack(key: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` exponent fields of a key."""
+    exps = []
+    for _ in range(count):
+        exps.append(key & _FIELD)
+        key >>= _W
+    return tuple(exps)
 
 
 # -- the integer layout --------------------------------------------------------
@@ -142,11 +182,11 @@ def _scale_ints(den: int, nums: Mapping[_K, int], f: Fraction
     return _lowest(den * f.denominator, {k: c * num for k, c in nums.items()})
 
 
-def _fractions(den: int, nums: Mapping[_K, int]) -> dict[_K, Fraction]:
-    """The Fraction view of nums / den."""
+def _fractions(den: int, nums: Iterable[int]) -> list[Fraction]:
+    """The Fractions nums / den."""
     if den == 1:
-        return {k: Fraction(c) for k, c in nums.items()}
-    return {k: Fraction(c, den) for k, c in nums.items()}
+        return list(map(Fraction, nums))
+    return [Fraction(c, den) for c in nums]
 
 
 def _add_terms(acc: dict[_K, _N], items: Iterable[tuple[_K, _N]]) -> dict[_K, _N]:
@@ -193,21 +233,24 @@ class _Keyed:
 class _IntLayout:
     """The value semantics of the integer layout.  A subclass keeps its
     rank in a slot of its own and gives ``_rank``, ``_with`` (a value of
-    its class and rank from a canonical (den, nums)) and
-    ``_require_same_rank`` (which raises on a rank mismatch)."""
+    its class and rank from a canonical (den, nums)),
+    ``_require_same_rank`` (which raises on a rank mismatch) and
+    ``_unkey`` (the public key of a packed one)."""
 
     __slots__ = ("_den", "_nums", "_terms")
 
     @property
     def terms(self) -> dict[tuple, Fraction]:
-        """The coefficients as Fractions, keyed as ``_nums``.  Built on
+        """The coefficients as Fractions, under the public keys.  Built on
         first read and kept; do not mutate it."""
         terms = self._terms
         if terms is None:
-            terms = self._terms = _fractions(self._den, self._nums)
+            nums = self._nums
+            terms = self._terms = dict(zip(map(self._unkey, nums),
+                                           _fractions(self._den, nums.values())))
         return terms
 
-    def _coefficient(self, key: tuple) -> Fraction:
+    def _coefficient(self, key: int) -> Fraction:
         """One coefficient, read without the Fraction view."""
         return Fraction(self._nums.get(key, 0), self._den)
 
@@ -264,11 +307,13 @@ class Poly(_IntLayout):
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise DomainError(f"bad exponent tuple {exps} for {nvars} variables")
+                _check_limit(sum(exps), "term")
                 c = rat(coeff)
                 if c:
                     clean[exps] = c
         self.nvars = nvars
-        self._den, self._nums = _over_lcm(clean)
+        self._den, nums = _over_lcm(clean)
+        self._nums = {_pack(e): c for e, c in nums.items()}
         self._terms = clean
 
     # -- constructors ------------------------------------------------
@@ -286,9 +331,7 @@ class Poly(_IntLayout):
         """The variable x_index, 1-based."""
         if not 1 <= index <= nvars:
             raise DomainError(f"variable index {index} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return _new(nvars, 1, {tuple(exps): 1})
+        return _new(nvars, 1, {1 << _W * (index - 1): 1})
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], coeff: RatLike = 1) -> Poly:
@@ -299,8 +342,11 @@ class Poly(_IntLayout):
     def _rank(self) -> int:
         return self.nvars
 
-    def _with(self, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+    def _with(self, den: int, nums: dict[int, int]) -> Poly:
         return _new(self.nvars, den, nums)
+
+    def _unkey(self, key: int) -> tuple[int, ...]:
+        return _unpack(key, self.nvars)
 
     def _require_same_rank(self, other: Poly) -> None:
         if self.nvars != other.nvars:
@@ -311,27 +357,22 @@ class Poly(_IntLayout):
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        return max(map(sum, self._nums), default=-1)
+        return max(map(_FIELD.__rmod__, self._nums), default=-1)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of x_index; -1 for the zero polynomial."""
-        return max((e[index - 1] for e in self._nums), default=-1)
+        shift = _W * (index - 1)
+        return max((e >> shift & _FIELD for e in self._nums), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
+        return self._coefficient(0)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._coefficient(tuple(exps))
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def max_var(self) -> int:
         """Largest variable index actually used; 0 for constants."""
-        best = 0
-        for exps in self._nums:
-            for k in range(self.nvars - 1, best - 1, -1):
-                if exps[k]:
-                    best = k + 1
-                    break
-        return best
+        return -(-max(self._nums, default=0).bit_length() // _W)
 
     def uses_only(self, k: int) -> bool:
         """True when the polynomial lies in the subring on x1..xk."""
@@ -373,13 +414,11 @@ class Poly(_IntLayout):
         """Partial derivative with respect to x_index (1-based)."""
         if not 1 <= index <= self.nvars:
             raise DomainError(f"variable index {index} out of range 1..{self.nvars}")
-        k = index - 1
+        shift = _W * (index - 1)
+        one = 1 << shift
         # Lowering one exponent is injective, so no two terms meet.
-        nums: dict[tuple[int, ...], int] = {}
-        for exps, c in self._nums.items():
-            e = exps[k]
-            if e:
-                nums[exps[:k] + (e - 1,) + exps[k + 1:]] = c * e
+        nums = {key - one: c * e for key, c in self._nums.items()
+                if (e := key >> shift & _FIELD)}
         return _new(self.nvars, *_lowest(self._den, nums))
 
     def substitute(self, images: Sequence[Poly]) -> Poly:
@@ -411,7 +450,7 @@ class Poly(_IntLayout):
         return f"Poly({self.nvars}, {format_poly(self)!r})"
 
 
-def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+def _new(nvars: int, den: int, nums: dict[int, int]) -> Poly:
     """Internal constructor that trusts its canonical integer form."""
     p = Poly.__new__(Poly)
     p.nvars = nvars
@@ -421,23 +460,22 @@ def _new(nvars: int, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
     return p
 
 
-def _mul_ints(left: Iterable[tuple[tuple[int, ...], int]],
-              right: Iterable[tuple[tuple[int, ...], int]]
-              ) -> dict[tuple[int, ...], int]:
+def _mul_ints(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]
+              ) -> dict[int, int]:
     """Product of two integer term lists (right is iterated once per left
     term, so it must be a list or a dict view), cancelled keys dropped."""
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
+    get = acc.get
     for e1, c1 in left:
         for e2, c2 in right:
-            exps = tuple(map(add, e1, e2))
-            acc[exps] = acc.get(exps, 0) + c1 * c2
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in acc.items() if c}
 
 
-def _substitute_ints(images: _Images,
-                     items: Iterable[tuple[tuple[int, ...], int]]
-                     ) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The integer terms (exponents, numerator) evaluated at x_i :=
+def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
+                     ) -> tuple[int, dict[int, int]]:
+    """The integer terms (key, numerator) evaluated at x_i :=
     images[i-1]: (common, acc) with the value acc / common, not in lowest
     terms.  Every term is checked against the cap before any product is
     formed; the terms are put over the lcm of the denominators of the
@@ -447,7 +485,8 @@ def _substitute_ints(images: _Images,
     # denominators of the image powers to put them over one.
     plan = []
     dens = []
-    for exps, num in items:
+    for key, num in items:
+        exps = _unpack(key, len(images))
         _check_cap(sum(map(mul, exps, degs)), "substitution")
         den = 1
         factors = []
@@ -461,8 +500,8 @@ def _substitute_ints(images: _Images,
     common = math.lcm(*dens)
     # Second pass: integer products, accumulated over ``common``.  A key
     # that cancels is dropped at once, as Fraction sums would be.
-    acc: dict[tuple[int, ...], int] = {}
-    unit = [((0,) * images.target, 1)]
+    acc: dict[int, int] = {}
+    unit = [(0, 1)]
     for num, den, factors in plan:
         scale = num * (common // den)
         pieces = factors[0] if factors else unit

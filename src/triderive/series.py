@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, TruncationError
-from .poly import (Poly, RatLike, _add_terms, _format_terms, _Keyed, _lowest,
-                   _new, rat)
+from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _format_terms,
+                   _Keyed, _lowest, _new, rat)
 
 KINDS = ("F", "FP", "E")
 
@@ -280,21 +280,21 @@ class OpSeries(_Keyed):
 
 
 def _derivative_terms(series: OpSeries, need: int, scale: int,
-                      part: Mapping[tuple[int, ...], int]):
+                      part: Mapping[int, int]):
     """The terms of sum_{k=1..need} c_k D^k, the series without its unit,
-    on the integer terms in part, times scale (a multiple of the
-    denominators of c_1..c_need): k outermost, each D^k x^a by the
+    on the integer terms in part (packed keys), times scale (a multiple
+    of the denominators of c_1..c_need): k outermost, each D^k x^a by the
     falling factorial a!/(a-k)!.  ``apply`` and ``autgroup.act`` run on it."""
-    v = series.var - 1
+    shift = _W * (series.var - 1)
     for k in range(1, need + 1):
         c = series.coeffs.get(k)
         if c:
             ck = c.numerator * (scale // c.denominator)
-            for exps, num in part.items():
-                a = exps[v]
+            step = k << shift
+            for key, num in part.items():
+                a = key >> shift & _FIELD
                 if a >= k:
-                    yield (exps[:v] + (a - k,) + exps[v + 1:],
-                           num * ck * math.perm(a, k))
+                    yield key - step, num * ck * math.perm(a, k)
 
 
 def factor_shift(f: OpSeries, order: int | None = None) -> tuple[Fraction, OpSeries]:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _derive, _join, _split, bracket
-from .poly import (Poly, RatLike, _check_cap, _Images, _Keyed, _lowest, _new,
-                   rat, rat_str, _substitute_ints)
+from .lie import LieElem, _derive, _join, _split, _tag, bracket
+from .poly import (_FIELD, _W, Poly, RatLike, _check_cap, _Images, _Keyed,
+                   _lowest, _new, rat, rat_str, _substitute_ints)
 
 
 class TriAut(_Keyed):
@@ -185,8 +184,7 @@ def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
     parts = []
     for i, q in enumerate(images, start=1):
         rest = dict(q._nums)
-        lam = Fraction(rest.pop(tuple(int(k == i - 1) for k in range(n)), 0),
-                       q._den)
+        lam = Fraction(rest.pop(1 << _W * (i - 1), 0), q._den)
         parts.append(_new(n, *_lowest(q._den, rest)))
         if not lam or not parts[-1].uses_only(i - 1):
             raise InternalError(f"image of x{i} is not triangular: {q}")
@@ -222,8 +220,8 @@ def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
 def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
                ) -> tuple[int, list[dict]]:
     """The kernel of conjugation: the numerators of the d_1..d_n
-    coefficients of u over den in (one dict per index, keyed by exponent
-    tuples of x1..xn), those of sigma u sigma^(-1) out, over the returned
+    coefficients of u over den in (one dict per index, keyed by packed
+    keys of x1..xn), those of sigma u sigma^(-1) out, over the returned
     denominator and with zeros left in.
 
     Each nonzero p_i is substituted through sigma's images, checked
@@ -232,8 +230,8 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
     cache gives column i of M with the degree of each entry.  The
     products go straight into one dict per index j, over one denominator.
     An entry of degree 0 is one constant c, so its product adds c times
-    each term of sigma(p_i) under the term's own exponents, which are the
-    keys the sum of exponents would give: the diagonal 1/lambda_i always
+    each term of sigma(p_i) under the term's own key, which is the key
+    the sum of keys would give: the diagonal 1/lambda_i always
     takes this route, and every entry does when sigma is affine.
     """
     images = sigma.images()
@@ -243,7 +241,7 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
         if not part:
             continue
         common, image = _substitute_ints(images, part.items())
-        deg = max(map(sum, image))
+        deg = max(map(_FIELD.__rmod__, image))
         for _, _, mdeg in column[1:]:
             _check_cap(mdeg + deg, "product")
         columns.append((common, image.items(), column))
@@ -263,7 +261,7 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
             for e1, c1 in m._nums.items():
                 c1 *= scale
                 for e2, c2 in image:
-                    key = tuple(map(add, e1, e2))
+                    key = e1 + e2
                     acc[key] = acc.get(key, 0) + c1 * c2
     return den * lcm, out
 
@@ -376,10 +374,10 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
         if f.n != n:
             raise DomainError(f"{n} frames need rank {n}, frame {i} has "
                               f"rank {f.n}")
-        mu = f._coefficient(((0,) * (i - 1), i))
+        mu = f._coefficient(_tag(n, i))
         if not mu:
             raise DomainError(f"frame {i} has no constant d_{i} component")
-        for alpha, j in f._nums:
+        for alpha, j in map(f._unkey, f._nums):
             if j < i or (j == i and any(alpha)):
                 raise DomainError(
                     f"frame {i} contains the disallowed term x^{alpha} d_{j}")

@@ -184,6 +184,28 @@ def frac_add(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def bracket_by_fractions(u: dict, v: dict) -> dict:
+    """[u, v] of two Fraction term dicts from the structure constants
+    [x^a d_i, x^b d_j] = b_i x^(a + b - e_i) d_j for i < j, in Fraction
+    arithmetic: the oracle of the integer bracket."""
+    def basis_bracket(a, i, b, j, c):
+        # c times [x^a d_i, x^b d_j], i < j, as a term dict
+        if not b[i - 1]:
+            return {}
+        gamma = [x + y for x, y in zip(a + (0,) * (j - i), b)]
+        gamma[i - 1] -= 1
+        return {(tuple(gamma), j): b[i - 1] * c}
+
+    out: dict = {}
+    for (a, i), ca in u.items():
+        for (b, j), cb in v.items():
+            if i < j:
+                out = frac_add(out, basis_bracket(a, i, b, j, ca * cb))
+            elif i > j:
+                out = frac_add(out, basis_bracket(b, j, a, i, -ca * cb))
+    return out
+
+
 def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
     """Oracle for the conjugation kernel: the d_1..d_n coefficient
     polynomials of u in, those of sigma u sigma^(-1) out, through Poly

@@ -492,7 +492,7 @@ class TestDecompose:
                                    / (math.factorial(j) * math.factorial(k - j))
                                    for j in range(k + 1)})
         assert_lowest_terms(got)
-        powers = [alpha[-1] for alpha, _ in got._nums]
+        powers = [alpha[-1] for alpha, _ in got.terms]
         assert powers == sorted(powers)
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -222,6 +222,24 @@ class TestCommands:
         for u in standard_generators(2, 4):
             assert act(ginv, act(g, u)) == u
 
+    @settings(max_examples=15)
+    @given(st.integers(2, 5).flatmap(triangular_auts))
+    def test_a_bracket_operand_enters_as_its_conjugation(self, sigma):
+        """mul and inv take a bracket-notation map as the element that
+        acts as conjugation by it, built without probes: exact unless
+        Form A's f takes up a shift of x_{n-1}, and the coordinates
+        decompose reads, through its order."""
+        from triderive.autgroup import AutoAction, act, decompose
+        from triderive.cli import _element
+        from triderive.lie import standard_generators
+        g = _element(print_value(sigma), None, None)
+        assert all(act(g, u) == conjugate_derivation(sigma, u)
+                   for u in standard_generators(sigma.n, 3))
+        assert all(s.order is None for s in g.e)
+        assert (g.f.order is None) == (not g.f.coeffs)
+        assert g.agrees_with(decompose(AutoAction.from_triaut(sigma), order=4),
+                             through=4)
+
     def test_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0
@@ -338,6 +356,19 @@ class TestExitCodes:
         argv = [command, blob] + (["d1"] if command == "act" else [])
         assert run(capsys, *argv) == (
             1, "", f"error: {reason} at 0..{len(blob)}\n")
+
+    @pytest.mark.parametrize("command", ["inv", "act", "decompose"])
+    @pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "+2", "02", "-1",
+                                     "\u0663", "\u00b2", "2.0", ""])
+    def test_json_degree_key_of_another_spelling(self, capsys, command, key):
+        # A degree key is only the decimal gnelem_to_json prints; "1_0"
+        # read as 10, and " 2" overwrote "2", before.
+        obj = json.loads(json.dumps(self.VALID))
+        obj["f"]["coeffs"] = {"2": "1", key: "5"}
+        blob = json.dumps(obj)
+        argv = [command, blob] + (["d1"] if command == "act" else [])
+        assert run(capsys, *argv) == (
+            1, "", f"error: f: bad degree {key!r} at 0..{len(blob)}\n")
 
 
 def run_quietly(argv: list[str]) -> tuple[int, str]:

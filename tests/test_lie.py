@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_lowest_terms, frac_add, lie_elems, polys, rationals
+from conftest import (assert_lowest_terms, bracket_by_fractions, frac_add,
+                      lie_elems, polys, rationals)
 from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
                        Poly, bracket, center_solve, exp_ad_apply,
                        ideal_membership, leading_term, ord_compare,
@@ -136,28 +137,6 @@ class TestBracket:
     def test_mixed_rank_rejected(self):
         with pytest.raises(DomainError):
             bracket(LieElem.d(2, 1), LieElem.d(3, 1))
-
-
-def bracket_by_fractions(u: dict, v: dict) -> dict:
-    """[u, v] of two Fraction term dicts from the structure constants
-    [x^a d_i, x^b d_j] = b_i x^(a + b - e_i) d_j for i < j, in Fraction
-    arithmetic: the oracle of the integer bracket."""
-    def basis_bracket(a, i, b, j, c):
-        # c times [x^a d_i, x^b d_j], i < j, as a term dict
-        if not b[i - 1]:
-            return {}
-        gamma = [x + y for x, y in zip(a + (0,) * (j - i), b)]
-        gamma[i - 1] -= 1
-        return {(tuple(gamma), j): b[i - 1] * c}
-
-    out: dict = {}
-    for (a, i), ca in u.items():
-        for (b, j), cb in v.items():
-            if i < j:
-                out = frac_add(out, basis_bracket(a, i, b, j, ca * cb))
-            elif i > j:
-                out = frac_add(out, basis_bracket(b, j, a, i, -ca * cb))
-    return out
 
 
 def exp_ad_by_fractions(u: dict, v: dict) -> dict:

@@ -18,7 +18,7 @@ from triderive import (AutoAction, DomainError, InternalError, LieElem, Poly,
                        reconstruct_from_frames)
 from triderive import triaut
 from triderive.dsl import parse_lie, parse_triaut
-from triderive.poly import _check_cap, _substitute_ints
+from triderive.poly import _check_cap, _pack, _substitute_ints, _unpack
 from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
 
 
@@ -233,13 +233,15 @@ def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
                                ) -> tuple[int, list[dict]]:
     """The conjugation kernel with one route for every entry of the
     inverse Jacobian: each product sums exponent tuples, constant entries
-    included.  The reference for the values of ``_conjugate`` and for the
-    order of the keys of each dict it returns."""
+    included, unpacked from the packed keys and packed back.  The
+    reference for the values of ``_conjugate`` and for the order of the
+    keys of each dict it returns."""
+    n = sigma.n
     columns = []
     for part, column in zip(parts, sigma._inverse_jacobian()):
         if part:
             common, image = _substitute_ints(sigma.images(), part.items())
-            deg = max(map(sum, image))
+            deg = max(sum(_unpack(e, n)) for e in image)
             for _, _, mdeg in column[1:]:
                 _check_cap(mdeg + deg, "product")
             columns.append((common, image, column))
@@ -251,7 +253,7 @@ def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
             scale = lcm // (common * m._den)
             for e1, c1 in m._nums.items():
                 for e2, c2 in image.items():
-                    key = tuple(map(add, e1, e2))
+                    key = _pack(tuple(map(add, _unpack(e1, n), _unpack(e2, n))))
                     out[j - 1][key] = out[j - 1].get(key, 0) + c1 * scale * c2
     return den * lcm, out
 
@@ -327,7 +329,7 @@ class TestConjugationKernel:
     def test_a_result_off_the_algebra_is_an_internal_error(self, monkeypatch):
         # a d_2 coefficient that uses x2 cannot come out of a conjugation
         monkeypatch.setattr(triaut, "_conjugate",
-                            lambda sigma, den, parts: (1, [{}, {(0, 1): 1}]))
+                            lambda sigma, den, parts: (1, [{}, {_pack((0, 1)): 1}]))
         with pytest.raises(InternalError) as info:
             conjugate_derivation(TriAut.identity(2), LieElem.d(2, 1))
         assert str(info.value) == ("conjugation left the triangular algebra: "
