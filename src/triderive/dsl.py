@@ -66,7 +66,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch.isalpha():
             end = pos + 1
-            while end < length and text[end].isdigit():
+            while end < length and text[end] in _DIGITS:
                 end += 1
             tokens.append(_Token("name", text[pos:end], pos, end))
             pos = end
@@ -169,9 +169,11 @@ class _Parser:
 
 
 def _parse_monomial(p: _Parser, max_index: int | None, stop_on_d: bool = False,
-                    symbol: str = "x") -> tuple[Fraction, dict[int, int], _Token | None]:
+                    symbol: str = "x"
+                    ) -> tuple[Fraction, dict[int, int], tuple[int, _Token] | None]:
     """One product of factors.  Returns (coefficient, {var index: exp},
-    d-token) where the d-token is only hunted when stop_on_d is set.
+    d-part) where the d-part, the index and token of a closing "d"INT,
+    is only hunted when stop_on_d is set.
     The variables are x1, x2, ..., or with symbol "D" the single D,
     counted as index 1."""
     coeff = Fraction(1)
@@ -197,8 +199,7 @@ def _parse_monomial(p: _Parser, max_index: int | None, stop_on_d: bool = False,
                 power = p.caret_int()
             exps[index] = exps.get(index, 0) + power
         elif stop_on_d and tok.kind == "name" and tok.text[0] == "d":
-            d_tok = p.next()
-            return coeff, exps, d_tok
+            return coeff, exps, p.indexed_name("d", "derivation")
         else:
             raise p.fail("a factor")
         if p.peek().kind != "*":
@@ -232,16 +233,13 @@ def parse_lie(text: str, n: int | None = None) -> LieElem:
     max_d = 0
     max_x = 0
     for sgn, start in p.signed_terms("a derivation"):
-        coeff, exps, d_tok = _parse_monomial(p, n, stop_on_d=True)
-        if d_tok is None:
+        coeff, exps, d_part = _parse_monomial(p, n, stop_on_d=True)
+        if d_part is None:
             if coeff or exps:
                 raise ParseError("term is missing its d-part", start,
                                  p.peek().start)
             continue  # a bare zero, as the zero derivation prints
-        index = int(d_tok.text[1:])
-        if index < 1:
-            raise SemanticError("derivation indices start at 1",
-                                d_tok.start, d_tok.end)
+        index, d_tok = d_part
         raw.append((coeff * sgn, exps, index, start, d_tok.end))
         max_d = max(max_d, index)
         max_x = max(max_x, max(exps, default=0))

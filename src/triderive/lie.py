@@ -42,8 +42,8 @@ from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
 from .poly import (_FIELD, _MAX_DEGREE, _W, Poly, RatLike, _add_terms,
                    _check_cap, _check_limit, _format_terms, _IntLayout,
-                   _lowest, _new as _new_poly, _over_lcm, _pack, _unpack,
-                   format_monomial, iter_exponents, rat)
+                   _lowest, _mul_into, _new as _new_poly, _over_lcm, _pack,
+                   _unpack, format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i) in public.
 Key = tuple[tuple[int, ...], int]
@@ -116,10 +116,7 @@ class LieElem(_IntLayout):
             raise DomainError("rank must be at least 2")
         if any(p.nvars != n for p in polys):
             raise DomainError("coefficient polynomials must live in rank-n ring")
-        den = math.lcm(*(p._den for p in polys))
-        return _join(n, den, [p._nums if p._den == den else
-                              {e: c * (den // p._den) for e, c in p._nums.items()}
-                              for p in polys])
+        return _join(n, *_split(polys))
 
     # -- the hooks of the integer layout -----------------------------------
 
@@ -180,7 +177,7 @@ class LieElem(_IntLayout):
         """Apply the derivation sum p_i d/dx_i to a polynomial."""
         if p.nvars != self.n:
             raise DomainError("polynomial must live in the rank-n ring")
-        return _derive(*_split(self.coefficient_polys()), p)
+        return _derive(self._den, self._parts(), p)
 
     def __str__(self) -> str:
         return format_lie(self)
@@ -217,23 +214,23 @@ def _join(n: int, den: int, parts: Sequence[Mapping[int, int]]) -> LieElem:
     return _new(n, *_lowest(den, nums))
 
 
-def _split(polys: Sequence[Poly]) -> tuple[int, list]:
-    """sum p_i d_i for ``_derive``: the lcm den of the denominators, and
-    per index deg p_i with the (exponents, numerator) pairs over den."""
+def _split(polys: Sequence[Poly]) -> tuple[int, list[dict[int, int]]]:
+    """The numerators of polys over the lcm den of their denominators, one
+    dict per poly keyed by packed keys, as ``LieElem._parts`` gives them."""
     den = math.lcm(*(p._den for p in polys))
-    return den, [(p.total_degree(), [(e, c * (den // p._den))
-                                     for e, c in p._nums.items()])
+    return den, [p._nums if p._den == den else
+                 {e: c * (den // p._den) for e, c in p._nums.items()}
                  for p in polys]
 
 
-def _derive(den: int, parts: list, p: Poly) -> Poly:
-    """Apply the split sum p_i d/dx_i to p (indices past the parts are
-    zero).  The products go over den * p._den into one dict and end with
-    one gcd, as in ``bracket``.  Each index is first checked against the
-    degree cap as the product p_i * dp/dx_i: deg p_i + deg dp/dx_i."""
+def _derive(den: int, parts: Sequence[dict[int, int]], p: Poly) -> Poly:
+    """Apply sum p_i d/dx_i to p, the numerators of p_1, p_2, ... over den
+    given as ``_split`` gives them (indices past the parts are zero).  The
+    products go over den * p._den into one dict and end with one gcd, as
+    in ``bracket``.  Each index is first checked against the degree cap
+    as the product p_i * dp/dx_i: deg p_i + deg dp/dx_i."""
     acc: dict[int, int] = {}
-    get = acc.get
-    for k, (deg, part) in enumerate(parts):
+    for k, part in enumerate(parts):
         if not part:
             continue
         # d/dx_{k+1}: lowering one exponent is injective, so no terms meet
@@ -241,13 +238,10 @@ def _derive(den: int, parts: list, p: Poly) -> Poly:
         one = 1 << shift
         dp = [(e - one, c * a) for e, c in p._nums.items()
               if (a := e >> shift & _FIELD)]
-        if not dp:
-            continue
-        _check_cap(deg + max(e % _FIELD for e, _ in dp), "product")
-        for e1, c1 in part:
-            for e2, c2 in dp:
-                key = e1 + e2
-                acc[key] = get(key, 0) + c1 * c2
+        if dp:
+            _check_cap(max(map(_FIELD.__rmod__, part))
+                       + max(e % _FIELD for e, _ in dp), "product")
+            _mul_into(acc, part.items(), dp)
     return _new_poly(p.nvars, *_lowest(den * p._den,
                                        {e: c for e, c in acc.items() if c}))
 

@@ -27,15 +27,16 @@ every operation that forms keys checks its degree first.  ``terms``,
 ``coefficient`` and the constructors keep exponent tuples; ``_pack``
 and ``_unpack`` convert between the two.
 
-Products and substitutions multiply and add plain ints.  A substitution
-takes every variable of a term through a power of its image and puts the
-terms over the lcm of the denominators of those powers, so every term
-lands on the same denominator.  The powers are kept by the image set it
-is given: a triangular automorphism holds one such set for its lifetime,
-so repeated substitutions by the same map compute each power once.  The
-substitution kernel, ``_substitute_ints``, also serves the conjugation
-of derivations in the triaut module, which substitutes their integer
-coefficients without building polynomials.
+Products and substitutions multiply and add plain ints, every product
+through the one sparse kernel ``_mul_into``, which conjugation and
+derivations share.  A substitution takes every variable of a term
+through a power of its image and puts the terms over the lcm of the
+denominators of those powers, so every term lands on the same
+denominator.  The powers are kept by the image set it is given: a
+triangular automorphism holds one such set for its lifetime, so
+repeated substitutions by the same map compute each power once.  The
+substitution kernel, ``_substitute_ints``, also serves conjugation,
+which substitutes integer coefficients without building polynomials.
 
 Total degrees are guarded by a module-level cap so that runaway growth in
 composed substitutions fails loudly instead of consuming the machine.
@@ -460,17 +461,30 @@ def _new(nvars: int, den: int, nums: dict[int, int]) -> Poly:
     return p
 
 
-def _mul_ints(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]
-              ) -> dict[int, int]:
-    """Product of two integer term lists (right is iterated once per left
-    term, so it must be a list or a dict view), cancelled keys dropped."""
-    acc: dict[int, int] = {}
+def _mul_into(acc: dict[int, int], left: Iterable[tuple[int, int]],
+              right: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add left x right into acc, zeros left in, and return acc: the one
+    sparse product (right is iterated once per left term, so it must be a
+    list or a dict view).  A left term of key 0 is one constant c, which
+    adds c times each right term under that term's own key, the key the
+    sum would give: the diagonal 1/lambda_i of a conjugation always takes
+    this route, and every entry does when the map is affine."""
     get = acc.get
     for e1, c1 in left:
-        for e2, c2 in right:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in acc.items() if c}
+        if e1:
+            for e2, c2 in right:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        else:
+            for e2, c2 in right:
+                acc[e2] = get(e2, 0) + c1 * c2
+    return acc
+
+
+def _mul_ints(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]
+              ) -> dict[int, int]:
+    """Product of two integer term lists, cancelled keys dropped."""
+    return {e: c for e, c in _mul_into({}, left, right).items() if c}
 
 
 def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]

@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import DomainError, InternalError
 from .lie import LieElem, _derive, _join, _split, _tag, bracket
 from .poly import (_FIELD, _W, Poly, RatLike, _check_cap, _Images, _Keyed,
-                   _lowest, _new, rat, rat_str, _substitute_ints)
+                   _lowest, _mul_into, _new, rat, rat_str, _substitute_ints)
 
 
 class TriAut(_Keyed):
@@ -228,11 +228,8 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
     against the cap term by term, and then each product M[j][i] sigma(p_i)
     with j > i is checked, in that order, before the next index; sigma's
     cache gives column i of M with the degree of each entry.  The
-    products go straight into one dict per index j, over one denominator.
-    An entry of degree 0 is one constant c, so its product adds c times
-    each term of sigma(p_i) under the term's own key, which is the key
-    the sum of keys would give: the diagonal 1/lambda_i always
-    takes this route, and every entry does when sigma is affine.
+    products go straight into one dict per index j, over one denominator,
+    through ``poly._mul_into``.
     """
     images = sigma.images()
     jac = sigma._inverse_jacobian()
@@ -249,20 +246,10 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
                      for common, _, column in columns for _, m, _ in column))
     out: list[dict] = [{} for _ in range(sigma.n)]
     for common, image, column in columns:
-        for j, m, mdeg in column:
+        for j, m, _ in column:
             scale = lcm // (common * m._den)
-            acc = out[j - 1]
-            if not mdeg:
-                c1, = m._nums.values()
-                c1 *= scale
-                for e2, c2 in image:
-                    acc[e2] = acc.get(e2, 0) + c1 * c2
-                continue
-            for e1, c1 in m._nums.items():
-                c1 *= scale
-                for e2, c2 in image:
-                    key = e1 + e2
-                    acc[key] = acc.get(key, 0) + c1 * c2
+            _mul_into(out[j - 1], [(e, c * scale) for e, c in m._nums.items()],
+                      image)
     return den * lcm, out
 
 
@@ -273,7 +260,7 @@ def exp_map(delta: LieElem) -> TriAut:
     polynomials.  Term k is delta of term k-1 over k times delta's den.
     """
     n = delta.n
-    den, parts = _split(delta.coefficient_polys())
+    den, parts = delta._den, delta._parts()
     images = []
     for i in range(1, n + 1):
         term = acc = Poly.var(n, i)
@@ -389,7 +376,7 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
 
     # x_i' = phi_{i-1} ... phi_1 (x_i / mu_i), where phi_m resums with the
     # m-th frame: phi_m(p) = sum_k (-x_m')^k * frames[m]^k(p) / k!.
-    splits = [_split(f.coefficient_polys()) for f in frames]
+    splits = [(f._den, f._parts()) for f in frames]
     images: list[Poly] = []
     for i in range(1, n + 1):
         p = Poly.var(n, i).scale(1 / mus[i - 1])

@@ -291,6 +291,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: variable indices start at 1 at 0..2\n"
 
+    NAME_ERRORS = {
+        "x\u00b2*d2": "unexpected character '\u00b2' at 1..2",
+        "x1\u00b2*d2": "unexpected character '\u00b2' at 2..3",
+        "d\u00b2": "unexpected character '\u00b2' at 1..2",
+        "x\u0663*d4": "unexpected character '\u0663' at 1..2",
+        "x1*d\u0662": "unexpected character '\u0662' at 4..5",
+        "d": "expected a derivation, found 'd' at 0..1",
+        "x1*d": "expected a derivation, found 'd' at 3..4",
+        "2*d": "expected a derivation, found 'd' at 2..3",
+    }
+
+    @pytest.mark.parametrize("operand", NAME_ERRORS)
+    def test_name_indices_are_ascii_digits(self, capsys, operand):
+        """A name letter takes only the ASCII digits after it, and a d
+        with none is no derivation: each exits 1 with a span."""
+        code, out, err = run(capsys, "bracket", operand, "d1")
+        assert code == 1 and out == ""
+        assert err == f"error: {self.NAME_ERRORS[operand]}\n"
+
     def test_frames_of_the_wrong_rank(self, capsys):
         code, out, err = run(capsys, "--n", "2", "reconstruct", "d1", "d2", "d1")
         assert code == 2 and out == ""

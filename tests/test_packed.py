@@ -9,10 +9,11 @@ bound that is met.  Past the limit, construction, parsing and brackets
 refuse with DegreeCapError, never with a wrapped key."""
 
 from fractions import Fraction
+from operator import add
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import (bracket_by_fractions, degree_cap, frac_add, outcome,
                       rationals)
@@ -61,6 +62,16 @@ def frac_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def small_terms(nvars: int, coeffs: st.SearchStrategy[int]
+                ) -> st.SearchStrategy[dict]:
+    """Integer terms of small exponents, so that products meet."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), coeffs,
+                           max_size=4)
+
+
+nonzero_ints = st.integers(-3, 3).filter(bool)
+
+
 def over_limit(degree: int, context: str) -> tuple:
     """The outcome of a refusal at the key limit."""
     return (DegreeCapError,
@@ -93,6 +104,35 @@ class TestPublicViews:
 
 
 class TestKernels:
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n), small_terms(n, st.integers(-3, 3)),
+        small_terms(n, nonzero_ints), small_terms(n, nonzero_ints),
+        st.integers(0, 4), nonzero_ints)))
+    @example((2, {(1, 0): -1, (0, 1): 0}, {(1, 0): 1}, {(1, 0): 1, (0, 0): -1},
+              0, 1))
+    def test_product_into_an_accumulator(self, drawn):
+        """poly._mul_into adds left x right into an accumulator that may
+        already hold terms, zeros among them: each product lands under the
+        sum of the exponent tuples, zeros stay, new keys follow in the
+        order they are first met, and the left term of key 0, put at a
+        drawn place, adds under each right term's own key."""
+        n, acc, left, right, pos, c0 = drawn
+        zero = (0,) * n
+        left.pop(zero, None)
+        items = list(left.items())
+        items.insert(pos, (zero, c0))
+        want = {e: Fraction(c) for e, c in acc.items()}
+        for e1, c1 in items:
+            for e2, c2 in right.items():
+                e = tuple(map(add, e1, e2))
+                want[e] = want.get(e, 0) + Fraction(c1) * c2
+        packed = {poly._pack(e): c for e, c in acc.items()}
+        got = poly._mul_into(packed, [(poly._pack(e), c) for e, c in items],
+                             [(poly._pack(e), c) for e, c in right.items()])
+        assert got is packed
+        assert [(poly._unpack(k, n), c) for k, c in got.items()] == list(
+            want.items())
+
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_terms(n), big_terms(n))))
     def test_product(self, drawn):

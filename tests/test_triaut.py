@@ -300,11 +300,13 @@ class TestConjugationKernel:
 
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "mixed"])
     @given(data=st.data())
-    def test_constant_entries_take_their_own_route(self, affine, data):
+    def test_constant_and_other_entries_share_one_kernel(self, affine, data):
         """Frames whose inverse Jacobian is all constant, and frames with
-        an entry of positive degree too: values, key order and cap errors
-        are those of the one-route kernel, and values and cap errors
-        those of Poly arithmetic, under caps from 1 to 5."""
+        an entry of positive degree too, both through ``poly._mul_into``,
+        which adds a constant entry's products under the image's own
+        keys: values, key order and cap errors are those of the kernel
+        that sums exponent tuples for every entry, and values and cap
+        errors those of Poly arithmetic, under caps from 1 to 5."""
         sigma, u = data.draw(frames_and_derivations(affine))
         degrees = [[mdeg for _, _, mdeg in column]
                    for column in sigma._inverse_jacobian()]
