@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, InternalError
 from .lie import (LieElem, _join, _new, _tag, bracket, exp_ad_apply,
                   standard_generators)
-from .poly import (_FIELD, _W, DEFAULT_ORDER, RatLike, _add_terms,
+from .poly import (_W, DEFAULT_ORDER, RatLike, _add_terms,
                    _check_limit, _Keyed, _lowest, rat)
 from .series import OpSeries, _derivative_terms, _min_order, factor_shift
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
@@ -170,7 +170,10 @@ def act(g: GnElem, u: LieElem) -> LieElem:
     p_n.  Every term x^a yields its derivatives a!/(a-k)! x^(a-k) with
     the series coefficients over one common denominator.  A series must
     be stored through the degree of its coefficient in its symbol; f is
-    checked first, then the feeds in order.
+    checked first, then the feeds in order.  That degree is the top field
+    of the coefficient's largest key: f reads p_n and e_i reads p_i, whose
+    top variable is the series' own symbol, x_{n-1} and x_{i-1}, so the
+    key with the most of it is the largest, whatever its lower fields.
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
@@ -181,7 +184,7 @@ def act(g: GnElem, u: LieElem) -> LieElem:
     for series, part in zip((g.f, *g.e), (parts[-1], *parts[1:-1])):
         if part:
             shift = _W * (series.var - 1)
-            need = max(key >> shift & _FIELD for key in part)
+            need = max(part) >> shift
             series._require_order(need)
             live.append((series, part, need))
     den = u._den

@@ -325,7 +325,9 @@ def parse_triaut(text: str, n: int | None = None) -> TriAut:
 
 
 def parse_ordinal(text: str) -> OrdinalCNF:
-    """Parse "w^2*3 + w*1 + 4" style ordinal text; "0" is the zero ordinal."""
+    """Parse "w^2*3 + w*1 + 4" style ordinal text; "0" is the zero ordinal.
+    Terms add as ordinals do: a nonzero term absorbs every lower one before
+    it, so "1 + w" is w."""
     p = _Parser(text)
     coeffs: dict[int, int] = {}
     first = True
@@ -341,8 +343,7 @@ def parse_ordinal(text: str) -> OrdinalCNF:
             p.next()
         tok = p.peek()
         if tok.kind == "int":
-            value = int(p.next().text)
-            coeffs[0] = coeffs.get(0, 0) + value
+            exp, coeff = 0, int(p.next().text)
         elif tok.kind == "name" and tok.text == "w":
             p.next()
             exp = 1
@@ -356,9 +357,11 @@ def parse_ordinal(text: str) -> OrdinalCNF:
                 p.next()
                 c_tok = p.expect("int", "a coefficient")
                 coeff = int(c_tok.text)
-            coeffs[exp] = coeffs.get(exp, 0) + coeff
         else:
             raise p.fail("'w' or an integer")
+        if coeff:
+            coeffs = {k: c for k, c in coeffs.items() if k >= exp}
+        coeffs[exp] = coeffs.get(exp, 0) + coeff
         first = False
     p.done()
     return OrdinalCNF(coeffs)

@@ -493,33 +493,45 @@ def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
     images[i-1]: (common, acc) with the value acc / common, not in lowest
     terms.  Every term is checked against the cap before any product is
     formed; the terms are put over the lcm of the denominators of the
-    image powers they need."""
+    image powers they need.  Each term takes one of three routes, read
+    off its packed key: key 0 is the unit; a power x_i^e of one variable,
+    whose key is its top field shifted back into place, is the kept power
+    images[i-1] ** e, with no unpacking; any other term unpacks its fields
+    up to its top variable, and the second pass multiplies their powers."""
     degs = images.degs
     # First pass: check every term against the cap, and collect the
     # denominators of the image powers to put them over one.
     plan = []
     dens = []
+    unit = [(0, 1)]
     for key, num in items:
-        exps = _unpack(key, len(images))
-        _check_cap(sum(map(mul, exps, degs)), "substitution")
-        den = 1
-        factors = []
-        for i, e in enumerate(exps):
-            if e:
-                power = images.power(i, e)
-                den *= power._den
-                factors.append(power._nums.items())
-        plan.append((num, den, factors))
+        den, first, rest = 1, unit, ()
+        if key:
+            top = (key.bit_length() - 1) // _W
+            e = key >> _W * top
+            if key == e << _W * top:
+                _check_cap(e * degs[top], "substitution")
+                power = images.power(top, e)
+                den, first = power._den, power._nums.items()
+            else:
+                exps = _unpack(key, top + 1)
+                _check_cap(sum(map(mul, exps, degs)), "substitution")
+                factors = []
+                for i, e in enumerate(exps):
+                    if e:
+                        power = images.power(i, e)
+                        den *= power._den
+                        factors.append(power._nums.items())
+                first, rest = factors[0], factors[1:]
+        plan.append((num, den, first, rest))
         dens.append(den)
     common = math.lcm(*dens)
     # Second pass: integer products, accumulated over ``common``.  A key
     # that cancels is dropped at once, as Fraction sums would be.
     acc: dict[int, int] = {}
-    unit = [(0, 1)]
-    for num, den, factors in plan:
+    for num, den, pieces, rest in plan:
         scale = num * (common // den)
-        pieces = factors[0] if factors else unit
-        for pairs in factors[1:]:
+        for pairs in rest:
             pieces = _mul_ints(pieces, pairs).items()
         for key, v in pieces:
             s = acc.get(key, 0) + scale * v

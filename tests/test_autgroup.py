@@ -335,6 +335,28 @@ class TestAction:
             assert outcome(act_by_poly_route, g, v) == \
                 (TruncationError, message)
 
+    @pytest.mark.parametrize("n, i", [(3, 3), (4, 4), (4, 3), (5, 4)])
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_degree_needed_is_that_in_the_symbol(self, n, i, power):
+        """A series stored through 2 reading p_i = x1^9 + x_{i-1}^power
+        (f on p_n when i = n, else the feed e_i on p_i) needs the degree
+        in its symbol x_{i-1}, not the total degree 9."""
+        def stored(kind: str, var: int) -> OpSeries:
+            return OpSeries(kind, var, 2, {1: Fraction(1, 2), 2: 3})
+
+        if i == n:
+            g = gn(n, f=stored("F", n - 1))
+        else:
+            g = gn(n, e=[stored("E", k + 1) if k + 2 == i
+                         else OpSeries.zero_e(k + 1) for k in range(n - 2)])
+        u = parse_lie(f"x1^9*d{i} + x{i - 1}^{power}*d{i}", n)
+        if power == 2:
+            assert act(g, u) == act_by_poly_route(g, u)
+        else:
+            with pytest.raises(TruncationError) as info:
+                act(g, u)
+            assert (info.value.required, info.value.available) == (3, 2)
+
     def test_rank_mismatch(self):
         with pytest.raises(DomainError, match="mixed ranks: 3 vs 2"):
             act(gn(3), LieElem.d(2, 1))

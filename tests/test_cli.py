@@ -310,6 +310,11 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {self.NAME_ERRORS[operand]}\n"
 
+    def test_ordinal_operands_add_as_ordinals(self, capsys):
+        """1 + w is w, so d1, of degree above w, is not in its ideal."""
+        assert run(capsys, "--n", "2", "ideal", "d1", "1 + w") == \
+            (0, "false\n", "")
+
     def test_frames_of_the_wrong_rank(self, capsys):
         code, out, err = run(capsys, "--n", "2", "reconstruct", "d1", "d2", "d1")
         assert code == 2 and out == ""

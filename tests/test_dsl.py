@@ -108,6 +108,18 @@ class TestOrdinalText:
         assert parse_ordinal("w^2*3 + w*1 + 4") == OrdinalCNF({2: 3, 1: 1, 0: 4})
         assert parse_ordinal("w") == OrdinalCNF({1: 1})
 
+    @pytest.mark.parametrize("text, canonical", [
+        ("1 + w", "w"),
+        ("w + w^2*3 + 2", "w^2*3 + 2"),
+        ("w*1 + w*2", "w*3"),
+        ("w*0 + 5", "5"),
+        ("w^2 + 0 + w", "w^2 + w"),
+    ])
+    def test_terms_add_as_ordinals(self, text, canonical):
+        """A term w^e*c with c > 0 absorbs every earlier term of lower
+        exponent, as 1 + w = w; zero terms absorb nothing."""
+        assert parse_ordinal(text) == parse_ordinal(canonical)
+
     def test_w0_rejected(self):
         with pytest.raises(SemanticError):
             parse_ordinal("w^0")

@@ -15,8 +15,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from conftest import (bracket_by_fractions, degree_cap, frac_add, outcome,
-                      rationals)
+from conftest import (bracket_by_fractions, degree_cap, exponent_tuples,
+                      frac_add, outcome, rationals)
 from triderive import (DegreeCapError, LieElem, Poly, TriAut, bracket,
                        center_solve, conjugate_derivation, poly)
 from triderive.autgroup import _probe
@@ -70,6 +70,29 @@ def small_terms(nvars: int, coeffs: st.SearchStrategy[int]
 
 
 nonzero_ints = st.integers(-3, 3).filter(bool)
+
+
+def substituted_terms(n: int) -> st.SearchStrategy[list]:
+    """(exponent tuple, nonzero int) terms of the three routes of
+    ``poly._substitute_ints``: the constant, a power of one variable at
+    any of x_1..x_n, and a product of several variables."""
+    def power(j: int) -> st.SearchStrategy[tuple]:
+        return st.integers(1, 3).map(
+            lambda e: tuple(e * (k == j) for k in range(n)))
+
+    several = st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda exps: sum(map(bool, exps)) > 1)
+    exps = (st.just((0,) * n) | st.integers(0, n - 1).flatmap(power)
+            | several)
+    return st.dictionaries(exps, st.integers(-5, 5).filter(bool),
+                           min_size=1, max_size=5).map(lambda d: list(d.items()))
+
+
+def images_of_degree(n: int, top: int) -> st.SearchStrategy[dict]:
+    """Fraction term dicts of one to three terms, of total degree at most
+    ``top``."""
+    return st.dictionaries(exponent_tuples(n, top), rationals(nonzero=True),
+                           min_size=1, max_size=3)
 
 
 def over_limit(degree: int, context: str) -> tuple:
@@ -132,6 +155,49 @@ class TestKernels:
         assert got is packed
         assert [(poly._unpack(k, n), c) for k, c in got.items()] == list(
             want.items())
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n), substituted_terms(n),
+        st.lists(st.integers(0, 3).flatmap(lambda d: images_of_degree(n, d)),
+                 min_size=n, max_size=n),
+        st.integers(2, 24))))
+    @example((3, [((0, 0, 2), 3), ((0, 0, 0), -1), ((1, 1, 0), 2),
+                  ((0, 1, 0), 1)],
+              [{(0, 0, 0): 1, (1, 0, 0): Fraction(1, 2)}, {(0, 0, 1): -1},
+               {(2, 0, 0): 1, (0, 1, 1): Fraction(-2, 3)}], 24))
+    @example((2, [((1, 1), 1), ((0, 3), 1), ((3, 0), 1)],
+              [{(1, 1): 1, (0, 0): 2}, {(2, 0): 3}], 8))
+    def test_substitution_routes(self, drawn):
+        """poly._substitute_ints on constants, powers of one variable and
+        products of several, by images of degree 0-3 with several terms,
+        computes what Fraction arithmetic on exponent tuples computes;
+        under the cap the refusal names the weighted degree of the first
+        term over it, in the order of the terms."""
+        n, terms, image_terms, cap = drawn
+        images = [Poly(n, t) for t in image_terms]
+        degs = [max(map(sum, t)) for t in image_terms]
+        want: object = {}
+        for exps, c in terms:
+            degree = sum(e * d for e, d in zip(exps, degs))
+            if degree > cap:
+                want = (DegreeCapError, "substitution would reach total "
+                        f"degree {degree}, over the cap {cap}")
+                break
+            value = {(0,) * n: Fraction(c)}
+            for t, e in zip(image_terms, exps):
+                for _ in range(e):
+                    value = frac_mul(value, t)
+            want = frac_add(want, value)
+
+        def substitute():
+            common, acc = poly._substitute_ints(
+                poly._Images(images), [(poly._pack(e), c) for e, c in terms])
+            assert all(acc.values())
+            return {poly._unpack(k, n): Fraction(c, common)
+                    for k, c in acc.items()}
+
+        with degree_cap(cap):
+            assert outcome(substitute) == want
 
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_terms(n), big_terms(n))))
