@@ -42,7 +42,8 @@ from .lie import (LieElem, _join, _new, _tag, bracket, exp_ad_apply,
                   standard_generators)
 from .poly import (_W, DEFAULT_ORDER, RatLike, _add_terms,
                    _check_limit, _Keyed, _lowest, rat)
-from .series import OpSeries, _derivative_terms, _min_order, factor_shift
+from .series import (OpSeries, _derivative_terms, _min_order, _scaled,
+                     factor_shift)
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
@@ -53,11 +54,11 @@ class GnElem(_Keyed):
 
     The element builds its frame map, the whole triangular factor (torus
     included) as one automorphism, once, on the first ``act`` that needs
-    it, and keeps it for its lifetime, together with the caches that
-    conjugation fills on that map.
+    it, and keeps it for its lifetime, with the caches that conjugation
+    fills on that map and the integer series coefficients ``act`` reads.
     """
 
-    __slots__ = ("n", "form", "t", "tau", "s", "f", "e", "_frame")
+    __slots__ = ("n", "form", "t", "tau", "s", "f", "e", "_frame", "_act")
 
     def __init__(self, n: int, form: str, t: Sequence[RatLike], tau: TriAut,
                  s: Sequence[RatLike] | None, f: OpSeries,
@@ -108,7 +109,7 @@ class GnElem(_Keyed):
         self.s = svals
         self.f = f
         self.e = evals
-        self._frame = self._key_cache = None
+        self._frame = self._act = self._key_cache = None
 
     @staticmethod
     def identity(n: int, form: str = "A") -> GnElem:
@@ -149,6 +150,15 @@ class GnElem(_Keyed):
             self._frame = frame
         return frame
 
+    def _act_constants(self) -> tuple:
+        """The frame map, or None for the identity, and ``_scaled`` of f and
+        e: what ``act`` reads, built on its first call, after decompose."""
+        if self._act is None:
+            frame = self._frame_map()
+            self._act = (None if frame.is_identity() else frame,
+                         *_scaled((self.f, *self.e)))
+        return self._act
+
     def __repr__(self) -> str:
         return (f"GnElem(n={self.n}, form={self.form!r}, t={self.t}, "
                 f"tau={self.tau!r}, s={self.s}, f={self.f!r}, e={self.e!r})")
@@ -177,20 +187,19 @@ def act(g: GnElem, u: LieElem) -> LieElem:
     """
     if g.n != u.n:
         raise DomainError(f"mixed ranks: {g.n} vs {u.n}")
-    n = g.n
     parts = u._parts()
-    # Each live series with the coefficient it reads: f on p_n, e_i on p_i.
+    # Each live series, its place j in (f, *e) and the coefficient it reads
+    # (f p_n, e_i p_i), checked before g's constants may build the frame map.
     live = []
-    for series, part in zip((g.f, *g.e), (parts[-1], *parts[1:-1])):
+    for j, series in enumerate((g.f, *g.e)):
+        part = parts[j] if j else parts[-1]
         if part:
-            shift = _W * (series.var - 1)
-            need = max(part) >> shift
+            need = max(part) >> _W * (series.var - 1)
             series._require_order(need)
-            live.append((series, part, need))
+            live.append((series, j, part, need))
+    frame, scale, pairs = g._act_constants()
     den = u._den
     if live:
-        scale = math.lcm(*(c.denominator for series, _, need in live
-                           for k, c in series.coeffs.items() if k <= need))
         # p_n gets a dict of its own: f reads the one it had.
         if scale != 1:
             den *= scale
@@ -203,17 +212,16 @@ def act(g: GnElem, u: LieElem) -> LieElem:
         # into p_n, as Poly sums would: the order of the terms of p_n
         # decides which term a degree-cap error names.
         feeds: dict[int, int] = {}
-        for series, part, need in live:
-            terms = _derivative_terms(series, need, scale, part)
+        for series, j, part, need in live:
+            terms = _derivative_terms(series.var, pairs[j], need, part)
             if series.kind == "E":
                 _add_terms(feeds, _add_terms({}, terms).items())
             else:
                 _add_terms(top, terms)
         _add_terms(top, feeds.items())
-    frame = g._frame_map()
-    if not frame.is_identity():
+    if frame is not None:
         den, parts = _conjugate(frame, den, parts)
-    return _join(n, den, parts)
+    return _join(g.n, den, parts)
 
 
 class AutoAction:

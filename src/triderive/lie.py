@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
@@ -293,18 +292,21 @@ def ideal_membership(u: LieElem, lam: OrdinalCNF) -> bool:
 
 
 def bracket(u: LieElem, v: LieElem) -> LieElem:
-    """Lie bracket, computed from the structure constants [x^a d_i,
-    x^b d_j] = b_i x^(a+b-e_i) d_j for i < j: b_i is field i-1 of the
-    key of x^b d_j, and a plus that key minus e_i is the key of the term,
-    index field included.  The constants are integers, so the product
-    runs on the numerators, over u._den * v._den, and ends with one gcd.
-    A term has degree |a| + |b| - 1, checked against the key limit
-    before its key is formed."""
+    """Lie bracket: ``_ad`` over u._den * v._den, then one gcd."""
     u._require_same_rank(v)
+    return _new(u.n, *_lowest(u._den * v._den, _ad(u, v._nums)))
+
+
+def _ad(u: LieElem, nums: Mapping[int, int]) -> dict[int, int]:
+    """Numerators of [u, v] over u._den * v._den from v's over v._den, by
+    [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j for i < j, nonzero ones only:
+    b_i is field i-1 of the key of x^b d_j, and a plus that key minus e_i
+    is the key of the term, index field included.  A term has degree
+    |a| + |b| - 1, checked against the key limit before its key is formed."""
     n = u.n
     top = _W * n
     mask = (1 << top) - 1
-    right = v._nums.items()
+    right = nums.items()
     acc: dict[int, int] = {}
     get = acc.get
     for ka, ca in u._nums.items():
@@ -325,8 +327,16 @@ def bracket(u: LieElem, v: LieElem) -> LieElem:
                 if da + (kb & mask) % _FIELD > _MAX_DEGREE + 1:
                     _check_limit(da + (kb & mask) % _FIELD - 1, "bracket")
                 acc[key] = get(key, 0) + factor * ca * cb
-    return _new(u.n, *_lowest(u._den * v._den,
-                              {k: c for k, c in acc.items() if c}))
+    return {k: c for k, c in acc.items() if c}
+
+
+def _weigh(key: int, w: Sequence[int]) -> int:
+    """sum_j a_j w_j over the exponent fields of the key of x^a d_i."""
+    total = 0
+    for x in w:
+        total += (key & _FIELD) * x
+        key >>= _W
+    return total
 
 
 def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
@@ -340,9 +350,10 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     for k > top(v) + max_i w_i, where top(v) is the largest weight of a
     term of v.  Passing that bound is a bug and raises InternalError.
 
-    The sum is kept as one dict of numerators over the lcm of the terms'
-    denominators, rescaled only when a term brings a new factor, and put
-    in lowest terms once, at the end.
+    One integer series: T_k = (ad u)^k v stays the raw numerators of ``_ad``
+    over v._den u._den^k, with no gcd and no 1/k!.  With T_K the last
+    nonzero term, T_0..T_K are added into one dict, ascending, each times
+    (K!/k!) u._den^(K-k), over v._den u._den^K K!, and reduced once.
     """
     u._require_same_rank(v)
     n = u.n
@@ -350,26 +361,21 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     w = [1] * n  # w[i - 1] is w_i, read from w_1..w_{i-1}: ascending i
     for key in sorted(u._nums, reverse=True):  # the larger key, the smaller i
         i = n - (key >> top)
-        w[i - 1] = max(w[i - 1], 1 + sum(map(mul, _unpack(key, i - 1), w)))
-    cap = max([sum(map(mul, _unpack(key, n), w)) - w[n - 1 - (key >> top)]
-               for key in v._nums], default=0) + max(w) + 1
-    term = v
-    den, acc = v._den, dict(v._nums)
-    k = 0
-    while term:
-        k += 1
-        if k > cap:
+        w[i - 1] = max(w[i - 1], 1 + _weigh(key, w))
+    cap = max([_weigh(key, w) - w[n - 1 - (key >> top)] for key in v._nums],
+              default=0) + max(w) + 1
+    terms, nums, acc = [], v._nums, {}
+    while nums:
+        terms.append(nums)
+        if len(terms) > cap:
             raise InternalError("exp(ad u) failed to terminate within its bound")
-        term = bracket(u, term)
-        term = _new(u.n, *_lowest(term._den * k, term._nums))  # times 1/k
-        lcm = math.lcm(den, term._den)
-        if lcm != den:
-            m = lcm // den
-            den, acc = lcm, {key: c * m for key, c in acc.items()}
-        m = den // term._den
-        _add_terms(acc, term._nums.items() if m == 1 else
-                   [(key, c * m) for key, c in term._nums.items()])
-    return _new(u.n, *_lowest(den, acc))
+        nums = _ad(u, nums)
+    weights = [1]  # of T_K, T_{K-1}, ..., T_0
+    for k in range(len(terms) - 1, 0, -1):
+        weights.append(weights[-1] * k * u._den)
+    for nums, m in zip(terms, reversed(weights)):
+        _add_terms(acc, [(key, c * m) for key, c in nums.items()])
+    return _new(n, *_lowest(v._den * weights[-1], acc))
 
 
 # -- generators and the center ------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DomainError, TruncationError
 from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _format_terms,
@@ -154,11 +154,10 @@ class OpSeries(_Keyed):
             raise DomainError("polynomial does not involve the series variable")
         need = p.degree_in(self.var)
         self._require_order(need)
-        scale = math.lcm(*(c.denominator for k, c in self.coeffs.items()
-                           if k <= need))
+        scale, (pairs,) = _scaled([self])
         acc = {} if self.kind == "E" else \
             {exps: c * scale for exps, c in p._nums.items()}
-        _add_terms(acc, _derivative_terms(self, need, scale, p._nums))
+        _add_terms(acc, _derivative_terms(self.var, pairs, need, p._nums))
         return _new(p.nvars, *_lowest(p._den * scale, acc))
 
     def _require_order(self, need: int) -> None:
@@ -279,22 +278,29 @@ class OpSeries(_Keyed):
                 f"{format_series(self)!r})")
 
 
-def _derivative_terms(series: OpSeries, need: int, scale: int,
+def _scaled(series: Sequence[OpSeries]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """One integer scale over every stored coefficient of the series, and
+    each series' (k, c_k * scale) pairs, ascending k."""
+    scale = math.lcm(*(c.denominator for s in series for c in s.coeffs.values()))
+    return scale, [[(k, c.numerator * (scale // c.denominator))
+                    for k, c in sorted(s.coeffs.items())] for s in series]
+
+
+def _derivative_terms(var: int, pairs: list[tuple[int, int]], need: int,
                       part: Mapping[int, int]):
-    """The terms of sum_{k=1..need} c_k D^k, the series without its unit,
-    on the integer terms in part (packed keys), times scale (a multiple
-    of the denominators of c_1..c_need): k outermost, each D^k x^a by the
+    """The terms of sum_{k=1..need} c_k D^k in D = d/dx_var, the series
+    without its unit, on the integer terms in part (packed keys), times the
+    scale of the pairs (``_scaled``): k outermost, each D^k x^a by the
     falling factorial a!/(a-k)!.  ``apply`` and ``autgroup.act`` run on it."""
-    shift = _W * (series.var - 1)
-    for k in range(1, need + 1):
-        c = series.coeffs.get(k)
-        if c:
-            ck = c.numerator * (scale // c.denominator)
-            step = k << shift
-            for key, num in part.items():
-                a = key >> shift & _FIELD
-                if a >= k:
-                    yield key - step, num * ck * math.perm(a, k)
+    shift = _W * (var - 1)
+    for k, ck in pairs:
+        if k > need:
+            break
+        step = k << shift
+        for key, num in part.items():
+            a = key >> shift & _FIELD
+            if a >= k:
+                yield key - step, num * ck * math.perm(a, k)
 
 
 def factor_shift(f: OpSeries, order: int | None = None) -> tuple[Fraction, OpSeries]:

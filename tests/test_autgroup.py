@@ -380,6 +380,57 @@ class TestAction:
             else:
                 assert frame == g.tau.compose(tt)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_an_identity_frame_acts_without_conjugation(self, n, monkeypatch):
+        """Only the series act: the constants keep None for the frame, and
+        the result is that of the series steps alone."""
+        g = gn(n, f=OpSeries("F", n - 1, None, {1: Fraction(1, 2), 3: 2}),
+               e=[OpSeries("E", k + 1, None, {2: Fraction(-1, 3)})
+                  for k in range(n - 2)])
+        monkeypatch.setattr("triderive.autgroup._conjugate", None)
+        for u in standard_generators(n, 4):
+            coeffs = _apply_feeds(g.e, _apply_unit_series(
+                g.f, u.coefficient_polys()))
+            assert act(g, u) == LieElem.from_coefficients(coeffs)
+        assert g._act[0] is None
+
+    @pytest.mark.parametrize("order", [None, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constants_give_the_poly_route(self, seed, order):
+        """Exact series and series stored through 3, whose coefficients past
+        a derivation's degree enter the one scale, act as the Poly route
+        does, errors included, on every call after the constants exist."""
+        rng = random.Random(f"act-constants:{seed}")
+        n = 2 + seed % 3
+        g = rand_gn(rng, n, rng.choice("AB"))
+        if order is not None:
+            g = GnElem(n, g.form, g.t, g.tau, g.s, g.f.truncate(order),
+                       [series.truncate(order) for series in g.e])
+        assert g._act is None
+        probes = [LieElem.from_coefficients(
+            [rand_poly(rng, n, 5, 3, i) for i in range(n)]) for _ in range(6)]
+        for u in probes + probes:
+            assert outcome(act, g, u) == outcome(act_by_poly_route, g, u)
+        frame, scale, pairs = g._act
+        assert frame is (None if g._frame.is_identity() else g._frame)
+        assert scale == math.lcm(*(c.denominator for series in (g.f, *g.e)
+                                   for c in series.coeffs.values()))
+        assert pairs == [[(k, int(c * scale)) for k, c in
+                          sorted(series.coeffs.items())]
+                         for series in (g.f, *g.e)]
+
+    def test_truncation_reports_the_same_degrees_after_the_constants(self):
+        g = gn(3, f=OpSeries("F", 2, 2, {1: 1, 2: Fraction(1, 3)}),
+               e=[OpSeries("E", 1, 2, {2: Fraction(1, 2)})])
+        short, long = parse_lie("x2^2*d3", 3), parse_lie("x1^4*d2", 3)
+        for _ in range(2):
+            assert act(g, short) == act_by_poly_route(g, short)
+            with pytest.raises(TruncationError) as info:
+                act(g, long)
+            assert (info.value.required, info.value.available) == (4, 2)
+            assert str(info.value) == ("need series coefficients through "
+                                       "degree 4, stored through 2")
+
     def test_respects_brackets(self):
         g = gn(3, t=[2, 1, 3], tau=TriAut([Poly.zero(3), x(1) ** 2, x(1) * x(2)]),
                s=[Fraction(1, 2)], f=OpSeries("F", 2, None, {2: 1}),
@@ -526,6 +577,19 @@ class TestDecompose:
         assert h._frame is not None and h._frame_map() is h._frame
         assert h._frame == TriAut.torus(h.t).compose(h.tau).compose(
             TriAut.shift(h.s + (0, 0)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_acts_through_the_frame_it_assigned(self, n, data):
+        """The constants of act are built on its first call, which comes
+        after decompose assigns the recovered frame map, so they hold that
+        map (None when it is the identity)."""
+        g = data.draw(gn_elems(n, "A"))
+        h = decompose(AutoAction.from_gnelem(g), order=3)
+        assert h._act[0] is (None if h._frame.is_identity() else h._frame)
+        for u in standard_generators(n, 3):
+            assert act(h, u) == act(g, u)
 
     @pytest.mark.parametrize("g", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
     def test_round_trip_pinned(self, g):

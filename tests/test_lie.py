@@ -1,6 +1,7 @@
 """The Lie algebra of triangular derivations: bracket, degrees, center."""
 
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 
 from conftest import (assert_lowest_terms, bracket_by_fractions, frac_add,
                       lie_elems, polys, rationals)
-from triderive import (DegreeCapError, DomainError, LieElem, OrdinalCNF,
-                       Poly, bracket, center_solve, exp_ad_apply,
+from triderive import (DegreeCapError, DomainError, InternalError, LieElem,
+                       OrdinalCNF, Poly, bracket, center_solve,
+                       conjugate_derivation, exp_ad_apply, exp_map,
                        ideal_membership, leading_term, ord_compare,
                        ord_of_element)
+from triderive import lie
 from triderive.dsl import parse_lie
 from triderive.lie import (_join, _new, _nullspace, basis_compare, format_lie,
                            iter_basis_keys, standard_generators)
@@ -308,6 +311,68 @@ class TestExpAd:
         v = data.draw(lie_elems(n, max_degree=4, max_terms=3))
         assert ad_length(u, v) <= weight_bound(u, v)
         assert exp_ad_apply(-u, exp_ad_apply(u, v)) == v
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @given(data=st.data())
+    def test_matches_every_oracle_at_the_workload_shape(self, n, data):
+        """On operands of the lie-algebra workload's shape: the Fraction
+        series, conjugation by exp(u), lowest terms, and the numerators
+        in the order and over the denominator of a running sum."""
+        u = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        v = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        got = exp_ad_apply(u, v)
+        assert got.terms == exp_ad_by_fractions(u.terms, v.terms)
+        assert got == conjugate_derivation(exp_map(u), v)
+        assert_lowest_terms(got)
+        want = exp_ad_by_running_sums(u, v)
+        assert list(got._nums.items()) == list(want._nums.items())
+        assert got._den == want._den
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @given(data=st.data())
+    def test_the_weight_loop_gives_the_weight_bound(self, n, data):
+        """Each key weighs sum_j a_j w_j, and with a bracket that never
+        vanishes the series gives up after exactly weight_bound brackets."""
+        u = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        v = data.draw(lie_elems(n, max_degree=4, max_terms=3))
+        w = data.draw(st.lists(st.integers(1, 99), min_size=n, max_size=n))
+        for key in [*u._nums, *v._nums]:
+            alpha, _ = u._unkey(key)
+            assert lie._weigh(key, w) == sum(a * x for a, x in zip(alpha, w))
+        bound = weight_bound(u, v) if v else 0
+        calls = []
+
+        def never_zero(u, nums):
+            calls.append(nums)
+            assert len(calls) <= bound, "the guard let the series run on"
+            return nums
+
+        with mock.patch.object(lie, "_ad", never_zero):
+            if v:
+                with pytest.raises(InternalError):
+                    exp_ad_apply(u, v)
+            else:
+                assert exp_ad_apply(u, v) == v
+        assert len(calls) == bound
+
+    def test_the_termination_guard_is_wired(self, monkeypatch):
+        """Weights read too low give a bound the 26-bracket pair passes."""
+        u = parse_lie("-d1 + 1/3*x1^5*d2 - 3/2*x1*x2^4*d3", 4)
+        v = parse_lie("-4/3*d1 + 3*d3", 4)
+        monkeypatch.setattr(lie, "_weigh", lambda key, w: 0)
+        with pytest.raises(InternalError, match="failed to terminate"):
+            exp_ad_apply(u, v)
+
+
+def exp_ad_by_running_sums(u: LieElem, v: LieElem) -> LieElem:
+    """sum_k (ad u)^k v / k! as a running sum of reduced LieElem terms."""
+    out = term = v
+    k = 0
+    while term:
+        k += 1
+        term = bracket(u, term).scale(Fraction(1, k))
+        out = out + term
+    return out
 
 
 def ad_length(u: LieElem, v: LieElem) -> int:
