@@ -210,7 +210,7 @@ def act(g: GnElem, u: LieElem) -> LieElem:
         top = parts[-1]
         # Each feed is summed apart, then into the sum of the feeds, then
         # into p_n, as Poly sums would: the order of the terms of p_n
-        # decides which term a degree-cap error names.
+        # decides which term the frame's substitution refuses first.
         feeds: dict[int, int] = {}
         for series, j, part, need in live:
             terms = _derivative_terms(series.var, pairs[j], need, part)

@@ -17,7 +17,7 @@ class DomainError(TriderivError):
 
 
 class DegreeCapError(DomainError):
-    """A polynomial operation would exceed the configured degree cap."""
+    """A term would pass total degree 65534, the packed key's limit."""
 
     def __init__(self, message: str, degree: int | None = None,
                  cap: int | None = None):

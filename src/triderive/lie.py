@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
 from .poly import (_FIELD, _MAX_DEGREE, _W, Poly, RatLike, _add_terms,
-                   _check_cap, _check_limit, _format_terms, _IntLayout,
+                   _check_limit, _format_terms, _IntLayout,
                    _lowest, _mul_into, _new as _new_poly, _over_lcm, _pack,
                    _unpack, format_monomial, iter_exponents, rat)
 
@@ -176,7 +176,7 @@ class LieElem(_IntLayout):
         """Apply the derivation sum p_i d/dx_i to a polynomial."""
         if p.nvars != self.n:
             raise DomainError("polynomial must live in the rank-n ring")
-        return _derive(self._den, self._parts(), p)
+        return _derive(self._den, _operator(self._parts()), p)
 
     def __str__(self) -> str:
         return format_lie(self)
@@ -222,24 +222,32 @@ def _split(polys: Sequence[Poly]) -> tuple[int, list[dict[int, int]]]:
                  for p in polys]
 
 
-def _derive(den: int, parts: Sequence[dict[int, int]], p: Poly) -> Poly:
-    """Apply sum p_i d/dx_i to p, the numerators of p_1, p_2, ... over den
-    given as ``_split`` gives them (indices past the parts are zero).  The
-    products go over den * p._den into one dict and end with one gcd, as
-    in ``bracket``.  Each index is first checked against the degree cap
-    as the product p_i * dp/dx_i: deg p_i + deg dp/dx_i."""
+def _operator(parts: Sequence[dict[int, int]]
+              ) -> list[tuple[int, dict[int, int], int]]:
+    """The numerators of p_1, p_2, ..., as ``_split`` or
+    ``LieElem._parts`` gives them, in the form ``_derive`` takes: a triple
+    (k, numerators of p_{k+1}, deg p_{k+1}) per nonzero p_{k+1}, so that
+    the degrees are taken once for every polynomial derived."""
+    return [(k, part, max(map(_FIELD.__rmod__, part)))
+            for k, part in enumerate(parts) if part]
+
+
+def _derive(den: int, operator: Sequence[tuple[int, dict[int, int], int]],
+            p: Poly) -> Poly:
+    """Apply sum p_i d/dx_i to p, the numerators of the p_i over den given
+    as ``_operator`` gives them.  The products go over den * p._den into
+    one dict and end with one gcd, as in ``bracket``.  Each index is first
+    checked against the degree limit as the product p_i * dp/dx_i:
+    deg p_i + deg dp/dx_i."""
     acc: dict[int, int] = {}
-    for k, part in enumerate(parts):
-        if not part:
-            continue
+    for k, part, deg in operator:
         # d/dx_{k+1}: lowering one exponent is injective, so no terms meet
         shift = _W * k
         one = 1 << shift
         dp = [(e - one, c * a) for e, c in p._nums.items()
               if (a := e >> shift & _FIELD)]
         if dp:
-            _check_cap(max(map(_FIELD.__rmod__, part))
-                       + max(e % _FIELD for e, _ in dp), "product")
+            _check_limit(deg + max(e % _FIELD for e, _ in dp), "product")
             _mul_into(acc, part.items(), dp)
     return _new_poly(p.nvars, *_lowest(den * p._den,
                                        {e: c for e, c in acc.items() if c}))

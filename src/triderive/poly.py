@@ -37,9 +37,6 @@ triangular automorphism holds one such set for its lifetime, so
 repeated substitutions by the same map compute each power once.  The
 substitution kernel, ``_substitute_ints``, also serves conjugation,
 which substitutes integer coefficients without building polynomials.
-
-Total degrees are guarded by a module-level cap so that runaway growth in
-composed substitutions fails loudly instead of consuming the machine.
 """
 
 from __future__ import annotations
@@ -57,9 +54,6 @@ _K = TypeVar("_K")
 _N = TypeVar("_N", int, Fraction)
 _L = TypeVar("_L", bound="_IntLayout")
 
-# Maximum total degree any operation may produce.  Reassign to loosen or
-# tighten; operations check bounds before doing the expensive work.
-DEGREE_CAP = 64
 # Series truncation order when the inputs give none (autgroup, CLI).
 DEFAULT_ORDER = 16
 
@@ -101,19 +95,12 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_cap(degree: int, context: str) -> None:
-    """Refuse a degree over DEGREE_CAP, or over the key limit if smaller."""
-    if degree > DEGREE_CAP or degree > _MAX_DEGREE:
-        _check_limit(degree, context, min(DEGREE_CAP, _MAX_DEGREE))
-
-
-def _check_limit(degree: int, context: str, cap: int = _MAX_DEGREE) -> None:
-    """Refuse a degree over the cap, by default the key limit: the check of
-    construction and brackets, which the degree cap does not bound."""
-    if degree > cap:
-        raise DegreeCapError(
-            f"{context} would reach total degree {degree}, over the cap {cap}",
-            degree, cap)
+def _check_limit(degree: int, context: str) -> None:
+    """Refuse a degree over the key limit, the one bound on degrees: every
+    operation checks it before it forms keys."""
+    if degree > _MAX_DEGREE:
+        raise DegreeCapError(f"{context} would reach total degree {degree}, "
+                             f"over the cap {_MAX_DEGREE}", degree, _MAX_DEGREE)
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -386,7 +373,7 @@ class Poly(_IntLayout):
         if not self._nums or not other._nums:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
-        _check_cap(self.total_degree() + other.total_degree(), "product")
+        _check_limit(self.total_degree() + other.total_degree(), "product")
         return _new(self.nvars, *_lowest(
             self._den * other._den,
             _mul_ints(self._nums.items(), other._nums.items())))
@@ -397,7 +384,7 @@ class Poly(_IntLayout):
         if exponent == 0:
             return Poly.const(self.nvars, 1)
         if self._nums:
-            _check_cap(self.total_degree() * exponent, "power")
+            _check_limit(self.total_degree() * exponent, "power")
         out: Poly | None = None
         base = self
         e = exponent
@@ -491,7 +478,7 @@ def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
                      ) -> tuple[int, dict[int, int]]:
     """The integer terms (key, numerator) evaluated at x_i :=
     images[i-1]: (common, acc) with the value acc / common, not in lowest
-    terms.  Every term is checked against the cap before any product is
+    terms.  Every term is checked against the limit before any product is
     formed; the terms are put over the lcm of the denominators of the
     image powers they need.  Each term takes one of three routes, read
     off its packed key: key 0 is the unit; a power x_i^e of one variable,
@@ -499,7 +486,7 @@ def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
     images[i-1] ** e, with no unpacking; any other term unpacks its fields
     up to its top variable, and the second pass multiplies their powers."""
     degs = images.degs
-    # First pass: check every term against the cap, and collect the
+    # First pass: check every term against the limit, and collect the
     # denominators of the image powers to put them over one.
     plan = []
     dens = []
@@ -510,12 +497,12 @@ def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
             top = (key.bit_length() - 1) // _W
             e = key >> _W * top
             if key == e << _W * top:
-                _check_cap(e * degs[top], "substitution")
+                _check_limit(e * degs[top], "substitution")
                 power = images.power(top, e)
                 den, first = power._den, power._nums.items()
             else:
                 exps = _unpack(key, top + 1)
-                _check_cap(sum(map(mul, exps, degs)), "substitution")
+                _check_limit(sum(map(mul, exps, degs)), "substitution")
                 factors = []
                 for i, e in enumerate(exps):
                     if e:
@@ -546,9 +533,9 @@ class _Images(tuple):
     """Substitution images, with what Poly.substitute derives from them.
 
     Holds each image's total degree and, computed on demand, the powers
-    of the images.  The cap check in substitute bounds every requested
-    exponent of an image of positive degree by DEGREE_CAP, and so the
-    number of powers kept per image.
+    of the images.  The limit check in substitute bounds every requested
+    exponent of an image of positive degree by the key limit
+    ``_MAX_DEGREE``, and so the number of powers kept per image.
     """
 
     def __new__(cls, images: Iterable[Poly]) -> _Images:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _derive, _join, _split, _tag, bracket
-from .poly import (_FIELD, _W, Poly, RatLike, _check_cap, _Images, _Keyed,
+from .lie import LieElem, _derive, _join, _operator, _split, _tag, bracket
+from .poly import (_FIELD, _W, Poly, RatLike, _check_limit, _Images, _Keyed,
                    _lowest, _mul_into, _new, rat, rat_str, _substitute_ints)
 
 
@@ -225,11 +225,11 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
     denominator and with zeros left in.
 
     Each nonzero p_i is substituted through sigma's images, checked
-    against the cap term by term, and then each product M[j][i] sigma(p_i)
-    with j > i is checked, in that order, before the next index; sigma's
-    cache gives column i of M with the degree of each entry.  The
-    products go straight into one dict per index j, over one denominator,
-    through ``poly._mul_into``.
+    against the degree limit term by term, and then each product
+    M[j][i] sigma(p_i) with j > i is checked, in that order, before the
+    next index; sigma's cache gives column i of M with the degree of each
+    entry.  The products go straight into one dict per index j, over one
+    denominator, through ``poly._mul_into``.
     """
     images = sigma.images()
     jac = sigma._inverse_jacobian()
@@ -240,7 +240,7 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
         common, image = _substitute_ints(images, part.items())
         deg = max(map(_FIELD.__rmod__, image))
         for _, _, mdeg in column[1:]:
-            _check_cap(mdeg + deg, "product")
+            _check_limit(mdeg + deg, "product")
         columns.append((common, image.items(), column))
     lcm = math.lcm(*(common * m._den
                      for common, _, column in columns for _, m, _ in column))
@@ -260,7 +260,7 @@ def exp_map(delta: LieElem) -> TriAut:
     polynomials.  Term k is delta of term k-1 over k times delta's den.
     """
     n = delta.n
-    den, parts = delta._den, delta._parts()
+    den, parts = delta._den, _operator(delta._parts())
     images = []
     for i in range(1, n + 1):
         term = acc = Poly.var(n, i)
@@ -303,6 +303,7 @@ def log_map(sigma: TriAut) -> LieElem:
     coeffs: list[Poly] = []
     for a in sigma.a:
         den, parts = _split(coeffs)
+        parts = _operator(parts)
         b = term = a
         k = 0
         while term:
@@ -376,7 +377,7 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
 
     # x_i' = phi_{i-1} ... phi_1 (x_i / mu_i), where phi_m resums with the
     # m-th frame: phi_m(p) = sum_k (-x_m')^k * frames[m]^k(p) / k!.
-    splits = [(f._den, f._parts()) for f in frames]
+    splits = [(f._den, _operator(f._parts())) for f in frames]
     images: list[Poly] = []
     for i in range(1, n + 1):
         p = Poly.var(n, i).scale(1 / mus[i - 1])

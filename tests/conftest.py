@@ -1,7 +1,6 @@
 """Shared hypothesis profile, value strategies and seeded generators for
 the test suite."""
 
-import contextlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, Phase, settings
 
 from triderive import (GnElem, LieElem, OpSeries, OrdinalCNF, Poly, TriAut,
-                       TriderivError, poly)
+                       TriderivError)
+from triderive.poly import _MAX_DEGREE
 
 # The explain phase would rerun a failing draw for minutes.
 settings.register_profile(
@@ -146,6 +146,22 @@ def rand_triaut(rng: random.Random, n: int, max_total: int = 2) -> TriAut:
     return TriAut(parts, lams)
 
 
+def bomb(rng: random.Random, sigma: TriAut, i: int) -> Poly:
+    """One term in x1..x_i, for the coefficient of d_{i+1}, that
+    substitution through sigma's images refuses before it forms any
+    product: x_k^e, with e * deg sigma(x_k) just past the key limit.  Zero
+    when no image of x1..x_i has degree 2 or more."""
+    degs = sigma.images().degs
+    ks = [k for k in range(i) if degs[k] >= 2]
+    if not ks:
+        return Poly.zero(sigma.n)
+    k = rng.choice(ks)
+    exps = [0] * sigma.n
+    exps[k] = _MAX_DEGREE // degs[k] + rng.randint(1, 3)
+    return Poly.monomial(sigma.n, exps, Fraction(rng.choice([-2, 1, 3]),
+                                                 rng.randint(1, 3)))
+
+
 def sympy_terms(expr, symbols) -> dict:
     """Exponent tuple -> Fraction map of a sympy expression, expanded."""
     import sympy
@@ -225,17 +241,6 @@ def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
         for j, m, _ in jac[i - 1][1:]:
             out[j - 1] = out[j - 1] + m * image
     return out
-
-
-@contextlib.contextmanager
-def degree_cap(cap: int):
-    """Run the body with the module-level degree cap set to ``cap``."""
-    saved = poly.DEGREE_CAP
-    poly.DEGREE_CAP = cap
-    try:
-        yield
-    finally:
-        poly.DEGREE_CAP = saved
 
 
 def outcome(fn, *args):

@@ -109,7 +109,7 @@ class TestCommands:
         assert expected == (0, derivation + "\n", "")
         assert run(capsys, *options, "act", "[0, x1]", derivation) == expected
 
-    def test_act_and_decompose_under_the_degree_cap(self, capsys):
+    def test_act_and_decompose_of_a_rank4_map(self, capsys):
         # the inverse of this map has higher degree than the map; at the
         # default order, decompose never builds it
         sigma = "[0,x1^2,x1*x2^2,x3^2;2,1,3,1]"
@@ -336,12 +336,19 @@ class TestExitCodes:
         assert "order" in err or "degree" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_degree_cap(self, capsys, fmt):
+    def test_degree_limit(self, capsys, fmt):
+        # The logarithm has degree 73 and 7 terms; exp maps it back.
         code, out, err = run(capsys, "--format", fmt, "log", "[0, x1^9, x2^9]")
+        assert (code, err) == (0, "")
+        delta = json.loads(out)["value"] if fmt == "json" else out.strip()
+        assert delta.count("*d") == 7
+        assert run(capsys, "exp", delta) == (0, "[0, x1^9, x2^9]\n", "")
+        # D^2 x3 for D = x1^40000*d2 is past the key limit 65534.
+        code, out, err = run(capsys, "--format", fmt, "log",
+                             "[0, x1^40000, x2^2]")
         assert code == 2 and out == ""
-        # The answer has degree 73; log_map stops at its delta^7 term.
-        assert err == ("error: product would reach total degree 65, "
-                       "over the cap 64\n")
+        assert err == ("error: product would reach total degree 80000, "
+                       "over the cap 65534\n")
 
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "elem.txt"

@@ -5,7 +5,7 @@ bytes, so a refactor that claims byte-identical outputs is checked by the
 suite itself.
 
 The corpus covers every subcommand in both ``--format``s, truncation
-exits (4), degree-cap exits (2), parse errors (1), and seeded Form A and
+exits (4), degree-limit exits (2), parse errors (1), and seeded Form A and
 Form B elements of ranks 2-4, some exact and some stored through orders
 0-8, among them ``decompose`` asked beyond the stored order.  To rewrite
 it after an intended output change, run
@@ -143,10 +143,12 @@ def corpus_argvs() -> list[list[str]]:
         ["act", '{"n": 2, "form": "A", "t": ["1", "1"], "tau": {"a": ["0", "0"], '
          '"lambda": ["1", "1"]}, "s": [], "f": {"order": 2, "coeffs": {"2": "1"}}, '
          '"e": []}', "x1^5*d2"],
-        # degree cap (2)
+        # high degrees, computed up to the key limit 65534
         ["log", "[0, x1^9, x2^9]"],
         ["--n", "2", "exp", "x1^65*d2"],
         ["conjugate", "[0, x1^9, x2^9]", "x2^8*d3"],
+        # degree limit (2)
+        ["log", "[0, x1^40000, x2^2]"],
         # parse and semantic errors (1)
         ["bracket", "x1^*d2", "d1"],
         ["log", "[0, x1"],

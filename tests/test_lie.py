@@ -92,17 +92,21 @@ class TestDerivationKernel:
         assert_lowest_terms(got)
 
     def test_cap_is_checked_per_index_as_a_product(self):
-        # p has degree 62, so d1 passes (0 + 61), while x1^40*d2 would
-        # reach 40 + 61 = 101 before x1^50*x2^10*d3 (60 + 61) is reached.
-        u = (LieElem.d(3, 1) + LieElem.basis(3, (40,), 2)
-             + LieElem.basis(3, (50, 10), 3))
-        p = Poly.monomial(3, (30, 30, 2))
-        message = "product would reach total degree 101, over the cap 64"
+        # p has degree 60002, so d1 passes (0 + 60001), while x1^6000*d2
+        # would reach 6000 + 60001 = 66001 past the key limit 65534 before
+        # x1^7000*x2^10*d3 (7010 + 60001) is reached.
+        u = (LieElem.d(3, 1) + LieElem.basis(3, (6000,), 2)
+             + LieElem.basis(3, (7000, 10), 3))
+        p = Poly.monomial(3, (30000, 30000, 2))
+        message = "product would reach total degree 66001, over the cap 65534"
         with pytest.raises(DegreeCapError, match=message) as fused:
             u.apply_to(p)
-        assert (fused.value.degree, fused.value.cap) == (101, 64)
+        assert (fused.value.degree, fused.value.cap) == (66001, 65534)
         with pytest.raises(DegreeCapError, match=message):
             apply_by_products(u, p)
+        # at the limit itself, each index computes
+        v = LieElem.d(3, 1) + LieElem.basis(3, (5533,), 2)
+        assert v.apply_to(p) == apply_by_products(v, p)
 
 
 class TestBracket:

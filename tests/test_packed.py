@@ -4,9 +4,9 @@ exponent, so no stored term may pass total degree ``poly._MAX_DEGREE``.
 Values drawn at ranks 2-6 with exponents up to that limit, fields near
 2**15 and 2**16 - 2 included, must round-trip through the public tuple
 keys and compute what Fraction arithmetic on exponent tuples computes.
-The degree cap is lifted for these draws, so that the key limit is the
-bound that is met.  Past the limit, construction, parsing and brackets
-refuse with DegreeCapError, never with a wrapped key."""
+The key limit is the one bound on degrees.  Past it, construction,
+parsing, products, substitutions and brackets refuse with
+DegreeCapError, never with a wrapped key."""
 
 from fractions import Fraction
 from operator import add
@@ -15,8 +15,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from conftest import (bracket_by_fractions, degree_cap, exponent_tuples,
-                      frac_add, outcome, rationals)
+from conftest import (bracket_by_fractions, exponent_tuples, frac_add,
+                      outcome, rationals)
 from triderive import (DegreeCapError, LieElem, Poly, TriAut, bracket,
                        center_solve, conjugate_derivation, poly)
 from triderive.autgroup import _probe
@@ -160,28 +160,39 @@ class TestKernels:
         st.just(n), substituted_terms(n),
         st.lists(st.integers(0, 3).flatmap(lambda d: images_of_degree(n, d)),
                  min_size=n, max_size=n),
-        st.integers(2, 24))))
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, n - 1),
+                           st.integers(1, 3), st.integers(0, n - 1)),
+                 max_size=2))))
     @example((3, [((0, 0, 2), 3), ((0, 0, 0), -1), ((1, 1, 0), 2),
                   ((0, 1, 0), 1)],
               [{(0, 0, 0): 1, (1, 0, 0): Fraction(1, 2)}, {(0, 0, 1): -1},
-               {(2, 0, 0): 1, (0, 1, 1): Fraction(-2, 3)}], 24))
+               {(2, 0, 0): 1, (0, 1, 1): Fraction(-2, 3)}], []))
     @example((2, [((1, 1), 1), ((0, 3), 1), ((3, 0), 1)],
-              [{(1, 1): 1, (0, 0): 2}, {(2, 0): 3}], 8))
+              [{(1, 1): 1, (0, 0): 2}, {(2, 0): 3}],
+              [(2, 0, 1, 1), (1, 1, 3, 1)]))
     def test_substitution_routes(self, drawn):
         """poly._substitute_ints on constants, powers of one variable and
         products of several, by images of degree 0-3 with several terms,
-        computes what Fraction arithmetic on exponent tuples computes;
-        under the cap the refusal names the weighted degree of the first
-        term over it, in the order of the terms."""
-        n, terms, image_terms, cap = drawn
+        computes what Fraction arithmetic on exponent tuples computes.
+        Bomb terms, put at drawn places, are x_j^e, times x_k when k is
+        not j, with e * deg image_j just past the key limit: the refusal
+        names the weighted degree of the first, in the order of the
+        terms, before any product is formed."""
+        n, terms, image_terms, bombs = drawn
         images = [Poly(n, t) for t in image_terms]
         degs = [max(map(sum, t)) for t in image_terms]
+        terms = list(terms)
+        for pos, j, extra, k in bombs:
+            if degs[j] >= 2:
+                exps = [0] * n
+                exps[j] = LIMIT // degs[j] + extra
+                exps[k] += k != j
+                terms.insert(pos, (tuple(exps), 1))
         want: object = {}
         for exps, c in terms:
             degree = sum(e * d for e, d in zip(exps, degs))
-            if degree > cap:
-                want = (DegreeCapError, "substitution would reach total "
-                        f"degree {degree}, over the cap {cap}")
+            if degree > LIMIT:
+                want = over_limit(degree, "substitution")
                 break
             value = {(0,) * n: Fraction(c)}
             for t, e in zip(image_terms, exps):
@@ -196,8 +207,7 @@ class TestKernels:
             return {poly._unpack(k, n): Fraction(c, common)
                     for k, c in acc.items()}
 
-        with degree_cap(cap):
-            assert outcome(substitute) == want
+        assert outcome(substitute) == want
 
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_terms(n), big_terms(n))))
@@ -206,8 +216,7 @@ class TestKernels:
         top = max(map(sum, a), default=0) + max(map(sum, b), default=0)
         want = (over_limit(top, "product") if a and b and top > LIMIT
                 else Poly(n, frac_mul(a, b)))
-        with degree_cap(2 * LIMIT):
-            assert outcome(lambda: Poly(n, a) * Poly(n, b)) == want
+        assert outcome(lambda: Poly(n, a) * Poly(n, b)) == want
 
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_terms(n),
@@ -228,8 +237,7 @@ class TestKernels:
                 if j:
                     out[j - 1] += e
             want = frac_add(want, {tuple(out): coeff})
-        with degree_cap(2 * LIMIT):
-            assert Poly(n, terms).substitute(images) == Poly(n, want)
+        assert Poly(n, terms).substitute(images) == Poly(n, want)
 
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_lie_terms(n),
@@ -243,8 +251,7 @@ class TestKernels:
             for a, lam in zip(alpha, lams):
                 c *= Fraction(lam) ** a
             want[(alpha, i)] = c / lams[i - 1]
-        with degree_cap(2 * LIMIT):
-            got = conjugate_derivation(TriAut.torus(lams), LieElem(n, terms))
+        got = conjugate_derivation(TriAut.torus(lams), LieElem(n, terms))
         assert got == LieElem(n, want)
 
     @given(ranks.flatmap(lambda n: st.tuples(
@@ -267,8 +274,7 @@ class TestKernels:
                 want = frac_add(want, frac_mul(part, dq))
         if isinstance(want, dict):
             want = Poly(n, want)
-        with degree_cap(2 * LIMIT):
-            assert outcome(LieElem(n, terms).apply_to, Poly(n, q)) == want
+        assert outcome(LieElem(n, terms).apply_to, Poly(n, q)) == want
 
     @given(ranks.flatmap(lambda n: st.tuples(
         st.just(n), big_lie_terms(n), big_lie_terms(n))))

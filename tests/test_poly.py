@@ -98,19 +98,32 @@ class TestArithmetic:
 
 
 class TestDegreeCap:
+    """The one degree bound is the packed key's limit, 65534: products,
+    powers and substitutions reach it and are refused one past it, before
+    any product is formed."""
+
     def test_product_over_cap(self):
-        p = Poly.monomial(1, (40,))
-        with pytest.raises(DegreeCapError):
-            p * p
+        p = Poly.monomial(1, (32767,))
+        assert p * p == Poly.monomial(1, (65534,))
+        with pytest.raises(DegreeCapError, match="product would reach total "
+                           "degree 65535, over the cap 65534") as refused:
+            p * Poly.monomial(1, (32768,))
+        assert (refused.value.degree, refused.value.cap) == (65535, 65534)
 
     def test_power_over_cap(self):
-        with pytest.raises(DegreeCapError):
-            Poly.var(1, 1) ** 65
+        assert len(((x(1, 1) + Poly.const(1, 1)) ** 65).terms) == 66
+        assert x(1, 1) ** 65534 == Poly.monomial(1, (65534,))
+        with pytest.raises(DegreeCapError, match="power would reach total "
+                           "degree 65535, over the cap 65534"):
+            x(1, 1) ** 65535
 
     def test_substitution_over_cap(self):
-        p = Poly.monomial(1, (30,))
-        with pytest.raises(DegreeCapError):
-            p.substitute([Poly.monomial(1, (3,))])
+        cube = [Poly.monomial(1, (3,), 2)]
+        assert Poly.monomial(1, (21844,)).substitute(cube) == Poly.monomial(
+            1, (65532,), 2 ** 21844)
+        with pytest.raises(DegreeCapError, match="substitution would reach "
+                           "total degree 65535, over the cap 65534"):
+            Poly.monomial(1, (21845,)).substitute(cube)
 
 
 class TestCalculus:

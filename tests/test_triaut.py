@@ -9,16 +9,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (conjugate_by_polys, degree_cap, lie_elems, outcome,
-                      polys, rand_poly, rand_triaut, rationals, sympy_terms,
+from conftest import (bomb, conjugate_by_polys, lie_elems, outcome, polys,
+                      rand_poly, rand_triaut, rationals, sympy_terms,
                       to_sympy, triangular_auts, unipotent_auts)
-from triderive import (AutoAction, DomainError, InternalError, LieElem, Poly,
-                       TriAut, act, bracket, conjugate_derivation, decompose,
-                       exp_ad_apply, exp_map, log_map, normalize_mod_shn,
-                       reconstruct_from_frames)
+from triderive import (AutoAction, DegreeCapError, DomainError, InternalError,
+                       LieElem, Poly, TriAut, act, bracket,
+                       conjugate_derivation, decompose, exp_ad_apply, exp_map,
+                       log_map, normalize_mod_shn, reconstruct_from_frames)
 from triderive import triaut
 from triderive.dsl import parse_lie, parse_triaut
-from triderive.poly import _check_cap, _pack, _substitute_ints, _unpack
+from triderive.poly import (_MAX_DEGREE, _check_limit, _pack,
+                            _substitute_ints, _unpack)
 from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
 
 
@@ -120,9 +121,9 @@ class TestSubstitutionKernel:
             for i, (lam, a) in enumerate(zip(sigma.lam, sigma.a), start=1))
 
     def test_rank4_action_over_the_cap_is_pinned(self):
-        # Conjugating the probe images by the inverse of this map would go
-        # over the degree cap; decompose reads its coordinates without it,
-        # and acting with the result agrees with conjugation.
+        # Conjugating the probe images by the inverse of this map builds
+        # terms of far higher degree; decompose reads its coordinates
+        # without it, and acting with the result agrees with conjugation.
         sigma = parse_triaut("[0,x1^2,x1*x2^2,x3^2;2,1,3,1]")
         g = decompose(AutoAction.from_triaut(sigma))
         d1 = LieElem.d(4, 1)
@@ -243,7 +244,7 @@ def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
             common, image = _substitute_ints(sigma.images(), part.items())
             deg = max(sum(_unpack(e, n)) for e in image)
             for _, _, mdeg in column[1:]:
-                _check_cap(mdeg + deg, "product")
+                _check_limit(mdeg + deg, "product")
             columns.append((common, image, column))
     lcm = math.lcm(*(common * m._den
                      for common, _, column in columns for _, m, _ in column))
@@ -263,9 +264,10 @@ def frames_and_derivations(draw, affine: bool):
     """(sigma, u) at ranks 2..5, sigma with a torus and shifts.  An affine
     sigma has translation parts of degree <= 1, so every entry of its
     inverse Jacobian is constant.  Otherwise a_2 gains c*x1^2, so column 1
-    holds the entry of degree 1 that d a_2 / d x1 brings."""
+    holds the entry of degree 1 that d a_2 / d x1 brings.  a_1 is often
+    0, so that the image of x1 is one term."""
     n = draw(st.integers(2, 5))
-    parts = [Poly.const(n, draw(rationals()))]
+    parts = [Poly.const(n, draw(st.just(0) | rationals()))]
     for i in range(2, n + 1):
         parts.append(draw(polys(n, 1 if affine or i == 2 else 3,
                                 max_terms=3, max_var=i - 1)))
@@ -278,25 +280,62 @@ def frames_and_derivations(draw, affine: bool):
     return TriAut(parts, lams), draw(lie_elems(n, max_degree=4, max_terms=4))
 
 
+@st.composite
+def with_bombs(draw, sigma: TriAut, u: LieElem) -> LieElem:
+    """u plus a bomb term x_k^e on each of some drawn indices i, with x_k
+    in x1..x_{i-1}.  Where sigma's image of x_k is one term, e is the key
+    limit itself, so that the products of column i pass it when an entry
+    has positive degree; where the image has degree 2 or more, e * deg is
+    just past the limit, so that the substitution refuses.  The index in
+    e keeps two refusals of one variable apart."""
+    images = sigma.images()
+    coeffs = u.coefficient_polys()
+    for i in range(1, sigma.n):
+        ks = [k for k in range(i)
+              if len(images[k].terms) == 1 or images.degs[k] >= 2]
+        if ks and draw(st.booleans()):
+            k = draw(st.sampled_from(ks))
+            exps = [0] * sigma.n
+            exps[k] = (_MAX_DEGREE if len(images[k].terms) == 1
+                       else _MAX_DEGREE // images.degs[k] + i)
+            coeffs[i] = coeffs[i] + Poly.monomial(sigma.n, exps,
+                                                  draw(rationals(nonzero=True)))
+    return LieElem.from_coefficients(coeffs)
+
+
 class TestConjugationKernel:
     """conjugate_derivation goes through the cached inverse Jacobian."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_poly_route_errors_included(self, seed):
-        """Values, and degree-cap errors with their type, text and order
+        """Values, and degree-limit errors with their type, text and order
         (substitution of p_i, then the products of column i, then
-        p_{i+1}), are those of Poly arithmetic; caps from 2 to 20 make
-        cap errors common."""
+        p_{i+1}), are those of Poly arithmetic; a bomb term on about a
+        third of the coefficients makes refusals common."""
         rng = random.Random(f"conjugate-cap:{seed}")
         n = 2 + seed % 4
         for _ in range(30):
             sigma = rand_triaut(rng, n, max_total=3)
-            u = LieElem.from_coefficients(
-                [rand_poly(rng, n, 4, 6, i) for i in range(n)])
-            with degree_cap(rng.randint(2, 20)):
-                assert outcome(conjugate_derivation, sigma, u) == outcome(
-                    lambda: LieElem.from_coefficients(
-                        conjugate_by_polys(sigma, u.coefficient_polys())))
+            coeffs = [rand_poly(rng, n, 4, 6, i) for i in range(n)]
+            for i in range(1, n):
+                if rng.random() < 0.3:
+                    coeffs[i] = coeffs[i] + bomb(rng, sigma, i)
+            u = LieElem.from_coefficients(coeffs)
+            assert outcome(conjugate_derivation, sigma, u) == outcome(
+                lambda: LieElem.from_coefficients(
+                    conjugate_by_polys(sigma, u.coefficient_polys())))
+
+    def test_a_column_is_checked_before_the_next_index(self):
+        """x1 |-> x1 keeps x1^65534 at the limit, and the products of its
+        column, d_2, take it one past, before x2^40000, whose image
+        under x2 |-> x2 + x1^2 has degree 80000, is substituted."""
+        sigma = parse_triaut("[0, x1^2, x2^2]")
+        u = parse_lie(f"x1^{_MAX_DEGREE}*d2 + x2^40000*d3", 3)
+        want = (DegreeCapError, "product would reach total degree 65535, "
+                "over the cap 65534")
+        assert outcome(conjugate_derivation, sigma, u) == want
+        assert outcome(lambda: LieElem.from_coefficients(
+            conjugate_by_polys(sigma, u.coefficient_polys()))) == want
 
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "mixed"])
     @given(data=st.data())
@@ -304,10 +343,12 @@ class TestConjugationKernel:
         """Frames whose inverse Jacobian is all constant, and frames with
         an entry of positive degree too, both through ``poly._mul_into``,
         which adds a constant entry's products under the image's own
-        keys: values, key order and cap errors are those of the kernel
-        that sums exponent tuples for every entry, and values and cap
-        errors those of Poly arithmetic, under caps from 1 to 5."""
+        keys: values, key order and degree-limit errors are those of the
+        kernel that sums exponent tuples for every entry, and values and
+        errors those of Poly arithmetic, with the bomb terms of
+        ``with_bombs`` added."""
         sigma, u = data.draw(frames_and_derivations(affine))
+        u = data.draw(with_bombs(sigma, u))
         degrees = [[mdeg for _, _, mdeg in column]
                    for column in sigma._inverse_jacobian()]
         assert all(column[0] == 0 for column in degrees)
@@ -317,12 +358,11 @@ class TestConjugationKernel:
             den, parts = fn(sigma, u._den, u._parts())
             return den, [list(part.items()) for part in parts]
 
-        with degree_cap(data.draw(st.integers(1, 5))):
-            assert outcome(kernel, triaut._conjugate) == outcome(
-                kernel, conjugate_by_exponent_sums)
-            assert outcome(conjugate_derivation, sigma, u) == outcome(
-                lambda: LieElem.from_coefficients(
-                    conjugate_by_polys(sigma, u.coefficient_polys())))
+        assert outcome(kernel, triaut._conjugate) == outcome(
+            kernel, conjugate_by_exponent_sums)
+        assert outcome(conjugate_derivation, sigma, u) == outcome(
+            lambda: LieElem.from_coefficients(
+                conjugate_by_polys(sigma, u.coefficient_polys())))
 
     def test_rank_mismatch(self):
         with pytest.raises(DomainError, match="mixed ranks: 2 vs 3"):
