@@ -34,9 +34,10 @@ through a power of its image and puts the terms over the lcm of the
 denominators of those powers, so every term lands on the same
 denominator.  The powers are kept by the image set it is given: a
 triangular automorphism holds one such set for its lifetime, so
-repeated substitutions by the same map compute each power once.  The
-substitution kernel, ``_substitute_ints``, also serves conjugation,
-which substitutes integer coefficients without building polynomials.
+repeated substitutions by the same map compute each power once, most
+from the one below by a product with no gcd (see ``_Images``).  The
+kernel ``_substitute_ints`` also serves conjugation, which substitutes
+integer coefficients without building polynomials.
 """
 
 from __future__ import annotations
@@ -373,10 +374,8 @@ class Poly(_IntLayout):
         if not self._nums or not other._nums:
             return Poly(self.nvars)
         # Top-degree product terms cannot cancel, so this bound is exact.
-        _check_limit(self.total_degree() + other.total_degree(), "product")
-        return _new(self.nvars, *_lowest(
-            self._den * other._den,
-            _mul_ints(self._nums.items(), other._nums.items())))
+        return _new(self.nvars, *_lowest(*_product(
+            self, other, self.total_degree() + other.total_degree())))
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
@@ -474,6 +473,13 @@ def _mul_ints(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]
     return {e: c for e, c in _mul_into({}, left, right).items() if c}
 
 
+def _product(p: Poly, q: Poly, degree: int) -> tuple[int, dict[int, int]]:
+    """p * q as (den, nums), not put in lowest terms, once its degree
+    passes the limit check."""
+    _check_limit(degree, "product")
+    return p._den * q._den, _mul_ints(p._nums.items(), q._nums.items())
+
+
 def _substitute_ints(images: _Images, items: Iterable[tuple[int, int]]
                      ) -> tuple[int, dict[int, int]]:
     """The integer terms (key, numerator) evaluated at x_i :=
@@ -535,8 +541,9 @@ class _Images(tuple):
     Holds each image's total degree and, computed on demand, the powers
     of the images.  The limit check in substitute bounds every requested
     exponent of an image of positive degree by the key limit
-    ``_MAX_DEGREE``, and so the number of powers kept per image.
-    """
+    ``_MAX_DEGREE``, and so the number of powers kept per image.  A power
+    from the one below needs no gcd, as by Gauss's lemma a power of a
+    polynomial in lowest terms is, and its limit check is e * degree."""
 
     def __new__(cls, images: Iterable[Poly]) -> _Images:
         self = super().__new__(cls, images)
@@ -556,7 +563,8 @@ class _Images(tuple):
         cached = powers.get(e)
         if cached is None:
             below = powers.get(e - 1)
-            cached = self[i] ** e if below is None else below * self[i]
+            cached = self[i] ** e if below is None else _new(
+                self.target, *_product(below, self[i], e * self.degs[i]))
             powers[e] = cached
         return cached
 

@@ -19,8 +19,9 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError
 from .lie import LieElem, _derive, _join, _operator, _split, _tag, bracket
-from .poly import (_FIELD, _W, Poly, RatLike, _check_limit, _Images, _Keyed,
-                   _lowest, _mul_into, _new, rat, rat_str, _substitute_ints)
+from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _check_limit,
+                   _Images, _Keyed, _lowest, _mul_into, _new, _product, rat,
+                   rat_str, _substitute_ints, _sum_ints)
 
 
 class TriAut(_Keyed):
@@ -100,8 +101,9 @@ class TriAut(_Keyed):
         substitutions by this map compute, since the map never changes."""
         cached = self._images
         if cached is None:
-            cached = _Images(Poly.var(self.n, i).scale(lam) + a
-                             for i, (lam, a) in enumerate(zip(self.lam, self.a), start=1))
+            cached = _Images(_new(self.n, *_sum_ints(
+                lam.denominator, {1 << _W * i: lam.numerator}, a._den, a._nums))
+                for i, (lam, a) in enumerate(zip(self.lam, self.a)))
             self._images = cached
         return cached
 
@@ -144,26 +146,27 @@ class TriAut(_Keyed):
         M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j).  Built
         once, by forward substitution in J M = 1 (J = the Jacobian of
         sigma, lower triangular with the lambdas on its diagonal), which
-        needs products but no inversion and no substitution."""
+        needs products but no inversion and no substitution: each entry
+        sums its products on integer numerators over their lcm, each
+        product checked against the limit first, by ascending i, then k."""
         cached = self._jac_inv
         if cached is None:
             n = self.n
-            rows: list[tuple[Poly, ...]] = []
+            cols: list[list[tuple[Poly, int]]] = []  # (M[j][i], its degree)
             for j in range(n):
                 grad = [self.a[j].diff(k + 1) for k in range(j)]
-                row = []
-                for i in range(j):
-                    acc = Poly.zero(n)
-                    for k in range(i, j):
-                        if grad[k] and rows[k][i]:
-                            acc = acc + grad[k] * rows[k][i]
-                    row.append(acc.scale(-1 / self.lam[j]))
-                row.append(Poly.const(n, 1 / self.lam[j]))
-                rows.append(row)
-            cached = tuple(tuple((j, m, m.total_degree())
-                                 for j in range(i, n + 1)
-                                 if (m := rows[j - 1][i - 1]))
-                           for i in range(1, n + 1))
+                f = 1 / self.lam[j]
+                for i, col in enumerate(cols):
+                    prods = [_product(g, m, g.total_degree() + mdeg)
+                             for g, (m, mdeg) in zip(grad[i:], col) if g and m]
+                    den = math.lcm(*(d for d, _ in prods))
+                    m = _new(n, *_lowest(den * f.denominator, _add_terms({}, (
+                        (e, -f.numerator * c * (den // d)) for d, nums in prods
+                        for e, c in nums.items()))))
+                    col.append((m, m.total_degree()))
+                cols.append([(_new(n, f.denominator, {0: f.numerator}), 0)])
+            cached = tuple(tuple((j, m, d) for j, (m, d) in enumerate(col, i) if m)
+                           for i, col in enumerate(cols, 1))
             self._jac_inv = cached
         return cached
 
@@ -227,9 +230,10 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
     Each nonzero p_i is substituted through sigma's images, checked
     against the degree limit term by term, and then each product
     M[j][i] sigma(p_i) with j > i is checked, in that order, before the
-    next index; sigma's cache gives column i of M with the degree of each
-    entry.  The products go straight into one dict per index j, over one
-    denominator, through ``poly._mul_into``.
+    next index, unless column i holds only constants, which cannot take
+    the image past the limit; sigma's cache gives column i of M with the
+    degree of each entry.  The products go straight into one dict per
+    index j, over one denominator, through ``poly._mul_into``.
     """
     images = sigma.images()
     jac = sigma._inverse_jacobian()
@@ -238,9 +242,10 @@ def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
         if not part:
             continue
         common, image = _substitute_ints(images, part.items())
-        deg = max(map(_FIELD.__rmod__, image))
-        for _, _, mdeg in column[1:]:
-            _check_limit(mdeg + deg, "product")
+        if any(mdeg for _, _, mdeg in column[1:]):
+            deg = max(map(_FIELD.__rmod__, image))
+            for _, _, mdeg in column[1:]:
+                _check_limit(mdeg + deg, "product")
         columns.append((common, image.items(), column))
     lcm = math.lcm(*(common * m._den
                      for common, _, column in columns for _, m, _ in column))

@@ -135,11 +135,12 @@ def _random_gn(rng: random.Random, n: int, form: str, order: int | None,
 
 def _apply_by_diff(series: OpSeries, p: Poly) -> Poly:
     """sum_k c_k (d/dx_var)^k on p by repeated Poly.diff, the stored
-    order checked first: the oracle for OpSeries.apply."""
+    order checked first: the oracle for OpSeries.apply.  It stops at the
+    last nonzero coefficient, past which every step would add zero."""
     need = p.degree_in(series.var)
     series._require_order(need)
     out = Poly.zero(p.nvars) if series.kind == "E" else p
-    for k in range(1, need + 1):
+    for k in range(1, min(need, series.support()) + 1):
         p = p.diff(series.var)
         out = out + p.scale(series.coeffs.get(k, 0))
     return out

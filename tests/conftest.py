@@ -243,6 +243,30 @@ def conjugate_by_polys(sigma: TriAut, coeffs: list) -> list:
     return out
 
 
+def inverse_jacobian_by_polys(sigma: TriAut) -> tuple:
+    """Oracle for ``TriAut._inverse_jacobian``: forward substitution in
+    J M = 1 through Poly arithmetic, each entry below the diagonal the
+    sum of its products grad_k * M[k][i] for k = i..j-1, then scaled by
+    -1/lambda_j; the products' degree-limit checks come in the order of
+    j, i, k.  The same columns of (j, M[j][i], degree) out."""
+    n = sigma.n
+    rows: list = []
+    for j in range(n):
+        grad = [sigma.a[j].diff(k + 1) for k in range(j)]
+        row = []
+        for i in range(j):
+            acc = Poly.zero(n)
+            for k in range(i, j):
+                if grad[k] and rows[k][i]:
+                    acc = acc + grad[k] * rows[k][i]
+            row.append(acc.scale(-1 / sigma.lam[j]))
+        row.append(Poly.const(n, 1 / sigma.lam[j]))
+        rows.append(row)
+    return tuple(tuple((j, m, m.total_degree())
+                       for j in range(i, n + 1) if (m := rows[j - 1][i - 1]))
+                 for i in range(1, n + 1))
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the type and text of the error it raised."""
     try:

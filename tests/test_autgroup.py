@@ -307,11 +307,11 @@ class TestAction:
                 g = GnElem(n, form, g.t, g.tau, g.s, g.f.truncate(3),
                            [series.truncate(3) for series in g.e])
             coeffs = [rand_poly(rng, n, 4, 6, i) for i in range(n)]
-            # in x1..x_{i-1}: the series read the top variable x_i, and
-            # the oracle derives as often as its exponent
+            # in x1..x_i, the series' own symbol x_i included: the
+            # oracle derives no further than the series' last coefficient
             for i in range(2, n):
                 if rng.random() < 0.3:
-                    coeffs[i] = coeffs[i] + bomb(rng, g._frame_map(), i - 1)
+                    coeffs[i] = coeffs[i] + bomb(rng, g._frame_map(), i)
             u = LieElem.from_coefficients(coeffs)
             assert outcome(act, g, u) == outcome(act_by_poly_route, g, u)
 

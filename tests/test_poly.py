@@ -8,8 +8,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (assert_lowest_terms, frac_add, polys, rand_poly,
-                      rationals, sympy_terms, to_sympy)
+from conftest import (assert_lowest_terms, frac_add, outcome, polys,
+                      rand_poly, rationals, sympy_terms, to_sympy)
 from triderive import DegreeCapError, DomainError, Poly, rat, rat_str
 from triderive.poly import _Images, format_poly, iter_exponents
 
@@ -191,13 +191,39 @@ class TestSubstitution:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_image_powers_asked_out_of_order(self, seed):
-        # 5 and 4 by squaring, 6 from the kept 5th power, 1 the image
+        """5 and 4 by squaring, 6 and 7 from the power kept below, 1 the
+        image.  Each kept power is image ** e in its denominator and in
+        the order of its keys, so a product from the power below is in
+        lowest terms with no gcd taken."""
         rng = random.Random(f"powers:{seed}")
-        image = rand_poly(rng, 3, 3, 2)
+        image = rand_poly(rng, 3, 4, 3)
         images = _Images([image, Poly.var(3, 2), Poly.var(3, 3)])
-        for e in (5, 4, 6, 1, 6):
-            assert images.power(0, e) == image ** e
-        assert sorted(images._powers[0]) == [1, 4, 5, 6]
+        for e in (5, 4, 6, 1, 6, 7):
+            got, want = images.power(0, e), image ** e
+            assert (got._den, list(got._nums.items())) == \
+                (want._den, list(want._nums.items()))
+            assert_lowest_terms(got)
+        assert sorted(images._powers[0]) == [1, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("terms, e, total", [
+        ({(30000, 0): 1, (0, 1): Fraction(1, 2)}, 3, 90000),
+        ({(1, 1): Fraction(-3, 2)}, 32768, 65536),
+    ])
+    def test_image_powers_past_the_limit(self, terms, e, total):
+        """From the power kept below, power(i, e) refuses with the text of
+        Poly.__mul__, and without it, by squaring, with that of
+        Poly.__pow__; neither keeps anything."""
+        image = Poly(2, terms)
+        images = _Images([image, Poly.var(2, 2)])
+        assert outcome(images.power, 0, e) == outcome(pow, image, e) == (
+            DegreeCapError, f"power would reach total degree {total}, "
+            "over the cap 65534")
+        below = images.power(0, e - 1)
+        assert outcome(images.power, 0, e) == outcome(
+            lambda: below * image) == (
+            DegreeCapError, f"product would reach total degree {total}, "
+            "over the cap 65534")
+        assert sorted(images._powers[0]) == [e - 1]
 
 
 def frac_mul(a: dict, b: dict) -> dict:

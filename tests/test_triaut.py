@@ -9,9 +9,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (bomb, conjugate_by_polys, lie_elems, outcome, polys,
-                      rand_poly, rand_triaut, rationals, sympy_terms,
-                      to_sympy, triangular_auts, unipotent_auts)
+from conftest import (bomb, conjugate_by_polys, inverse_jacobian_by_polys,
+                      lie_elems, outcome, polys, rand_poly, rand_triaut,
+                      rationals, sympy_terms, to_sympy, triangular_auts,
+                      unipotent_auts)
 from triderive import (AutoAction, DegreeCapError, DomainError, InternalError,
                        LieElem, Poly, TriAut, act, bracket,
                        conjugate_derivation, decompose, exp_ad_apply, exp_map,
@@ -259,14 +260,21 @@ def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
     return den * lcm, out
 
 
+def jacobian_entries(build) -> list:
+    """The columns that build() returns as (j, den, numerators in key
+    order, degree) per entry."""
+    return [[(j, m._den, list(m._nums.items()), deg) for j, m, deg in column]
+            for column in build()]
+
+
 @st.composite
-def frames_and_derivations(draw, affine: bool):
-    """(sigma, u) at ranks 2..5, sigma with a torus and shifts.  An affine
+def frames(draw, affine: bool, max_rank: int = 5):
+    """sigma at ranks 2..max_rank, with a torus and shifts.  An affine
     sigma has translation parts of degree <= 1, so every entry of its
     inverse Jacobian is constant.  Otherwise a_2 gains c*x1^2, so column 1
     holds the entry of degree 1 that d a_2 / d x1 brings.  a_1 is often
     0, so that the image of x1 is one term."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_rank))
     parts = [Poly.const(n, draw(st.just(0) | rationals()))]
     for i in range(2, n + 1):
         parts.append(draw(polys(n, 1 if affine or i == 2 else 3,
@@ -277,7 +285,14 @@ def frames_and_derivations(draw, affine: bool):
                                             draw(rationals(nonzero=True)))
     lams = draw(st.lists(rationals(span=3, nonzero=True), min_size=n,
                          max_size=n))
-    return TriAut(parts, lams), draw(lie_elems(n, max_degree=4, max_terms=4))
+    return TriAut(parts, lams)
+
+
+@st.composite
+def frames_and_derivations(draw, affine: bool):
+    """(sigma, u): a frame of ``frames`` at ranks 2..5 and a derivation."""
+    sigma = draw(frames(affine))
+    return sigma, draw(lie_elems(sigma.n, max_degree=4, max_terms=4))
 
 
 @st.composite
@@ -336,6 +351,27 @@ class TestConjugationKernel:
         assert outcome(conjugate_derivation, sigma, u) == want
         assert outcome(lambda: LieElem.from_coefficients(
             conjugate_by_polys(sigma, u.coefficient_polys()))) == want
+
+    @pytest.mark.parametrize("text, want", [
+        # column 2 of M: 1, -1, 1, all constants
+        ("[0, x1, x2, x3]", f"x1^{_MAX_DEGREE}*d2 - x1^{_MAX_DEGREE}*d3"
+                            f" + x1^{_MAX_DEGREE}*d4"),
+        # column 2 of M: 1, -1, 1 - 2*x2
+        ("[0, x1, x2, x3 + x2^2]", (DegreeCapError, "product would reach "
+                                    "total degree 65535, over the cap 65534")),
+    ])
+    def test_a_column_of_constants_reaches_the_limit(self, text, want):
+        """A column whose entries below the diagonal are all constants
+        skips the products' degree checks, which cannot fail, as the
+        substitution held the image to the limit: the image x1^65534
+        comes out at the limit.  One entry of degree 1 in the column,
+        and the products are checked and refused as before."""
+        sigma = parse_triaut(text)
+        u = parse_lie(f"x1^{_MAX_DEGREE}*d2", 4)
+        got = outcome(lambda: str(conjugate_derivation(sigma, u)))
+        assert got == want
+        assert got == outcome(lambda: str(LieElem.from_coefficients(
+            conjugate_by_polys(sigma, u.coefficient_polys()))))
 
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "mixed"])
     @given(data=st.data())
@@ -423,6 +459,56 @@ class TestConjugationKernel:
             assert jac[i - 1] == tuple((j, m, m.total_degree())
                                        for j, m in entries if m)
             assert jac[i - 1][0] == (i, Poly.const(n, 1 / sigma.lam[i - 1]), 0)
+
+    @pytest.mark.parametrize("affine", [True, False], ids=["affine", "mixed"])
+    @given(data=st.data())
+    def test_inverse_jacobian_matches_the_poly_build(self, affine, data):
+        """Every entry of the integer build has the value, denominator,
+        key order and degree of the Poly build, at ranks 2..6.  A mixed
+        frame may add a steep term c*x_{j-1}^e to a_j, e near half the
+        key limit: the product of two such gradients then passes the
+        limit or stays just under it, and both builds refuse the same
+        product with the same text."""
+        sigma = data.draw(frames(affine, max_rank=6))
+        if not affine:
+            parts = list(sigma.a)
+            for j in range(1, sigma.n):
+                if data.draw(st.booleans()):
+                    exps = [0] * sigma.n
+                    exps[j - 1] = data.draw(st.integers(_MAX_DEGREE // 2 - 1,
+                                                        _MAX_DEGREE // 2 + 3))
+                    parts[j] = parts[j] + Poly.monomial(
+                        sigma.n, exps, data.draw(rationals(nonzero=True)))
+            sigma = TriAut(parts, sigma.lam)
+
+        assert outcome(jacobian_entries, sigma._inverse_jacobian) == outcome(
+            jacobian_entries, lambda: inverse_jacobian_by_polys(sigma))
+
+    @pytest.mark.parametrize("text, total", [
+        # M[3][1] = d a_3/d x2 * d a_2/d x1 over the lambdas, of degree
+        # 2 * (32768 - 1): at the limit
+        ("[0, x1^32768, x2^32768]", None),
+        ("[0, x1^32769, x2^32769]", 65536),
+        ("[0, x1^40000, x2^40000]", 79998),
+        # row 4: the product for M[4][1] (32768 + 65534) is refused
+        # before that for M[4][2] (32768 + 32767)
+        ("[0, x1^32768, x2^32768, x3^32769]", 98302),
+        # a key of M[5][1] cancels and comes back among its products
+        ("[0, -x1^2 - x1, -x2, -x1 + x2 + x3, -x3*x4 - x2 - x3]", None),
+    ])
+    def test_inverse_jacobian_pinned(self, text, total):
+        """Frames at and past the limit, and one whose entry sums a key
+        to zero and then meets it again: the integer build gives the
+        entries, key order included, or the refusal of the Poly build."""
+        sigma = parse_triaut(text)
+        got = outcome(jacobian_entries, sigma._inverse_jacobian)
+        assert got == outcome(jacobian_entries,
+                              lambda: inverse_jacobian_by_polys(sigma))
+        if total is not None:
+            assert got == (DegreeCapError, f"product would reach total "
+                           f"degree {total}, over the cap 65534")
+        elif sigma.n == 3:
+            assert got[0][-1][-1] == _MAX_DEGREE
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sympy(self, seed):
