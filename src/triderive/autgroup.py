@@ -113,6 +113,8 @@ class GnElem(_Keyed):
 
     @staticmethod
     def identity(n: int, form: str = "A") -> GnElem:
+        if n < 2:
+            raise DomainError("rank must be at least 2")
         f = OpSeries.one(n - 1, "F" if form == "A" else "FP")
         e = [OpSeries.zero_e(k + 1) for k in range(n - 2)]
         s = [Fraction(0)] * (n - 2) if form == "A" else None

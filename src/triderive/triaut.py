@@ -20,8 +20,8 @@ from typing import Sequence
 from .errors import DomainError, InternalError
 from .lie import LieElem, _derive, _join, _operator, _split, _tag, bracket
 from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _check_limit,
-                   _Images, _Keyed, _lowest, _mul_into, _new, _product, rat,
-                   rat_str, _substitute_ints, _sum_ints)
+                   _Images, _Keyed, _lowest, _mul_into, _new, _over_lcm,
+                   _product, rat, rat_str, _substitute_ints, _sum_ints)
 
 
 class TriAut(_Keyed):
@@ -72,9 +72,9 @@ class TriAut(_Keyed):
     @staticmethod
     def one_shift(n: int, index: int, amount: RatLike) -> TriAut:
         """Translate only x_index by a constant."""
-        parts = [Poly.zero(n) for _ in range(n)]
-        parts[index - 1] = Poly.const(n, amount)
-        return TriAut(parts)
+        if not 1 <= index <= n:
+            raise DomainError(f"variable index {index} out of range 1..{n}")
+        return TriAut.shift([amount if i == index else 0 for i in range(1, n + 1)])
 
     # -- predicates -------------------------------------------------------
 
@@ -140,34 +140,14 @@ class TriAut(_Keyed):
         return inv
 
     def _inverse_jacobian(self) -> tuple[tuple[tuple[int, Poly, int], ...], ...]:
-        """The inverse Jacobian M of this map, by columns: column i holds
-        (j, M[j][i], total degree of M[j][i]) for the j >= i with M[j][i]
-        nonzero, ascending, so it starts with M[i][i] = 1/lambda_i.  Here
-        M[j][i] = sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j).  Built
-        once, by forward substitution in J M = 1 (J = the Jacobian of
-        sigma, lower triangular with the lambdas on its diagonal), which
-        needs products but no inversion and no substitution: each entry
-        sums its products on integer numerators over their lcm, each
-        product checked against the limit first, by ascending i, then k."""
+        """The inverse Jacobian M of this map, by columns, as
+        ``_lower_inverse`` gives them, built once.  Here M[j][i] =
+        sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j), and J M = 1 for
+        J the Jacobian of sigma: the lambdas, with d a_j / d x_i below."""
         cached = self._jac_inv
         if cached is None:
-            n = self.n
-            cols: list[list[tuple[Poly, int]]] = []  # (M[j][i], its degree)
-            for j in range(n):
-                grad = [self.a[j].diff(k + 1) for k in range(j)]
-                f = 1 / self.lam[j]
-                for i, col in enumerate(cols):
-                    prods = [_product(g, m, g.total_degree() + mdeg)
-                             for g, (m, mdeg) in zip(grad[i:], col) if g and m]
-                    den = math.lcm(*(d for d, _ in prods))
-                    m = _new(n, *_lowest(den * f.denominator, _add_terms({}, (
-                        (e, -f.numerator * c * (den // d)) for d, nums in prods
-                        for e, c in nums.items()))))
-                    col.append((m, m.total_degree()))
-                cols.append([(_new(n, f.denominator, {0: f.numerator}), 0)])
-            cached = tuple(tuple((j, m, d) for j, (m, d) in enumerate(col, i) if m)
-                           for i, col in enumerate(cols, 1))
-            self._jac_inv = cached
+            cached = self._jac_inv = _lower_inverse(self.n, self.lam, [
+                [a.diff(k + 1) for k in range(j)] for j, a in enumerate(self.a)])
         return cached
 
     def _fields(self) -> tuple:
@@ -178,6 +158,32 @@ class TriAut(_Keyed):
 
     def __repr__(self) -> str:
         return f"TriAut({format_triaut(self)!r})"
+
+
+def _lower_inverse(n: int, diag: Sequence[Fraction], below: Sequence[Sequence[Poly]]
+                   ) -> tuple[tuple[tuple[int, Poly, int], ...], ...]:
+    """The inverse M of the lower-triangular L with the nonzero diag[j] on
+    its diagonal and L[j][k] = below[j][k] for k < j, by columns: column
+    i holds (j, M[j][i], total degree of M[j][i]) for the j >= i with
+    M[j][i] nonzero, ascending, so it starts with 1/diag[i].  Forward
+    substitution in L M = 1 needs products but no inversion: M[j][i]
+    sums its products L[j][k] M[k][i] on integer numerators over their
+    lcm, with one gcd, each product checked against the limit first, by
+    ascending j, then i, then k."""
+    cols: list[list[tuple[Poly, int]]] = []  # (M[j][i], its degree)
+    for j, row in enumerate(below):
+        f = 1 / diag[j]
+        for i, col in enumerate(cols):
+            prods = [_product(g, m, g.total_degree() + mdeg)
+                     for g, (m, mdeg) in zip(row[i:], col) if g and m]
+            den = math.lcm(*(d for d, _ in prods))
+            m = _new(n, *_lowest(den * f.denominator, _add_terms({}, (
+                (e, -f.numerator * c * (den // d)) for d, nums in prods
+                for e, c in nums.items()))))
+            col.append((m, m.total_degree()))
+        cols.append([(_new(n, f.denominator, {0: f.numerator}), 0)])
+    return tuple(tuple((j, m, d) for j, (m, d) in enumerate(col, i) if m)
+                 for i, col in enumerate(cols, 1))
 
 
 def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
@@ -357,7 +363,12 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
     with mu_i nonzero, and the frames must pairwise commute.  The result
     sigma satisfies sigma d_i sigma^(-1) = frames[i-1]; it is the unique
     such map with no constant terms in its translations, and its scales
-    are the 1/mu_i.
+    are the 1/mu_i.  The d_j coefficient of frame k is M[j][k], for M
+    the inverse Jacobian of sigma, so ``_lower_inverse`` gives sigma's
+    Jacobian J = M^(-1).  A monomial of a_j whose lowest variable is x_i
+    appears, differentiated, in the part of J[j][i] in x_i..x_n only and
+    nowhere else, so a_j sums the x_i-primitives of those parts; each
+    primitive's degree is checked against the limit before its keys.
     """
     n = len(frames)
     if n < 2:
@@ -380,24 +391,19 @@ def reconstruct_from_frames(frames: Sequence[LieElem]) -> TriAut:
             if bracket(frames[i], frames[j]):
                 raise DomainError(f"frames {i + 1} and {j + 1} do not commute")
 
-    # x_i' = phi_{i-1} ... phi_1 (x_i / mu_i), where phi_m resums with the
-    # m-th frame: phi_m(p) = sum_k (-x_m')^k * frames[m]^k(p) / k!.
-    splits = [(f._den, _operator(f._parts())) for f in frames]
-    images: list[Poly] = []
-    for i in range(1, n + 1):
-        p = Poly.var(n, i).scale(1 / mus[i - 1])
-        for m in range(1, i):
-            den, parts = splits[m - 1]
-            minus_xm = -images[m - 1]
-            acc, deriv, factor, k = Poly.zero(n), p, Poly.const(n, 1), 0
-            while deriv:
-                acc = acc + factor * deriv
-                k += 1
-                deriv = _derive(den * k, parts, deriv)
-                factor = factor * minus_xm
-            p = acc
-        images.append(p)
-    return _from_images(n, images)
+    coeffs = [f.coefficient_polys() for f in frames]
+    jac = _lower_inverse(n, mus, [[coeffs[k][j] for k in range(j)]
+                                  for j in range(n)])
+    terms: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for i, column in enumerate(jac):
+        one = 1 << _W * i  # the key of x_{i+1}, whose multiples lack x1..x_i
+        for j, m, _ in column[1:]:
+            low = [(e, c) for e, c in m._nums.items() if not e % one]
+            if low:
+                _check_limit(max(e % _FIELD for e, _ in low) + 1, "primitive")
+                terms[j - 1].update((e + one, Fraction(c, m._den * (
+                    (e // one & _FIELD) + 1))) for e, c in low)
+    return TriAut([_new(n, *_over_lcm(t)) for t in terms], [1 / mu for mu in mus])
 
 
 def format_triaut(sigma: TriAut) -> str:

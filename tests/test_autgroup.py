@@ -192,6 +192,12 @@ class TestGnElem:
         for form in ("A", "B"):
             assert GnElem.identity(3, form).is_identity()
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_identity_checks_the_rank_first(self, n):
+        for form in ("A", "B"):
+            with pytest.raises(DomainError, match="^rank must be at least 2$"):
+                GnElem.identity(n, form)
+
     def test_form_a_requires_ct_tau(self):
         with pytest.raises(DomainError):
             gn(3, tau=TriAut.one_shift(3, 2, 1))

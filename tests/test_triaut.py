@@ -1,5 +1,6 @@
 """Triangular automorphisms: group laws, exp/log, conjugation."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from triderive import (AutoAction, DegreeCapError, DomainError, InternalError,
                        conjugate_derivation, decompose, exp_ad_apply, exp_map,
                        log_map, normalize_mod_shn, reconstruct_from_frames)
 from triderive import triaut
+from triderive.cli import main
 from triderive.dsl import parse_lie, parse_triaut
 from triderive.poly import (_MAX_DEGREE, _check_limit, _pack,
                             _substitute_ints, _unpack)
@@ -42,6 +44,18 @@ class TestConstruction:
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2])
         assert sigma.is_unipotent() and sigma.is_ct()
         assert not TriAut.one_shift(2, 2, 1).is_ct()
+
+    def test_one_shift(self):
+        assert TriAut.one_shift(3, 2, 5) == TriAut(
+            [Poly.zero(3), Poly.const(3, 5), Poly.zero(3)])
+        assert TriAut.one_shift(3, 3, 1).a[-1] == Poly.const(3, 1)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_one_shift_index_out_of_range(self, index):
+        # index 0 once shifted x_n through parts[-1]
+        with pytest.raises(DomainError) as info:
+            TriAut.one_shift(2, index, 1)
+        assert str(info.value) == f"variable index {index} out of range 1..2"
 
     def test_images(self):
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2], [2, 3])
@@ -597,6 +611,47 @@ class TestNormalForms:
                       for i in range(1, n + 1)]
             assert reconstruct_from_frames(frames) == sigma
             assert sigma.lam == tuple(lams)
+
+    @given(data=st.data())
+    def test_reconstruct_round_trip(self, data):
+        """torus . tau, tau with no constant terms and of degree <= 3, at
+        ranks 2..6: the conjugations of d_1..d_n are the columns of the
+        inverse Jacobian, and reconstruct the map."""
+        n = data.draw(st.integers(2, 6))
+        parts = [Poly.zero(n)]
+        for i in range(2, n + 1):
+            p = data.draw(polys(n, 3, max_terms=3, max_var=i - 1))
+            parts.append(p - Poly.const(n, p.constant_term()))
+        lams = data.draw(st.lists(rationals(span=3, nonzero=True),
+                                  min_size=n, max_size=n))
+        sigma = TriAut.torus(lams).compose(TriAut(parts))
+        frames = [conjugate_derivation(sigma, LieElem.d(n, i))
+                  for i in range(1, n + 1)]
+        assert reconstruct_from_frames(frames) == sigma
+        for frame, column in zip(frames, sigma._inverse_jacobian()):
+            coeffs = [Poly.zero(n)] * n
+            for j, m, _ in column:
+                coeffs[j - 1] = m
+            assert LieElem.from_coefficients(coeffs) == frame
+
+    def test_reconstruct_at_the_limit(self, capsys):
+        sigma = parse_triaut(f"[0, x1^{_MAX_DEGREE}]")
+        frames = [conjugate_derivation(sigma, LieElem.d(2, i)) for i in (1, 2)]
+        assert str(frames[0]) == f"d1 - {_MAX_DEGREE}*x1^{_MAX_DEGREE - 1}*d2"
+        assert reconstruct_from_frames(frames) == sigma
+        assert main(["--n", "2", "decompose", str(sigma)]) == 0
+        assert json.loads(capsys.readouterr().out)["tau"]["a"] == [
+            "0", f"x1^{_MAX_DEGREE}"]
+
+    def test_reconstruct_past_the_limit(self, capsys):
+        # the x1-primitive of 65535*x1^65534 would be x1^65535
+        frames = ["d1 - 65535*x1^65534*d2", "d2"]
+        text = "primitive would reach total degree 65535, over the cap 65534"
+        with pytest.raises(DegreeCapError) as info:
+            reconstruct_from_frames([parse_lie(f, 2) for f in frames])
+        assert str(info.value) == text
+        assert main(["reconstruct", *frames]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
 
     def test_format(self):
         sigma = TriAut([Poly.zero(2), Poly.var(2, 1) ** 2], [1, 2])
