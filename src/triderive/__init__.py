@@ -15,7 +15,7 @@ _HOMES = {
             "leading_term", "ord_of_element", "ideal_membership", "center_solve"),
     "triaut": ("TriAut", "conjugate_derivation", "exp_map", "log_map",
                "reconstruct_from_frames", "normalize_mod_shn"),
-    "series": ("OpSeries", "factor_shift"),
+    "series": ("OpSeries",),
     "autgroup": ("GnElem", "AutoAction", "act", "decompose", "convert_form",
                  "multiply_formula", "gn_inverse", "exp_ad_auto"),
     "dsl": ("parse", "print_value", "gnelem_from_json", "gnelem_to_json"),

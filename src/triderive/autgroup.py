@@ -42,8 +42,7 @@ from .lie import (LieElem, _join, _new, _tag, bracket, exp_ad_apply,
                   standard_generators)
 from .poly import (_W, DEFAULT_ORDER, RatLike, _add_terms,
                    _check_limit, _Keyed, _lowest, rat)
-from .series import (OpSeries, _derivative_terms, _min_order, _scaled,
-                     factor_shift)
+from .series import OpSeries, _derivative_terms, _scaled, _shifted, _through
 from .triaut import (TriAut, _conjugate, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
@@ -379,10 +378,10 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
 def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     """Rewrite between Form A and Form B.
 
-    The only information loss possible is truncation when an exponential
-    shift factor meets an exact series, through ``order`` or, when that
-    is None, DEFAULT_ORDER; the result's series orders record exactly
-    what is still known.
+    Form A keeps a shift of x_{n-1} by c in f, as the factor exp(c*D),
+    where Form B keeps it in tau.  For c != 0 moving it leaves an
+    infinite series, kept through the order as ``_shifted`` says; f
+    otherwise moves as stored, and everything else is exact.
     """
     if target not in ("A", "B"):
         raise DomainError(f"unknown form {target!r}")
@@ -391,30 +390,29 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     n = g.n
     tt = TriAut.torus(g.t)
     if target == "B":
-        if g.f.coeffs.get(1) and _min_order(g.f.order, order) is None:
-            order = DEFAULT_ORDER
-        lam1, fp = factor_shift(g.f, order)
+        c = g.f.coeffs.get(1, 0)
         frame = g._frame_map()
-        if lam1:
-            frame = frame.compose(TriAut.one_shift(n, n - 1, lam1))
+        if c:
+            frame = frame.compose(TriAut.one_shift(n, n - 1, c))
         tau_b = normalize_mod_shn(frame.compose(tt.invert()))
-        return GnElem(n, "B", g.t, tau_b, None, fp, g.e)
+        return GnElem(n, "B", g.t, tau_b, None, _shifted(g.f, -c, order, "FP"),
+                      g.e)
 
     unipotent = tt.invert().compose(g.tau).compose(tt)
     tau_a, mu = split_ct_shift(unipotent)
     if mu[n - 1]:
         raise InternalError("normalized element produced a last-coordinate shift")
-    lam1 = mu[n - 2]
-    if lam1:
-        target_order = _min_order(g.f.order, order)
-        if target_order is None:
-            target_order = DEFAULT_ORDER
-        fa = OpSeries.exp_shift(n - 1, lam1, target_order).mul(
-            g.f.truncate(target_order))
-    else:
-        fa = g.f.truncate(order) if order is not None else g.f
-    fa = OpSeries("F", fa.var, fa.order, fa.coeffs)
-    return GnElem(n, "A", g.t, tau_a, tuple(mu[: n - 2]), fa, g.e)
+    return GnElem(n, "A", g.t, tau_a, tuple(mu[: n - 2]),
+                  _shifted(g.f, mu[n - 2], order, "F"), g.e)
+
+
+def _conjugation_element(sigma: TriAut) -> GnElem:
+    """The element that acts as conjugation by sigma, built exactly, in
+    Form B: the element of T^n . UAut_K(P_n)_n with t = lambda, tau =
+    sigma . torus(lambda)^(-1) modulo shifts of x_n, f = 1 and e = 0."""
+    one = GnElem.identity(sigma.n, "B")
+    tau = normalize_mod_shn(sigma.compose(TriAut.torus(sigma.lam).invert()))
+    return GnElem(sigma.n, "B", sigma.lam, tau, None, one.f, one.e)
 
 
 # -- the closed multiplication ------------------------------------------------------
@@ -465,15 +463,14 @@ def multiply_formula(g: GnElem, h: GnElem) -> GnElem:
 def gn_inverse(g: GnElem, order: int | None = None) -> GnElem:
     """Group inverse: in Form B, g = tau . t . e . f with e and f
     commuting, so g^(-1) is the Form B element (f^(-1), -e) times t^(-1)
-    times tau^(-1), joined by the multiplication formula."""
+    times tau^(-1), joined by the multiplication formula.  f^(-1), unless
+    f = 1, is infinite and kept through ``_through``."""
     gb = convert_form(g, "B", order)
     n = gb.n
 
-    inv_order = order if order is not None else gb.f.order
-    if inv_order is None and gb.f.coeffs:
-        inv_order = DEFAULT_ORDER
     one = GnElem.identity(n, "B")
-    out = GnElem(n, "B", one.t, one.tau, None, gb.f.reciprocal(inv_order),
+    f_inv = gb.f.reciprocal(_through(order, gb.f.order))
+    out = GnElem(n, "B", one.t, one.tau, None, f_inv,
                  [series.negate_e() for series in gb.e])
     for t, tau in (([1 / c for c in gb.t], one.tau),
                    (one.t, normalize_mod_shn(gb.tau.invert()))):

@@ -104,24 +104,16 @@ def _operand(text: str, n: int | None):
 
 def _element(text: str, n: int | None, order: int | None):
     """A group element operand as coordinates.  A bracket-notation map
-    sigma acts by conjugation, the element of T^n . UAut_K(P_n)_n with
-    t = lambda, tau = sigma . torus(lambda)^(-1) modulo shifts of x_n,
-    f = 1 and e = 0.  It is built exactly, and given in Form A, as
-    decompose gives it: truncated through the order only when Form A's f
-    takes up a shift of x_{n-1}."""
-    from .autgroup import GnElem, convert_form
+    enters as the element of its conjugation, built exactly, and given in
+    Form A, as decompose gives it: truncated through the order only when
+    Form A's f takes up a shift of x_{n-1}."""
+    from .autgroup import _conjugation_element, convert_form
     from .dsl import parse_gnelem, parse_triaut
-    from .triaut import TriAut, normalize_mod_shn
     text = _resolve(text)
     if text.lstrip().startswith("{"):
         return parse_gnelem(text)
-    sigma = parse_triaut(text, n)
-    if sigma.n < 2:
-        raise DomainError("rank must be at least 2")
-    one = GnElem.identity(sigma.n, "B")
-    tau = normalize_mod_shn(sigma.compose(TriAut.torus(sigma.lam).invert()))
-    return convert_form(GnElem(sigma.n, "B", sigma.lam, tau, None, one.f,
-                               one.e), "A", order)
+    return convert_form(_conjugation_element(parse_triaut(text, n)), "A",
+                        order)
 
 
 def _emit(value: Any, kind: str, fmt: str) -> None:

@@ -28,7 +28,7 @@ from typing import Any, Iterator
 from .errors import DomainError, ParseError, SemanticError
 from .lie import LieElem, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
-from .poly import Poly, _add_terms, format_poly, rat, rat_str
+from .poly import Poly, _add_terms, _check_limit, format_poly, rat, rat_str
 
 
 # -- tokens ----------------------------------------------------------------------
@@ -216,11 +216,14 @@ def parse_poly(text: str, n: int | None = None) -> Poly:
         terms.append((coeff * sgn, exps))
     nvars = n if n is not None else max(
         (max(e) for _, e in terms if e), default=0)
-    out = Poly.zero(nvars)
+    summed: list[tuple[tuple[int, ...], Fraction]] = []
     for coeff, exps in terms:
         tup = tuple(exps.get(i, 0) for i in range(1, nvars + 1))
-        out = out + Poly.monomial(nvars, tup, coeff)
-    return out
+        # every term is refused over the cap, even one that sums to zero
+        _check_limit(sum(tup), "term")
+        if coeff:
+            summed.append((tup, coeff))
+    return Poly(nvars, _add_terms({}, summed))
 
 
 # -- derivations ---------------------------------------------------------------------

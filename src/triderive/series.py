@@ -11,9 +11,10 @@ An OpSeries in the symbol D = d/dx_m stores coefficients for degrees
 unknown, and any query that would need them raises TruncationError
 rather than guessing zero.  ``order=None`` marks an exact series, i.e. a
 polynomial in D whose higher coefficients are genuinely zero.  Products
-and sums propagate the smallest order involved; the one lossy operation
-is splitting off an exponential shift factor, which turns an exact
-series into a truncated one.  A series applies to a polynomial by one
+and sums propagate the smallest order involved.  Only two results are
+infinite, a product with exp(c*D) for c != 0 and the reciprocal of a
+series other than 1; ``_through`` is the one rule for how far such a
+result is kept.  A series applies to a polynomial by one
 kernel of falling factorials over a common denominator; ``verify`` keeps
 the route by repeated derivatives as its oracle.
 """
@@ -25,8 +26,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError, TruncationError
-from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _format_terms,
-                   _Keyed, _lowest, _new, rat)
+from .poly import (_FIELD, _W, DEFAULT_ORDER, Poly, RatLike, _add_terms,
+                   _format_terms, _Keyed, _lowest, _new, rat)
 
 KINDS = ("F", "FP", "E")
 
@@ -201,13 +202,14 @@ class OpSeries(_Keyed):
 
     def reciprocal(self, order: int | None = None) -> OpSeries:
         """Multiplicative inverse of a unit series up to the given order
-        (defaulting to the stored order, which must then be finite)."""
+        (defaulting to the stored order, which must then be finite); 1
+        is returned as stored."""
         if self.kind == "E":
             raise DomainError("only unit series are invertible")
+        if not self.coeffs:
+            return self
         order = order if order is not None else self.order
         if order is None:
-            if not self.coeffs:
-                return self
             raise DomainError("inverting an exact series needs an explicit order")
         if self.order is not None and self.order < order:
             raise TruncationError(
@@ -303,27 +305,22 @@ def _derivative_terms(var: int, pairs: list[tuple[int, int]], need: int,
                 yield key - step, num * ck * math.perm(a, k)
 
 
-def factor_shift(f: OpSeries, order: int | None = None) -> tuple[Fraction, OpSeries]:
-    """Split a unit series as exp(lam * D) * remainder with the remainder
-    lacking a linear term; lam is just the degree-1 coefficient.
+def _through(order: int | None, stored: int | None) -> int:
+    """The order an infinite result is kept through: the caller's order,
+    never past what the series stores, or DEFAULT_ORDER when neither is
+    finite."""
+    through = _min_order(order, stored)
+    return DEFAULT_ORDER if through is None else through
 
-    Splitting an exact series with lam != 0 has to truncate (the
-    exponential has infinite support), which is where ``order`` comes in;
-    it defaults to the stored order and must be finite in that case.
-    """
-    if f.kind == "E":
-        raise DomainError("shift factorization applies to unit series")
-    lam = f.coeffs.get(1, Fraction(0))
-    if not lam:
-        rest = f.truncate(order) if order is not None else f
-        return Fraction(0), OpSeries("FP", f.var, rest.order, rest.coeffs)
-    target = _min_order(f.order, order)
-    if target is None:
-        raise DomainError(
-            "splitting an exact series with a linear term needs a finite order")
-    inv_shift = OpSeries.exp_shift(f.var, -lam, target)
-    rest = inv_shift.mul(f.truncate(target))
-    return lam, OpSeries("FP", rest.var, rest.order, rest.coeffs)
+
+def _shifted(f: OpSeries, c: Fraction, order: int | None,
+             kind: str) -> OpSeries:
+    """exp(c*D) * f as a unit series of the given kind: f as stored when c
+    is 0, else kept through ``_through(order, f.order)``."""
+    if c:
+        through = _through(order, f.order)
+        f = OpSeries.exp_shift(f.var, c, through).mul(f.truncate(through))
+    return OpSeries(kind, f.var, f.order, f.coeffs)
 
 
 def format_series(s: OpSeries) -> str:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (assert_lowest_terms, bomb, conjugate_by_polys,
-                      gn_elems, lie_elems, outcome, rand_poly, rationals)
+                      gn_elems, lie_elems, outcome, rand_poly, rationals,
+                      unit_series)
 from triderive import (AutoAction, DomainError, GnElem, LieElem, OpSeries,
                        Poly, TriAut, TruncationError, act, bracket,
                        conjugate_derivation, convert_form, decompose,
@@ -166,9 +167,9 @@ def inverse_by_pure_factors(g: GnElem, order=None) -> GnElem:
     part."""
     gb = convert_form(g, "B", order)
     n = gb.n
-    inv_order = order if order is not None else gb.f.order
-    if inv_order is None and gb.f.coeffs:
-        inv_order = DEFAULT_ORDER
+    # the caller's order, never past the stored one, else the default
+    inv_order = min((o for o in (order, gb.f.order) if o is not None),
+                    default=DEFAULT_ORDER)
     f_inv = gb.f.reciprocal(inv_order)
     out = gn(n, "B", f=OpSeries("FP", f_inv.var, f_inv.order, f_inv.coeffs))
     out = multiply_formula(out, gn(n, "B", e=[x.negate_e() for x in gb.e]))
@@ -650,6 +651,42 @@ class TestConvertForm:
         back = convert_form(b, "A", order=6)
         assert back.f.agrees_with(g.f, 6)
 
+    # Form A's f is exp(c*D) f_B, and Form B keeps the shift of x_{n-1}
+    # by c in tau: at rank 2 that is the constant term of tau's x1 part.
+
+    def test_pinned_split(self):
+        rest = OpSeries("FP", 1, 6, {2: Fraction(1, 2)})
+        g = gn(2, f=OpSeries.exp_shift(1, 3, 6).mul(rest))
+        b = convert_form(g, "B")
+        assert b.f == rest
+        assert b.tau.a[0] == Poly.const(2, 3)
+        assert convert_form(b, "A") == g
+
+    def test_no_linear_term_means_no_shift(self):
+        # nothing is infinite, so no order cuts f, in either direction
+        g = gn(2, f=OpSeries("F", 1, None, {2: 5}))
+        b = convert_form(g, "B", order=4)
+        assert b.f == OpSeries("FP", 1, None, {2: 5})
+        assert b.tau.is_identity()
+        assert convert_form(b, "A", order=4) == g
+
+    def test_exact_split_with_shift_goes_through_the_order(self):
+        g = gn(2, f=OpSeries("F", 1, None, {1: 1}))
+        assert convert_form(g, "B").f.order == DEFAULT_ORDER
+        b = convert_form(g, "B", order=8)
+        assert b.f.order == 8 and b.tau.a[0] == Poly.const(2, 1)
+        assert OpSeries.exp_shift(1, 1, 8).mul(b.f).agrees_with(g.f, 8)
+        back = convert_form(b, "A")
+        assert back.f.order == 8 and back.agrees_with(g, 8)
+
+    @given(st.integers(-3, 3), unit_series(kind="FP"),
+           st.lists(rationals(span=3, nonzero=True), min_size=2, max_size=2))
+    def test_round_trip(self, shift, rest, t):
+        g = gn(2, t=t, f=OpSeries.exp_shift(1, shift, 6).mul(rest))
+        b = convert_form(g, "B")
+        assert b.f.agrees_with(rest, 6)
+        assert convert_form(b, "A") == g
+
 
 GN_ELEMS = {(n, form, order): gn_elems(n, form, order)
             for n in (2, 3, 4) for form in "AB" for order in (None, 6)}
@@ -685,7 +722,7 @@ class TestGroupOperations:
     def test_product_and_inverse_match_the_oracles(self, n, form, order, data):
         elems = GN_ELEMS[n, form, order]
         g, h = data.draw(elems), data.draw(elems)
-        inv_order = data.draw(st.sampled_from([None, 5]))
+        inv_order = data.draw(st.sampled_from([None, 5, 8]))
         assert outcome(gn_inverse, g, inv_order) == \
             outcome(inverse_by_pure_factors, g, inv_order)
         gb, hb = convert_form(g, "B", 6), convert_form(h, "B", 6)

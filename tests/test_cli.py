@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -421,12 +422,13 @@ def assert_documented(code: int, err: str) -> None:
 
 
 @st.composite
-def elements(draw, n: int) -> str:
-    """A group element operand: JSON coordinates or a bracket map."""
+def elements(draw, n: int, orders=(None, 2, 6)) -> str:
+    """A group element operand: JSON coordinates, their series stored
+    through one of the orders, or a bracket map."""
     if draw(st.booleans()):
         return print_value(draw(triangular_auts(n)))
     form = draw(st.sampled_from("AB"))
-    order = draw(st.sampled_from([None, 2, 6]))
+    order = draw(st.sampled_from(orders))
     return json.dumps(gnelem_to_json(draw(gn_elems(n, form, order))))
 
 
@@ -521,6 +523,77 @@ class TestFuzz:
     @given(malformed_argv())
     def test_json_fields_of_another_type(self, argv):
         assert_documented(*run_quietly(argv))
+
+
+def run_for_json(argv: list[str]) -> dict:
+    """The JSON value that ``main`` prints for argv, which must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return json.loads(out.getvalue())
+
+
+def form_a_shift(operand: str) -> Fraction:
+    """The c by which an operand in Form A shifts x_{n-1}: the linear
+    coefficient of its unit series.  A bracket map enters as the Form A
+    element that decompose reads, so decompose through order 1 reads c."""
+    if not operand.startswith("{"):
+        operand = json.dumps(run_for_json(["--order", "1", "decompose",
+                                           operand]))
+    data = json.loads(operand)
+    if data["form"] == "B":
+        return Fraction(0)
+    return Fraction(data["f"]["coeffs"].get("1", "0"))
+
+
+class TestTruncationRule:
+    """README's rule: on exact operands, an output series is cut only
+    where a Form A operand or result shifts x_{n-1} by c != 0, or inv
+    takes the reciprocal of a unit series other than 1, and then through
+    --order, or 16 without it."""
+
+    SIXTH = {"n": 2, "form": "A", "t": ["1", "1"],
+             "tau": {"a": ["0", "0"], "lambda": ["1", "1"]}, "s": [],
+             "f": {"order": None, "coeffs": {"6": "1"}}, "e": []}
+    STORED_8 = {"n": 2, "form": "B", "t": ["2", "1/3"],
+                "tau": {"a": ["0", "x1"], "lambda": ["1", "1"]},
+                "f": {"order": 8, "coeffs": {"2": "-1/2"}}, "e": []}
+
+    def test_mul_without_a_shift_keeps_an_exact_series(self):
+        one = dict(self.SIXTH, f={"order": None, "coeffs": {}})
+        got = run_for_json(["--order", "4", "mul", json.dumps(self.SIXTH),
+                            json.dumps(one)])
+        assert got["f"] == {"order": None, "coeffs": {"6": "1"}}
+
+    def test_inv_of_unit_series_one_is_exact(self):
+        got = run_for_json(["--order", "4", "inv", "[0, x1^2, x2; 2,1,1]"])
+        assert [s["order"] for s in (got["f"], *got["e"])] == [None, None]
+
+    def test_inv_keeps_a_stored_series_through_its_order(self):
+        got = run_for_json(["--order", "20", "inv",
+                            json.dumps(self.STORED_8)])
+        assert got["f"]["order"] == 8
+        assert got == run_for_json(["inv", json.dumps(self.STORED_8)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exact_operands_are_cut_only_where_the_rule_says(self, data):
+        n = data.draw(st.integers(2, 3))
+        order = data.draw(st.sampled_from([None, 2, 5]))
+        command = data.draw(st.sampled_from(["mul", "inv"]))
+        operands = [data.draw(elements(n, orders=(None,)))
+                    for _ in range(2 if command == "mul" else 1)]
+        options = [] if order is None else ["--order", str(order)]
+        got = run_for_json(options + [command, "--", *operands])
+        cut = any(form_a_shift(x) for x in operands)
+        if command == "inv" and operands[0].startswith("{"):
+            cut = cut or bool(json.loads(operands[0])["f"]["coeffs"])
+        if got["form"] == "A":
+            cut = cut or "1" in got["f"]["coeffs"]
+        assert got["f"]["order"] == ((16 if order is None else order)
+                                     if cut else None)
+        assert all(s["order"] is None for s in got["e"])
 
 
 # A fresh interpreter runs one command and reports the triderive modules

@@ -9,9 +9,9 @@ from hypothesis import given
 
 from conftest import (gn_elems, lie_elems, ordinals, polys, unipotent_auts,
                       unit_series)
-from triderive import (DomainError, GnElem, LieElem, OpSeries, ParseError,
-                       Poly, SemanticError, TriAut, gnelem_from_json,
-                       gnelem_to_json, parse, print_value)
+from triderive import (DegreeCapError, DomainError, GnElem, LieElem,
+                       OpSeries, ParseError, Poly, SemanticError, TriAut,
+                       gnelem_from_json, gnelem_to_json, parse, print_value)
 from triderive.dsl import (parse_gnelem, parse_lie, parse_ordinal, parse_poly,
                            parse_series, parse_triaut)
 from triderive.ordinals import OrdinalCNF
@@ -44,6 +44,19 @@ class TestPolyText:
         for text in ("x1^²", "٣*x1"):
             with pytest.raises(ParseError):
                 parse_poly(text, 1)
+
+    def test_like_terms_sum_and_cancel(self):
+        x1, x2 = Poly.var(2, 1), Poly.var(2, 2)
+        assert parse_poly("x1 - x2^2 + 2*x1 + 1/2 - 3*x1 + x2^2 + x2 - 1/2") \
+            == x2
+        assert parse_poly("x1 + x2 + x1") == x1.scale(2) + x2
+
+    @pytest.mark.parametrize("text", ["x1^70000 - x1^70000", "0*x1^70000",
+                                      "x1 + x1^70000 + x2^70001"])
+    def test_every_term_is_checked_before_the_sum(self, text):
+        with pytest.raises(DegreeCapError, match="^term would reach total "
+                           "degree 70000, over the cap 65534$"):
+            parse_poly(text)
 
     def test_parse_error_span(self):
         with pytest.raises(ParseError) as info:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_lowest_terms, polys, rationals, unit_series
-from triderive import DomainError, OpSeries, Poly, TruncationError, factor_shift
+from triderive import DomainError, OpSeries, Poly, TruncationError
 from triderive.series import KINDS
 from triderive.verify import _apply_by_diff
 
@@ -143,6 +143,14 @@ class TestRingOperations:
         g = f.reciprocal(3)
         assert f.mul(g).is_one()
 
+    @pytest.mark.parametrize("order", [None, 2, 9])
+    @pytest.mark.parametrize("kind", ["F", "FP"])
+    def test_reciprocal_of_one_is_one_as_stored(self, kind, order):
+        # nothing is infinite, so no order cuts or extends it
+        for stored in (None, 4):
+            one = OpSeries.one(1, kind, stored)
+            assert one.reciprocal(order) is one
+
     def test_products_keep_the_smaller_order(self):
         f = OpSeries("F", 1, 3, {1: 1})
         g = OpSeries("F", 1, 5, {1: 1})
@@ -176,32 +184,3 @@ class TestRingOperations:
         f = OpSeries("F", 1, 4, {3: 1})
         assert f.truncate(6).order == 4
         assert f.truncate(2) == OpSeries("F", 1, 2)
-
-
-class TestFactorShift:
-    def test_pinned_split(self):
-        f = OpSeries.exp_shift(1, 3, 6).mul(OpSeries("FP", 1, 6, {2: Fraction(1, 2)}))
-        lam, rest = factor_shift(f)
-        assert lam == 3
-        assert rest == OpSeries("FP", 1, 6, {2: Fraction(1, 2)})
-
-    def test_no_linear_term_means_no_shift(self):
-        f = OpSeries("F", 1, None, {2: 5})
-        lam, rest = factor_shift(f)
-        assert lam == 0
-        assert rest.kind == "FP" and rest.order is None
-
-    def test_exact_split_with_shift_needs_order(self):
-        f = OpSeries("F", 1, None, {1: 1})
-        with pytest.raises(DomainError):
-            factor_shift(f)
-        lam, rest = factor_shift(f, 8)
-        assert lam == 1
-        assert OpSeries.exp_shift(1, lam, 8).mul(rest).agrees_with(f, 8)
-
-    @given(st.integers(-3, 3), unit_series(kind="FP"))
-    def test_round_trip(self, shift, rest):
-        f = OpSeries.exp_shift(1, shift, 6).mul(rest)
-        lam, back = factor_shift(f)
-        assert lam == shift
-        assert back.agrees_with(rest, 6)
