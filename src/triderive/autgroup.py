@@ -378,10 +378,10 @@ def decompose(action: AutoAction, order: int = DEFAULT_ORDER) -> GnElem:
 def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     """Rewrite between Form A and Form B.
 
-    Form A keeps a shift of x_{n-1} by c in f, as the factor exp(c*D),
-    where Form B keeps it in tau.  For c != 0 moving it leaves an
-    infinite series, kept through the order as ``_shifted`` says; f
-    otherwise moves as stored, and everything else is exact.
+    Form A keeps a shift of x_{n-1} by c, f's linear coefficient, in f
+    as the factor exp(c*D), where Form B keeps it in tau.  For c != 0
+    moving it leaves an infinite series, kept through the order as
+    ``_shifted`` says; f otherwise moves as stored, all else is exact.
     """
     if target not in ("A", "B"):
         raise DomainError(f"unknown form {target!r}")
@@ -390,7 +390,7 @@ def convert_form(g: GnElem, target: str, order: int | None = None) -> GnElem:
     n = g.n
     tt = TriAut.torus(g.t)
     if target == "B":
-        c = g.f.coeffs.get(1, 0)
+        c = g.f.coefficient(1)
         frame = g._frame_map()
         if c:
             frame = frame.compose(TriAut.one_shift(n, n - 1, c))

@@ -14,6 +14,14 @@ Parsers report syntax errors (ParseError) and meaning errors such as a
 d2 coefficient using x2 (SemanticError) with byte spans into the input.
 Group elements travel as JSON; rationals inside JSON are "p/q" strings.
 
+Polynomial, derivation and series text is a signed sum of terms, read
+by ``_read_terms`` and checked in one order.  While reading, in text
+order: syntax, a variable over the rank, a derivation term missing its
+d-part.  Then term by term: a derivation's index against the rank, then
+its coefficient ring; a polynomial's or derivation's degree against the
+key limit, even if the term cancels or its coefficient is 0.  Then one
+sum, whose constant term a series checks.
+
 Printing is canonical: descending graded-lex for polynomials, descending
 basis order for derivations, ascending degree for series.  For every
 value, parse(print(v)) == v.
@@ -23,15 +31,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import DomainError, ParseError, SemanticError
-from .lie import LieElem, format_lie
+from .lie import LieElem, _new as _new_lie, _tag, format_lie
 from .ordinals import OrdinalCNF, format_ordinal
-from .poly import Poly, _add_terms, _check_limit, format_poly, rat, rat_str
+from .poly import (Poly, _add_terms, _check_limit, _new as _new_poly,
+                   _over_lcm, _pack, format_poly, rat, rat_str)
 
 
-# -- tokens ----------------------------------------------------------------------
+# -- tokens and terms ------------------------------------------------------------
 
 
 class _Token:
@@ -150,80 +159,79 @@ class _Parser:
         tok = self.expect("int", "an exponent")
         return int(tok.text)
 
-    def signed_terms(self, what: str) -> Iterator[tuple[int, int]]:
-        """Walk ["+"|"-"] term (("+"|"-") term)* to the end of input.
 
-        Yields each term's sign and start offset (that of its sign, if
-        any); the caller parses the term before asking for the next."""
-        tok = self.peek()
-        if tok.kind == "end":
-            raise self.fail(what)
-        while tok.kind != "end":
-            yield self.sign(), tok.start
-            tok = self.peek()
-            if tok.kind not in ("+", "-", "end"):
-                raise self.fail("'+' or '-'")
+def _read_terms(text: str, what: str, max_index: int | None = None,
+                symbol: str = "x"
+                ) -> list[tuple[Fraction, dict[int, int],
+                                tuple[int, _Token] | None, int]]:
+    """Read ["+"|"-"] term (("+"|"-") term)*: each term a product of
+    rationals and variables x1, x2, ... (or with symbol "D" the one D, as
+    index 1), for "a derivation" closed by its d-part "d"INT or a bare
+    zero, which is skipped.  Returns in text order each term's signed
+    coefficient, {index: exp}, d-part (index and token, or None) and
+    start offset, that of its sign if any."""
+    p = _Parser(text)
+    derivation = what == "a derivation"
+    terms = []
+    tok = p.peek()
+    if tok.kind == "end":
+        raise p.fail(what)
+    while tok.kind != "end":
+        coeff = Fraction(p.sign())
+        exps: dict[int, int] = {}
+        d_part = None
+        while True:
+            factor = p.peek()
+            if factor.kind == "int":
+                coeff *= p.rational()
+            elif factor.kind == "name" and factor.text[0] == symbol:
+                if symbol == "D":
+                    if factor.text != "D":
+                        raise p.fail("a factor")
+                    p.next()
+                    index = 1
+                else:
+                    index, name_tok = p.indexed_name("x", "variable")
+                    if max_index is not None and index > max_index:
+                        raise SemanticError(
+                            f"variable x{index} exceeds rank {max_index}",
+                            name_tok.start, name_tok.end)
+                power = p.caret_int() if p.peek().kind == "^" else 1
+                exps[index] = exps.get(index, 0) + power
+            elif derivation and factor.kind == "name" and factor.text[0] == "d":
+                d_part = p.indexed_name("d", "derivation")
+                break
+            else:
+                raise p.fail("a factor")
+            if p.peek().kind != "*":
+                break
+            p.next()
+        if d_part is not None or not derivation:
+            terms.append((coeff, exps, d_part, tok.start))
+        elif coeff or exps:
+            raise ParseError("term is missing its d-part", tok.start,
+                             p.peek().start)
+        tok = p.peek()
+        if tok.kind not in ("+", "-", "end"):
+            raise p.fail("'+' or '-'")
+    return terms
 
 
 # -- polynomials -------------------------------------------------------------------
 
 
-def _parse_monomial(p: _Parser, max_index: int | None, stop_on_d: bool = False,
-                    symbol: str = "x"
-                    ) -> tuple[Fraction, dict[int, int], tuple[int, _Token] | None]:
-    """One product of factors.  Returns (coefficient, {var index: exp},
-    d-part) where the d-part, the index and token of a closing "d"INT,
-    is only hunted when stop_on_d is set.
-    The variables are x1, x2, ..., or with symbol "D" the single D,
-    counted as index 1."""
-    coeff = Fraction(1)
-    exps: dict[int, int] = {}
-    while True:
-        tok = p.peek()
-        if tok.kind == "int":
-            coeff *= p.rational()
-        elif tok.kind == "name" and tok.text[0] == symbol:
-            if symbol == "D":
-                if tok.text != "D":
-                    raise p.fail("a factor")
-                p.next()
-                index = 1
-            else:
-                index, name_tok = p.indexed_name("x", "variable")
-                if max_index is not None and index > max_index:
-                    raise SemanticError(
-                        f"variable x{index} exceeds rank {max_index}",
-                        name_tok.start, name_tok.end)
-            power = 1
-            if p.peek().kind == "^":
-                power = p.caret_int()
-            exps[index] = exps.get(index, 0) + power
-        elif stop_on_d and tok.kind == "name" and tok.text[0] == "d":
-            return coeff, exps, p.indexed_name("d", "derivation")
-        else:
-            raise p.fail("a factor")
-        if p.peek().kind != "*":
-            return coeff, exps, None
-        p.next()
-
-
 def parse_poly(text: str, n: int | None = None) -> Poly:
     """Parse a polynomial; the ring size is n or the largest index seen."""
-    p = _Parser(text)
-    terms: list[tuple[Fraction, dict[int, int]]] = []
-    for sgn, _ in p.signed_terms("a polynomial"):
-        coeff, exps, _ = _parse_monomial(p, n)
-        terms.append((coeff * sgn, exps))
+    terms = _read_terms(text, "a polynomial", n)
     nvars = n if n is not None else max(
-        (max(e) for _, e in terms if e), default=0)
-    summed: list[tuple[tuple[int, ...], Fraction]] = []
-    for coeff, exps in terms:
-        tup = tuple(exps.get(i, 0) for i in range(1, nvars + 1))
-        # every term is refused over the cap, even one that sums to zero
-        _check_limit(sum(tup), "term")
-        if coeff:
-            summed.append((tup, coeff))
-    return Poly(nvars, _add_terms({}, summed))
+        (max(e) for _, e, _, _ in terms if e), default=0)
+    for _, exps, _, _ in terms:
+        _check_limit(sum(exps.values()), "term")
+    keyed = [(_pack([e.get(i, 0) for i in range(1, nvars + 1)]), c)
+             for c, e, _, _ in terms if c]
+    if nvars < 0:
+        raise DomainError("nvars must be nonnegative")
+    return _new_poly(nvars, *_over_lcm(_add_terms({}, keyed)))
 
 
 # -- derivations ---------------------------------------------------------------------
@@ -231,34 +239,22 @@ def parse_poly(text: str, n: int | None = None) -> Poly:
 
 def parse_lie(text: str, n: int | None = None) -> LieElem:
     """Parse a sum of derivation terms like "2*x1^2*d2 - d1"."""
-    p = _Parser(text)
-    raw: list[tuple[Fraction, dict[int, int], int, int, int]] = []
-    max_d = 0
-    max_x = 0
-    for sgn, start in p.signed_terms("a derivation"):
-        coeff, exps, d_part = _parse_monomial(p, n, stop_on_d=True)
-        if d_part is None:
-            if coeff or exps:
-                raise ParseError("term is missing its d-part", start,
-                                 p.peek().start)
-            continue  # a bare zero, as the zero derivation prints
-        index, d_tok = d_part
-        raw.append((coeff * sgn, exps, index, start, d_tok.end))
-        max_d = max(max_d, index)
-        max_x = max(max_x, max(exps, default=0))
-    rank = n if n is not None else max(max_d, max_x + 1, 2)
-    terms: list[tuple[tuple[tuple[int, ...], int], Fraction]] = []
-    for coeff, exps, index, start, end in raw:
+    terms = _read_terms(text, "a derivation", n)
+    rank = n if n is not None else max(
+        [2] + [max(d[0], max(e, default=0) + 1) for _, e, d, _ in terms])
+    for _, exps, (index, d_tok), start in terms:
         if index > rank:
-            raise SemanticError(f"d{index} exceeds rank {rank}", start, end)
+            raise SemanticError(f"d{index} exceeds rank {rank}", start, d_tok.end)
         if exps and max(exps) >= index:
             reason = ("coefficient of d1 must be constant" if index == 1 else
                       f"coefficient of d{index} may only use x1..x{index - 1}")
-            raise SemanticError(reason, start, end)
-        if coeff:
-            alpha = tuple(exps.get(i, 0) for i in range(1, index))
-            terms.append(((alpha, index), coeff))
-    return LieElem(rank, _add_terms({}, terms))
+            raise SemanticError(reason, start, d_tok.end)
+        _check_limit(sum(exps.values()), "term")
+    keyed = [(_pack([e.get(i, 0) for i in range(1, j)]) + _tag(rank, j), c)
+             for c, e, (j, _), _ in terms if c]
+    if rank < 2:
+        raise DomainError("rank must be at least 2")
+    return _new_lie(rank, *_over_lcm(_add_terms({}, keyed)))
 
 
 # -- triangular automorphisms ----------------------------------------------------------
@@ -378,18 +374,17 @@ def parse_series(text: str, kind: str = "F", var: int = 1,
     """Parse series text in the symbol D; the kind fixes the constant term
     (1 for unit kinds, 0 for the no-constant kind) and is checked."""
     from .series import OpSeries
-    p = _Parser(text)
-    coeffs: dict[int, Fraction] = {}
-    for sgn, _ in p.signed_terms("a series"):
-        coeff, exps, _ = _parse_monomial(p, None, symbol="D")
-        deg = exps.get(1, 0)
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + coeff * sgn
-    constant = coeffs.pop(0, Fraction(0))
+    terms = [(exps.get(1, 0), coeff) for coeff, exps, _, _
+             in _read_terms(text, "a series", symbol="D")]
+    sums = _add_terms({}, [(deg, c) for deg, c in terms if c])
+    constant = sums.get(0, Fraction(0))
     expected = Fraction(0) if kind == "E" else Fraction(1)
     if constant != expected:
         raise SemanticError(
             f"series of kind {kind} must have constant term {expected}",
             0, len(text))
+    # Every degree read, a cancelled one too, meets the order check.
+    coeffs = {deg: sums.get(deg, 0) for deg, _ in terms if deg}
     try:
         return OpSeries(kind, var, order, coeffs)
     except DomainError as exc:

@@ -679,6 +679,14 @@ class TestConvertForm:
         back = convert_form(b, "A")
         assert back.f.order == 8 and back.agrees_with(g, 8)
 
+    def test_a_shift_past_the_stored_order_is_not_guessed(self):
+        # f through order 0 does not know its linear term, the shift c
+        g = gn(2, f=OpSeries("F", 1, 0))
+        with pytest.raises(TruncationError) as info:
+            convert_form(g, "B")
+        assert (info.value.required, info.value.available) == (1, 0)
+        assert convert_form(gn(2, f=OpSeries("F", 1, 1)), "B").tau.is_identity()
+
     @given(st.integers(-3, 3), unit_series(kind="FP"),
            st.lists(rationals(span=3, nonzero=True), min_size=2, max_size=2))
     def test_round_trip(self, shift, rest, t):

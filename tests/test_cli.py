@@ -351,6 +351,14 @@ class TestExitCodes:
         assert err == ("error: product would reach total degree 80000, "
                        "over the cap 65534\n")
 
+    def test_derivation_term_over_the_limit_is_refused_when_it_cancels(
+            self, capsys):
+        code, out, err = run(capsys, "--n", "2", "bracket",
+                             "x1^70000*d2 - x1^70000*d2", "d1")
+        assert code == 2 and out == ""
+        assert err == ("error: term would reach total degree 70000, "
+                       "over the cap 65534\n")
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "elem.txt"
         path.write_bytes(b"\xff\xfe")
@@ -575,6 +583,23 @@ class TestTruncationRule:
                             json.dumps(self.STORED_8)])
         assert got["f"]["order"] == 8
         assert got == run_for_json(["inv", json.dumps(self.STORED_8)])
+
+    @pytest.mark.parametrize("command", ["mul", "inv"])
+    def test_a_shift_past_the_stored_order_is_not_guessed(self, capsys,
+                                                         command):
+        """Form A's f stored through order 0 does not know the x_{n-1}
+        shift, its linear coefficient, so moving to Form B exits 4."""
+        through_0 = dict(self.SIXTH, f={"order": 0, "coeffs": {}})
+        identity_b = {"n": 2, "form": "B", "t": ["1", "1"],
+                      "tau": {"a": ["0", "0"], "lambda": ["1", "1"]},
+                      "f": {"order": None, "coeffs": {}}, "e": []}
+        operands = [json.dumps(through_0)]
+        if command == "mul":
+            operands.insert(0, json.dumps(identity_b))
+        code, out, err = run(capsys, command, *operands)
+        assert code == 4 and out == ""
+        assert err == ("error: series only stored through degree 0, "
+                       "asked for 1\n")
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -7,14 +7,28 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import (gn_elems, lie_elems, ordinals, polys, unipotent_auts,
-                      unit_series)
+from conftest import (exponent_tuples, gn_elems, lie_elems, ordinals, polys,
+                      rationals, unipotent_auts, unit_series)
 from triderive import (DegreeCapError, DomainError, GnElem, LieElem,
                        OpSeries, ParseError, Poly, SemanticError, TriAut,
                        gnelem_from_json, gnelem_to_json, parse, print_value)
 from triderive.dsl import (parse_gnelem, parse_lie, parse_ordinal, parse_poly,
                            parse_series, parse_triaut)
 from triderive.ordinals import OrdinalCNF
+from triderive.poly import rat_str
+
+OVER_THE_LIMIT = "^term would reach total degree 70000, over the cap 65534$"
+
+
+@st.composite
+def term_sums(draw, keys):
+    """Terms on two or three distinct keys, so that keys repeat, some
+    coefficients are 0 and some terms come back later negated."""
+    pool = draw(st.lists(keys, min_size=2, max_size=3, unique=True))
+    terms = draw(st.lists(st.tuples(rationals(span=3), st.sampled_from(pool)),
+                          max_size=8))
+    negated = draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    return terms + [(-c, key) for c, key in negated]
 
 
 class TestPolyText:
@@ -54,8 +68,7 @@ class TestPolyText:
     @pytest.mark.parametrize("text", ["x1^70000 - x1^70000", "0*x1^70000",
                                       "x1 + x1^70000 + x2^70001"])
     def test_every_term_is_checked_before_the_sum(self, text):
-        with pytest.raises(DegreeCapError, match="^term would reach total "
-                           "degree 70000, over the cap 65534$"):
+        with pytest.raises(DegreeCapError, match=OVER_THE_LIMIT):
             parse_poly(text)
 
     def test_parse_error_span(self):
@@ -91,6 +104,102 @@ class TestLieText:
         with pytest.raises(SemanticError) as info:
             parse_lie("x1*d1", 2)
         assert "must be constant" in info.value.reason
+
+    @pytest.mark.parametrize("text", ["x1^70000*d2 - x1^70000*d2",
+                                      "0*x1^70000*d2", "x1*d2 + x1^70000*d2"])
+    def test_every_term_is_checked_before_the_sum(self, text):
+        with pytest.raises(DegreeCapError, match=OVER_THE_LIMIT):
+            parse_lie(text)
+
+    @pytest.mark.parametrize("text, n, error, reason", [
+        ("x1^70000*d3", 2, SemanticError, "d3 exceeds rank 2"),
+        ("x2^70000*d2", None, SemanticError,
+         "coefficient of d2 may only use x1..x1"),
+        # term by term in text order: the limit of the first term is
+        # met before the coefficient ring of the second
+        ("x1^70000*d2 + x2*d2", None, DegreeCapError, OVER_THE_LIMIT[1:-1]),
+    ])
+    def test_each_term_checks_rank_then_ring_then_limit(self, text, n, error,
+                                                         reason):
+        with pytest.raises(error) as info:
+            parse_lie(text, n)
+        assert str(info.value).startswith(reason)
+
+    @pytest.mark.parametrize("text, span", [
+        ("x1 + d2", (0, 3)), ("d2 - 2*x1 + d1", (3, 10)), ("d2 - x1", (3, 7)),
+        ("x1^70000*d2 + x1", (12, 16)), ("x1 + + d2", (0, 3)),
+    ])
+    def test_missing_d_part_span(self, text, span):
+        """From the term's start, its sign included, to the next token;
+        reported while reading, before a later syntax error and before
+        any term's limit."""
+        with pytest.raises(ParseError, match="^term is missing its d-part") \
+                as info:
+            parse_lie(text)
+        assert (info.value.start, info.value.end) == span
+
+
+class TestTermReader:
+    """Polynomial and derivation text share one term reader: errors met
+    while reading come first, each term is checked after the whole text is
+    read, and the checked terms are summed once, as the constructors sum
+    them."""
+
+    @pytest.mark.parametrize("parse_text, text, span", [
+        (parse_poly, "x1^70000 + + x2", (11, 12)),
+        (parse_lie, "x1^70000*d2 + + d1", (14, 15)),
+    ])
+    def test_a_syntax_error_comes_before_the_limit(self, parse_text, text,
+                                                   span):
+        with pytest.raises(ParseError) as info:
+            parse_text(text)
+        assert (info.value.start, info.value.end) == span
+
+    @staticmethod
+    def text_of(terms):
+        """(coefficient, exponents, d-index or None) terms as text, in
+        order, each as drawn."""
+        out = []
+        for coeff, exps, i in terms:
+            factors = [rat_str(abs(coeff))]
+            factors += [f"x{k}^{e}" for k, e in enumerate(exps, 1) if e]
+            if i is not None:
+                factors.append(f"d{i}")
+            out.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        return " ".join(out) or "0"
+
+    @staticmethod
+    def first_touch_sum(items):
+        """Like keys summed in the order first met; a key that sums to 0
+        is dropped and, met again, comes last."""
+        acc = {}
+        for key, c in items:
+            total = acc.get(key, 0) + c
+            if total:
+                acc[key] = total
+            else:
+                acc.pop(key, None)
+        return acc
+
+    @staticmethod
+    def assert_same_layout(parsed, built):
+        assert parsed == built
+        assert parsed._den == built._den
+        assert list(parsed._nums.items()) == list(built._nums.items())
+        assert list(parsed.terms.items()) == list(built.terms.items())
+
+    @given(term_sums(exponent_tuples(3)))
+    def test_poly_layout_is_the_constructors(self, terms):
+        text = self.text_of([(c, e, None) for c, e in terms])
+        built = Poly(3, self.first_touch_sum((e, c) for c, e in terms))
+        self.assert_same_layout(parse_poly(text, 3), built)
+
+    @given(term_sums(st.integers(1, 3).flatmap(
+        lambda i: exponent_tuples(i - 1).map(lambda a: (a, i)))))
+    def test_lie_layout_is_the_constructors(self, terms):
+        text = self.text_of([(c, a, i) for c, (a, i) in terms])
+        built = LieElem(3, self.first_touch_sum((k, c) for c, k in terms))
+        self.assert_same_layout(parse_lie(text, 3), built)
 
 
 class TestTriAutText:
