@@ -10,9 +10,9 @@ gcd, skipped when the denominator is 1.  Fractions are built only where
 a caller reads coefficients; ``terms`` is built on first read and kept.
 Values are exact and never mutated after construction.  One class owns
 the layout: ``_IntLayout``, the base of ``Poly`` and ``LieElem``, holds
-its value semantics, next to the helpers that the subclasses' own
-operations use.  A ``LieElem`` keeps its hash once computed, since the
-memos of black-box actions hash every probe and image they see; a
+its value semantics, next to the helpers that their operations and those
+of ``OpSeries`` use.  A ``LieElem`` keeps its hash once computed, since
+the memos of black-box actions hash every probe and image they see; a
 ``Poly`` hashes afresh and stays one slot smaller.  The other values of
 the package take theirs from one key, through ``_Keyed``, which computes
 the key once and keeps it.
@@ -220,11 +220,12 @@ class _Keyed:
 
 
 class _IntLayout:
-    """The value semantics of the integer layout.  A subclass keeps its
-    rank in a slot of its own and gives ``_rank``, ``_with`` (a value of
-    its class and rank from a canonical (den, nums)),
-    ``_require_same_rank`` (which raises on a rank mismatch) and
-    ``_unkey`` (the public key of a packed one)."""
+    """The value semantics of the integer layout, the base of Poly and
+    LieElem; OpSeries shares the layout and takes ``terms`` as its
+    ``coeffs``.  A subclass keeps its rank in a slot of its own and gives
+    ``_rank``, ``_with`` (a value of its class and rank from a canonical
+    (den, nums)), ``_require_same_rank`` (which raises on a rank
+    mismatch) and ``_unkey`` (the public key of a packed one)."""
 
     __slots__ = ("_den", "_nums", "_terms")
 

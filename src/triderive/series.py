@@ -14,9 +14,14 @@ polynomial in D whose higher coefficients are genuinely zero.  Products
 and sums propagate the smallest order involved.  Only two results are
 infinite, a product with exp(c*D) for c != 0 and the reciprocal of a
 series other than 1; ``_through`` is the one rule for how far such a
-result is kept.  A series applies to a polynomial by one
-kernel of falling factorials over a common denominator; ``verify`` keeps
-the route by repeated derivatives as its oracle.
+result is kept.
+
+The coefficients are stored in the integer layout of ``poly``, that of
+Poly and LieElem, with D^d at key d; ``coeffs`` is their Fraction view,
+built on first read.  A product is the kernel ``_mul_into`` with each
+unit as the term of key 0, a reciprocal an integer recurrence, and an
+application to a polynomial one kernel of falling factorials; ``verify``
+keeps the route by repeated derivatives as its oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, TruncationError
 from .poly import (_FIELD, _W, DEFAULT_ORDER, Poly, RatLike, _add_terms,
-                   _format_terms, _Keyed, _lowest, _new, rat)
+                   _format_terms, _IntLayout, _Keyed, _lowest, _mul_into,
+                   _new, _over_lcm, _sum_ints, rat)
 
 KINDS = ("F", "FP", "E")
 
@@ -43,7 +49,7 @@ def _min_order(a: int | None, b: int | None) -> int | None:
 class OpSeries(_Keyed):
     """Immutable truncated series in one partial derivative."""
 
-    __slots__ = ("kind", "var", "order", "coeffs")
+    __slots__ = ("kind", "var", "order", "_den", "_nums", "_terms")
 
     def __init__(self, kind: str, var: int, order: int | None,
                  coeffs: Mapping[int, RatLike] | None = None):
@@ -70,8 +76,13 @@ class OpSeries(_Keyed):
         self.kind = kind
         self.var = var
         self.order = order
-        self.coeffs = clean
+        self._den, self._nums = _over_lcm(clean)
+        self._terms = clean
         self._key_cache = None
+
+    # Poly's Fraction view of the layout, a degree being its own key.
+    coeffs = _IntLayout.terms
+    _unkey = int
 
     # -- constructors -----------------------------------------------------
 
@@ -94,12 +105,9 @@ class OpSeries(_Keyed):
             return OpSeries("F", var, None)
         if order is None:
             raise DomainError("a nonzero exponential needs a finite order")
-        coeffs: dict[int, Fraction] = {}
-        c = Fraction(1)
-        for k in range(1, order + 1):
-            c = c * lam / k
-            coeffs[k] = c
-        return OpSeries("F", var, order, coeffs)
+        # 1/k! = (order!/k!) / order!, then D -> lam * D.
+        nums = {k: math.perm(order, order - k) for k in range(order + 1)}
+        return _series("F", var, order, nums[0], nums).scale_powers(lam)
 
     # -- queries ------------------------------------------------------------
 
@@ -114,17 +122,17 @@ class OpSeries(_Keyed):
             raise TruncationError(
                 f"series only stored through degree {self.order}, asked for {deg}",
                 required=deg, available=self.order)
-        return self.coeffs.get(deg, Fraction(0))
+        return Fraction(self._nums.get(deg, 0), self._den)
 
     def support(self) -> int:
         """Largest stored degree with a nonzero coefficient (0 if none)."""
-        return max(self.coeffs, default=0)
+        return max(self._nums, default=0)
 
     def is_one(self) -> bool:
-        return self.kind != "E" and not self.coeffs
+        return self.kind != "E" and not self._nums
 
     def is_zero_e(self) -> bool:
-        return self.kind == "E" and not self.coeffs
+        return self.kind == "E" and not self._nums
 
     def _fields(self) -> tuple:
         return self.kind, self.var, self.order, frozenset(self.coeffs.items())
@@ -133,14 +141,9 @@ class OpSeries(_Keyed):
         """Equality of coefficients through the common valid order."""
         if self.var != other.var or self.unit() != other.unit():
             return False
-        limit = _min_order(self.order, other.order)
-        limit = _min_order(limit, through)
-        if limit is None:
-            return self.coeffs == other.coeffs
-        for deg in range(1, limit + 1):
-            if self.coeffs.get(deg, Fraction(0)) != other.coeffs.get(deg, Fraction(0)):
-                return False
-        return True
+        limit = _min_order(_min_order(self.order, other.order), through)
+        a, b = self.truncate(limit), other.truncate(limit)
+        return a._den == b._den and a._nums == b._nums
 
     # -- operator application -------------------------------------------------
 
@@ -184,21 +187,12 @@ class OpSeries(_Keyed):
         self._require_compatible(other)
         if self.kind == "E" or other.kind == "E":
             raise DomainError("products are defined for unit series only")
-        order = _min_order(self.order, other.order)
-        limit = order if order is not None else self.support() + other.support()
-        coeffs: dict[int, Fraction] = {}
-        for deg in range(1, limit + 1):
-            total = self.coeffs.get(deg, Fraction(0)) + other.coeffs.get(deg, Fraction(0))
-            for i in range(1, deg):
-                a = self.coeffs.get(i)
-                if a:
-                    b = other.coeffs.get(deg - i)
-                    if b:
-                        total += a * b
-            if total:
-                coeffs[deg] = total
-        kind = "FP" if not coeffs.get(1) and self.kind == other.kind == "FP" else "F"
-        return OpSeries(kind, self.var, order, coeffs)
+        # Each unit is the term of key 0, and so is the product's.
+        acc = _mul_into({}, [(0, self._den), *self._nums.items()],
+                        [(0, other._den), *other._nums.items()])
+        kind = "FP" if self.kind == other.kind == "FP" else "F"
+        return _series(kind, self.var, _min_order(self.order, other.order),
+                       self._den * other._den, acc)
 
     def reciprocal(self, order: int | None = None) -> OpSeries:
         """Multiplicative inverse of a unit series up to the given order
@@ -206,7 +200,7 @@ class OpSeries(_Keyed):
         is returned as stored."""
         if self.kind == "E":
             raise DomainError("only unit series are invertible")
-        if not self.coeffs:
+        if not self._nums:
             return self
         order = order if order is not None else self.order
         if order is None:
@@ -215,43 +209,36 @@ class OpSeries(_Keyed):
             raise TruncationError(
                 "cannot invert beyond the stored order",
                 required=order, available=self.order)
-        coeffs: dict[int, Fraction] = {}
-        for deg in range(1, order + 1):
-            total = -self.coeffs.get(deg, Fraction(0))
-            for i in range(1, deg):
-                b = coeffs.get(i)
-                if b:
-                    a = self.coeffs.get(deg - i)
-                    if a:
-                        total -= a * b
-            if total:
-                coeffs[deg] = total
-        kind = "FP" if self.kind == "FP" else "F"
-        return OpSeries(kind, self.var, order, coeffs)
+        # With a_i = A_i / d stored, the inverse's c_k / d^k has C_0 = 1
+        # and C_k = -sum_i A_i C_(k-i) d^(i-1); all over d^order.
+        powers = [self._den ** j for j in range(order + 1)]
+        cs = [1]
+        for k in range(1, order + 1):
+            cs.append(-sum(a * cs[k - i] * powers[i - 1]
+                           for i, a in self._nums.items() if i <= k))
+        return _series(self.kind, self.var, order, powers[order],
+                       {k: c * powers[order - k] for k, c in enumerate(cs)})
 
     def add_e(self, other: OpSeries) -> OpSeries:
         """Sum of two no-constant series (their natural group operation)."""
         self._require_compatible(other)
         if self.kind != "E" or other.kind != "E":
             raise DomainError("coefficient-wise sums are for no-constant series")
-        order = _min_order(self.order, other.order)
-        coeffs = _add_terms(dict(self.coeffs), other.coeffs.items())
-        if order is not None:
-            coeffs = {d: c for d, c in coeffs.items() if d <= order}
-        return OpSeries("E", self.var, order, coeffs)
+        return _series("E", self.var, _min_order(self.order, other.order),
+                       *_sum_ints(self._den, self._nums, other._den, other._nums))
 
     def negate_e(self) -> OpSeries:
         if self.kind != "E":
             raise DomainError("negation is for no-constant series")
-        return OpSeries("E", self.var, self.order,
-                        {d: -c for d, c in self.coeffs.items()})
+        return _series("E", self.var, self.order, self._den,
+                       {d: -c for d, c in self._nums.items()})
 
     def scale_coeffs(self, factor: RatLike) -> OpSeries:
         """Multiply every coefficient by one scalar (degree-0 unaffected,
         so unit series require factor compatibility: use on "E" freely)."""
         f = rat(factor)
-        return OpSeries(self.kind, self.var, self.order,
-                        {d: c * f for d, c in self.coeffs.items()})
+        return _series(self.kind, self.var, self.order, self._den * f.denominator,
+                       {d: c * f.numerator for d, c in self._nums.items()})
 
     def scale_powers(self, gamma: RatLike) -> OpSeries:
         """Substitute D -> gamma * D, i.e. c_k -> c_k * gamma^k.
@@ -261,16 +248,15 @@ class OpSeries(_Keyed):
         g = rat(gamma)
         if not g:
             raise DomainError("power rescale needs a nonzero factor")
-        return OpSeries(self.kind, self.var, self.order,
-                        {d: c * g ** d for d, c in self.coeffs.items()})
+        # Over den * q^top, with gamma = p/q and top the largest degree.
+        p, q, top = g.numerator, g.denominator, self.support()
+        nums = {d: c * p ** d * q ** (top - d) for d, c in self._nums.items()}
+        return _series(self.kind, self.var, self.order, self._den * q ** top, nums)
 
     def truncate(self, order: int | None) -> OpSeries:
         """Forget coefficients beyond the given order (never extends)."""
-        order = _min_order(self.order, order)
-        coeffs = self.coeffs
-        if order is not None:
-            coeffs = {d: c for d, c in coeffs.items() if d <= order}
-        return OpSeries(self.kind, self.var, order, coeffs)
+        return _series(self.kind, self.var, _min_order(self.order, order),
+                       self._den, self._nums)
 
     def __str__(self) -> str:
         return format_series(self)
@@ -280,12 +266,24 @@ class OpSeries(_Keyed):
                 f"{format_series(self)!r})")
 
 
+def _series(kind: str, var: int, order: int | None, den: int,
+            nums: Mapping[int, int]) -> OpSeries:
+    """Internal constructor, trusting the kind: nums / den in lowest terms,
+    kept on the degrees 1..order (1 up if order is None) that are nonzero."""
+    s = OpSeries.__new__(OpSeries)
+    s.kind, s.var, s.order = kind, var, order
+    s._den, s._nums = _lowest(den, {d: c for d, c in nums.items() if c and 0 < d
+                                    and (order is None or d <= order)})
+    s._terms = s._key_cache = None
+    return s
+
+
 def _scaled(series: Sequence[OpSeries]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """One integer scale over every stored coefficient of the series, and
-    each series' (k, c_k * scale) pairs, ascending k."""
-    scale = math.lcm(*(c.denominator for s in series for c in s.coeffs.values()))
-    return scale, [[(k, c.numerator * (scale // c.denominator))
-                    for k, c in sorted(s.coeffs.items())] for s in series]
+    """One integer scale over the series, the lcm of their denominators,
+    and each series' (k, c_k * scale) pairs, ascending k."""
+    scale = math.lcm(*(s._den for s in series))
+    return scale, [[(k, c * (scale // s._den)) for k, c in sorted(s._nums.items())]
+                   for s in series]
 
 
 def _derivative_terms(var: int, pairs: list[tuple[int, int]], need: int,
@@ -320,7 +318,7 @@ def _shifted(f: OpSeries, c: Fraction, order: int | None,
     if c:
         through = _through(order, f.order)
         f = OpSeries.exp_shift(f.var, c, through).mul(f.truncate(through))
-    return OpSeries(kind, f.var, f.order, f.coeffs)
+    return _series(kind, f.var, f.order, f._den, f._nums)
 
 
 def format_series(s: OpSeries) -> str:

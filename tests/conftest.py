@@ -183,9 +183,9 @@ def to_sympy(p: Poly, symbols):
 
 
 def assert_lowest_terms(p) -> None:
-    """The stored form of a Poly or LieElem: nonzero integer numerators
-    over one positive denominator, in lowest terms, with denominator 1
-    for zero."""
+    """The stored form of a Poly, LieElem or OpSeries: nonzero integer
+    numerators over one positive denominator, in lowest terms, with
+    denominator 1 for zero."""
     assert isinstance(p._den, int) and p._den >= 1
     assert all(isinstance(c, int) and c for c in p._nums.values())
     assert math.gcd(p._den, *p._nums.values()) == 1
@@ -265,6 +265,43 @@ def inverse_jacobian_by_polys(sigma: TriAut) -> tuple:
     return tuple(tuple((j, m, m.total_degree())
                        for j in range(i, n + 1) if (m := rows[j - 1][i - 1]))
                  for i in range(1, n + 1))
+
+
+def series_product_by_fractions(a: dict, b: dict, limit: int) -> dict:
+    """Oracle for ``OpSeries.mul``: the coefficients of degrees 1..limit of
+    (1 + sum a_k D^k)(1 + sum b_k D^k), for Fraction coefficient dicts a
+    and b, by the quadratic loop in Fraction arithmetic."""
+    coeffs = {}
+    for deg in range(1, limit + 1):
+        total = a.get(deg, Fraction(0)) + b.get(deg, Fraction(0))
+        for i in range(1, deg):
+            ai = a.get(i)
+            if ai:
+                bi = b.get(deg - i)
+                if bi:
+                    total += ai * bi
+        if total:
+            coeffs[deg] = total
+    return coeffs
+
+
+def series_reciprocal_by_fractions(a: dict, order: int) -> dict:
+    """Oracle for ``OpSeries.reciprocal``: the coefficients of degrees
+    1..order of 1 / (1 + sum a_k D^k), for a Fraction coefficient dict a,
+    by the recurrence b_k = -a_k - sum_{i<k} a_{k-i} b_i in Fraction
+    arithmetic."""
+    coeffs = {}
+    for deg in range(1, order + 1):
+        total = -a.get(deg, Fraction(0))
+        for i in range(1, deg):
+            bi = coeffs.get(i)
+            if bi:
+                ai = a.get(deg - i)
+                if ai:
+                    total -= ai * bi
+        if total:
+            coeffs[deg] = total
+    return coeffs
 
 
 def outcome(fn, *args):

@@ -1,5 +1,6 @@
 """The automorphism group in canonical coordinates: action, product, inverse."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -619,6 +620,36 @@ class TestDecompose:
         torpedo = AutoAction(2, lambda u: u + LieElem.d(2, 2))
         with pytest.raises(DomainError):
             decompose(torpedo)
+
+    NOT_LINEAR = "action is not linear on generators"
+    NO_BRACKETS = "action does not respect brackets on generators"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("box, refusals", [
+        # u -> g(u) + d1 breaks linearity on every pair whose scalars do
+        # not sum to 1.  The first pair at rank 2 and order 1, and at rank
+        # 4 and order 3 or more, has the scalars -1 and 2, so its bracket
+        # fails first.
+        ("plus d1", {(2, 1): NO_BRACKETS, (4, 3): NO_BRACKETS,
+                     (4, 8): NO_BRACKETS}),
+        # 2g and -g are linear, but [c a, c b] = c^2 [a, b].
+        ("twice", {}),
+        ("negated", {}),
+    ])
+    def test_the_spot_check_refuses_with_the_pinned_message(self, n, box,
+                                                            refusals):
+        rng = random.Random(f"spot:{n}{box}")
+        boxes = {"plus d1": lambda g, u: act(g, u) + LieElem.d(n, 1),
+                 "twice": lambda g, u: act(g, u).scale(2),
+                 "negated": lambda g, u: -act(g, u)}
+        default = self.NOT_LINEAR if box == "plus d1" else self.NO_BRACKETS
+        for order in (1, 3, 8):
+            for _ in range(3):
+                g = rand_gn(rng, n, rng.choice("AB"))
+                fn = functools.partial(boxes[box], g)
+                with pytest.raises(DomainError) as info:
+                    decompose(AutoAction(n, fn), order=order)
+                assert str(info.value) == refusals.get((n, order), default)
 
     def test_rejects_an_action_wrong_on_a_high_probe(self):
         # The identity, except that x2^k d3 with k >= 8 picks up x1 d3.  The

@@ -5,9 +5,10 @@ bytes, so a refactor that claims byte-identical outputs is checked by the
 suite itself.
 
 The corpus covers every subcommand in both ``--format``s, truncation
-exits (4), degree-limit exits (2), parse errors (1), and seeded Form A and
-Form B elements of ranks 2-4, some exact and some stored through orders
-0-8, among them ``decompose`` asked beyond the stored order.  To rewrite
+exits (4), degree-limit exits (2), parse errors (1), each refusal of
+``reconstruct`` (2), ``center`` at rank 6, and seeded Form A and Form B
+elements of ranks 2-4, some exact and some stored through orders 0-8,
+among them ``decompose`` asked beyond the stored order.  To rewrite
 it after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_corpus.py
@@ -205,6 +206,12 @@ def corpus_argvs() -> list[list[str]]:
     # act on a map in bracket notation is its conjugation at any --order.
     out += [["act", "[0, x1]", "x1^20*d2"],
             ["--order", "4", "act", "[0, x1]", "x1^5*d2"]]
+    # reconstruct refuses frames that are not those of a triangular map,
+    # each with its own message (2); center at rank 6.
+    out += [["--n", "3", "reconstruct", *frames] for frames in (
+        ["d1", "d2 + x1*d3", "d3"], ["d1"], ["d1", "x1*d3", "d3"],
+        ["d1", "d2 + x1*d2", "d3"], ["d1", "d2"])]
+    out.append(["--n", "6", "center"])
     return out
 
 

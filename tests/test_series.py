@@ -1,15 +1,23 @@
 """Truncated operator series in one partial derivative."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_lowest_terms, polys, rationals, unit_series
+from conftest import (assert_lowest_terms, frac_add, polys, rationals,
+                      series_product_by_fractions,
+                      series_reciprocal_by_fractions, unit_series)
 from triderive import DomainError, OpSeries, Poly, TruncationError
-from triderive.series import KINDS
+from triderive.series import KINDS, _scaled
 from triderive.verify import _apply_by_diff
+
+# Coefficients past 64 bits, over denominators past 32 bits.
+WIDE = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70).filter(bool),
+                 st.integers(1, 2 ** 40))
+SCALARS = rationals(nonzero=True) | WIDE
 
 
 @st.composite
@@ -27,6 +35,33 @@ def series_on_polys(draw):
     series = OpSeries(kind, var, order,
                       {k: c for k, c in coeffs.items() if lowest <= k <= top})
     return series, draw(polys(nvars, max_total=5, max_terms=4))
+
+
+@st.composite
+def stored_series(draw, kinds=KINDS):
+    """A series in D = d/dx1 of one of the kinds, exact or stored through
+    0..12, with small or wide coefficients."""
+    kind = draw(st.sampled_from(kinds))
+    order = draw(st.none() | st.integers(0, 12))
+    lowest = 2 if kind == "FP" else 1
+    top = 12 if order is None else order
+    coeffs = draw(st.dictionaries(st.integers(1, 12), SCALARS, max_size=5))
+    return OpSeries(kind, 1, order,
+                    {k: c for k, c in coeffs.items() if lowest <= k <= top})
+
+
+def least(*orders):
+    """The smallest of the orders that are not None, else None."""
+    return min((o for o in orders if o is not None), default=None)
+
+
+def assert_series(s: OpSeries, kind: str, order, coeffs: dict) -> None:
+    """s is the series of these fields in D = d/dx1, stored in lowest
+    terms, its Fraction view its numerators over its denominator."""
+    assert (s.kind, s.var, s.order) == (kind, 1, order)
+    assert_lowest_terms(s)
+    assert {k: Fraction(c, s._den) for k, c in s._nums.items()} == coeffs
+    assert s.coeffs == coeffs
 
 
 def applied(fn, series: OpSeries, p: Poly):
@@ -184,3 +219,84 @@ class TestRingOperations:
         f = OpSeries("F", 1, 4, {3: 1})
         assert f.truncate(6).order == 4
         assert f.truncate(2) == OpSeries("F", 1, 2)
+
+
+class TestIntegerLayout:
+    """Every operation on the stored numerators against the Fraction
+    oracles, kind, order and lowest terms included."""
+
+    @settings(max_examples=150)
+    @given(stored_series(("F", "FP")), stored_series(("F", "FP")))
+    def test_product(self, f, g):
+        order = least(f.order, g.order)
+        limit = f.support() + g.support() if order is None else order
+        want = series_product_by_fractions(f.coeffs, g.coeffs, limit)
+        kind = "FP" if not want.get(1) and f.kind == g.kind == "FP" else "F"
+        assert_series(f.mul(g), kind, order, want)
+
+    @settings(max_examples=150)
+    @given(stored_series(("F", "FP")), st.integers(0, 12))
+    def test_reciprocal_cancels_through_the_order(self, f, order):
+        order = least(order, f.order)
+        inv = f.reciprocal(order)
+        if f.is_one():
+            assert inv is f
+            return
+        assert_series(inv, f.kind, order,
+                      series_reciprocal_by_fractions(f.coeffs, order))
+        assert_series(f.mul(inv), f.kind, order, {})
+        assert_series(inv.mul(f), f.kind, order, {})
+
+    @given(SCALARS, st.integers(0, 12))
+    def test_exp_shift(self, lam, order):
+        assert_series(OpSeries.exp_shift(1, lam, order), "F", order,
+                      {k: lam ** k / math.factorial(k)
+                       for k in range(1, order + 1)})
+
+    @given(stored_series(("E",)), stored_series(("E",)))
+    def test_sum_and_negation(self, a, b):
+        order = least(a.order, b.order)
+        assert_series(a.add_e(b), "E", order,
+                      {k: c for k, c in frac_add(a.coeffs, b.coeffs).items()
+                       if order is None or k <= order})
+        minus = a.negate_e()
+        assert_series(minus, "E", a.order, {k: -c for k, c in a.coeffs.items()})
+        assert_series(a.add_e(minus), "E", a.order, {})
+
+    @given(stored_series(), rationals() | WIDE, SCALARS)
+    def test_rescalings(self, s, factor, gamma):
+        assert_series(s.scale_coeffs(factor), s.kind, s.order,
+                      {k: c * factor for k, c in s.coeffs.items() if factor})
+        assert_series(s.scale_powers(gamma), s.kind, s.order,
+                      {k: c * gamma ** k for k, c in s.coeffs.items()})
+
+    @given(stored_series(), st.none() | st.integers(0, 12),
+           st.integers(2, 12))
+    def test_truncation_and_agreement(self, s, order, k):
+        cut = least(s.order, order)
+        short = s.truncate(order)
+        assert_series(short, s.kind, cut, {d: c for d, c in s.coeffs.items()
+                                           if cut is None or d <= cut})
+        assert short.agrees_with(s) and s.agrees_with(short)
+        # Doubling keeps the numerators of a series over an even
+        # denominator, and halves the denominator.
+        assert short.agrees_with(short.scale_coeffs(2)) == (not short.coeffs)
+        top = 12 if cut is None else cut
+        assert [short.coefficient(d) for d in range(1, top + 1)] == \
+            [s.coeffs.get(d, 0) for d in range(1, top + 1)]
+        if s.order is None or k <= s.order:
+            other = OpSeries(s.kind, 1, s.order,
+                             {**s.coeffs, k: s.coeffs.get(k, 0) + 1})
+            assert not s.agrees_with(other)
+            assert s.agrees_with(other, through=k - 1)
+
+    @given(st.lists(stored_series(), max_size=4))
+    def test_scaled_pairs_are_the_fraction_ones(self, series):
+        """act and apply read each series' coefficients times one scale,
+        the lcm of every stored coefficient's denominator."""
+        scale, pairs = _scaled(series)
+        assert scale == math.lcm(*(c.denominator for s in series
+                                   for c in s.coeffs.values()))
+        assert pairs == [[(k, int(c * scale)) for k, c in sorted(s.coeffs.items())]
+                         for s in series]
+        assert all(type(c) is int for row in pairs for _, c in row)
