@@ -666,6 +666,103 @@ class TestDecompose:
                                    "action on the probe 1/40320*x2^8*d3")
 
 
+def faulty_box(name: str, g: GnElem):
+    """A black box built from g that is not g's action, or not an action."""
+    n = g.n
+    frame = g._frame_map()
+    if name == "one basis element":
+        # wrong only on x1^2 d_n, by d1 times its coefficient; linear
+        key = ((2,) + (0,) * (n - 2), n)
+        return lambda u: act(g, u) + LieElem.d(n, 1).scale(u.terms.get(key, 0))
+    if name == "twice":
+        return lambda u: act(g, u).scale(2)
+    if name == "negated":
+        return lambda u: -act(g, u)
+    if name == "nonlinear":
+        return lambda u: act(g, u).scale(len(u.terms))
+    if name == "minus sigma":
+        return lambda u: -conjugate_derivation(frame, u)
+    if name == "stored through 2":
+        h = GnElem(n, g.form, g.t, g.tau, g.s, g.f.truncate(2),
+                   [e.truncate(2) for e in g.e])
+        return lambda u: act(h, u)
+    assert name == "right through 2"
+    # g's action on derivations of degree <= 2; above, the frame map's alone
+    return lambda u: (act(g, u) if max((sum(a) for a, _ in u.terms), default=0)
+                      <= 2 else conjugate_derivation(frame, u))
+
+
+class TestFaultyBoxes:
+    """The corpus of faulty black boxes: what ``decompose`` makes of each,
+    at ranks 2-4 and orders 1, 2, 4 and 8.  A change to the checks that
+    changes any of these outcomes is recorded."""
+
+    OUTCOMES = {
+        "g": None,  # accepted, and taken for g itself through the order
+        "L": (DomainError, "action is not linear on generators"),
+        "B": (DomainError, "action does not respect brackets on generators"),
+        "T": (TruncationError, "need series coefficients through degree 3, "
+                               "stored through 2"),
+        "P": (DomainError, "the decomposition does not reproduce the action "
+                           "on the probe 1/6*x3^3*d4"),
+    }
+
+    # Per box, the outcomes at orders 1, 2, 4, 8 for ranks 2, 3 and 4.  A
+    # box wrong only on x1^2 d3 (rank 3) or x1^2 d4 (rank 4) gets through:
+    # the spot check's pairs and the probes never ask it.
+    CORPUS = {
+        "one basis element": ("gBBB", "gBgg", "gggg"),
+        "twice": ("BBBB", "BBBB", "BBBB"),
+        "negated": ("BBBB", "BBBB", "BBBB"),
+        "nonlinear": ("LLLL", "LLLL", "LLLL"),
+        "minus sigma": ("BBBB", "BBBB", "BBBB"),
+        "stored through 2": ("ggTT", "ggTT", "ggTT"),
+        "right through 2": ("ggLL", "ggBB", "ggPP"),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("box", CORPUS)
+    def test_each_box_gets_its_recorded_outcome(self, box, n):
+        g = rand_gn(random.Random(f"faulty:{n}"), n, "A")
+        for order, code in zip((1, 2, 4, 8), self.CORPUS[box][n - 2]):
+            got = outcome(decompose, AutoAction(n, faulty_box(box, g)), order)
+            if isinstance(got, GnElem):
+                assert code == "g" and got.agrees_with(g), (order, got)
+            else:
+                assert got == self.OUTCOMES[code], order
+
+
+class TestBlackBoxRefusals:
+    def test_a_probe_of_another_rank(self):
+        with pytest.raises(DomainError) as info:
+            AutoAction(3, lambda u: u)(LieElem.d(2, 1))
+        assert str(info.value) == "probe has rank 2, action has rank 3"
+
+    @pytest.mark.parametrize("value", [LieElem.d(3, 1), "d1", None],
+                             ids=["another rank", "text", "None"])
+    def test_a_foreign_value_from_the_evaluator(self, value):
+        with pytest.raises(DomainError) as info:
+            AutoAction(2, lambda u: value)(LieElem.d(2, 1))
+        assert str(info.value) == "action evaluator returned a foreign value"
+
+    def test_composing_actions_of_different_ranks(self):
+        with pytest.raises(DomainError) as info:
+            AutoAction.composed(AutoAction(2, lambda u: u),
+                                AutoAction(3, lambda u: u))
+        assert str(info.value) == "composing actions of different ranks"
+
+    @pytest.mark.parametrize("forms", ["AB", "BA", "AA"])
+    def test_the_multiplication_formula_needs_form_b(self, forms):
+        with pytest.raises(DomainError) as info:
+            multiply_formula(*(GnElem.identity(2, form) for form in forms))
+        assert str(info.value) == "the multiplication formula needs Form B inputs"
+
+    def test_the_multiplication_formula_of_mixed_ranks(self):
+        with pytest.raises(DomainError) as info:
+            multiply_formula(GnElem.identity(2, "B"), GnElem.identity(3, "B"))
+        assert str(info.value) == "mixed ranks: 2 vs 3"
+
+
 class TestConvertForm:
     def test_round_trip_exact(self):
         g = gn(3, t=[2, 1, 3], tau=TriAut([Poly.zero(3), x(1) ** 2, x(1) * x(2)]),

@@ -241,6 +241,36 @@ class TestCommands:
         assert g.agrees_with(decompose(AutoAction.from_triaut(sigma), order=4),
                              through=4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, map_text, derivations", [
+        (["--n", "6", "--order", "8"],
+         "[0, x1^2, x1*x2 + 1, x3^2 - x1, x2*x4 + 1/2, x5^2 + x1*x3; "
+         "2, 1, 3, 1, -1, 1/2]", ["d1", "x5^3*d6"]),
+        (["--n", "2"], "[0, x1^65534]", ["d1"]),
+    ], ids=["rank 6", "at the degree limit"])
+    def test_act_by_a_decomposed_map_prints_what_conjugate_prints(
+            self, capsys, tmp_path, argv, map_text, derivations):
+        code, out, err = run(capsys, *argv, "decompose", map_text)
+        assert (code, err) == (0, "")
+        path = tmp_path / "element.json"
+        path.write_text(out, encoding="utf-8")
+        for u in derivations:
+            expected = run(capsys, "conjugate", map_text, u)
+            assert expected[0] == 0
+            assert run(capsys, "act", f"@{path}", u) == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank6_frames_reconstruct_their_map(self, capsys):
+        map_text = "[0, x1^2, x1*x2, x3^2 - x1, x2*x4, x5^2 + x1*x3 ; 2, 1, 3, 1, -1, 1/2]"
+        frames = []
+        for i in range(1, 7):
+            code, out, err = run(capsys, "conjugate", map_text, f"d{i}")
+            assert (code, err) == (0, "")
+            frames.append(out.strip())
+        assert run(capsys, "--n", "6", "reconstruct", *frames) == (
+            0, "[0, x1^2, x1*x2, x3^2 - x1, x2*x4, x1*x3 + x5^2 ; "
+               "2, 1, 3, 1, -1, 1/2]\n", "")
+
     def test_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0
