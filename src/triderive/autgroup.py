@@ -43,7 +43,7 @@ from .lie import (LieElem, _join, _new, _tag, bracket, exp_ad_apply,
 from .poly import (_W, DEFAULT_ORDER, RatLike, _add_terms,
                    _check_limit, _Keyed, _lowest, rat)
 from .series import OpSeries, _derivative_terms, _scaled, _shifted, _through
-from .triaut import (TriAut, _conjugate, conjugate_derivation,
+from .triaut import (TriAut, _conjugated, conjugate_derivation,
                      normalize_mod_shn, reconstruct_from_frames,
                      split_ct_shift)
 
@@ -173,7 +173,8 @@ def act(g: GnElem, u: LieElem) -> LieElem:
 
     One pass over u's integer numerators applies the series factors, and
     one conjugation by the frame map, which g builds once and keeps,
-    applies the whole triangular factor; no polynomial is built between.
+    applies the whole triangular factor and writes the result's keys
+    straight into one dict; no polynomial is built between.
     The series steps commute in both forms: f rewrites only p_n, through
     d/dx_{n-1}, the feeds read only p_2..p_{n-1} and add to p_n terms in
     x_1..x_{n-2}, which d/dx_{n-1} kills.  So f is applied to p_n, and
@@ -204,7 +205,7 @@ def act(g: GnElem, u: LieElem) -> LieElem:
         # p_n gets a dict of its own: f reads the one it had.
         if scale != 1:
             den *= scale
-            parts = [{exps: c * scale for exps, c in part.items()}
+            parts = [part and {exps: c * scale for exps, c in part.items()}
                      for part in parts]
         else:
             parts[-1] = dict(parts[-1])
@@ -221,7 +222,7 @@ def act(g: GnElem, u: LieElem) -> LieElem:
                 _add_terms(top, terms)
         _add_terms(top, feeds.items())
     if frame is not None:
-        den, parts = _conjugate(frame, den, parts)
+        return _conjugated(frame, den, parts)
     return _join(g.n, den, parts)
 
 

@@ -197,19 +197,15 @@ def _new(n: int, den: int, nums: dict[int, int]) -> LieElem:
 
 
 def _join(n: int, den: int, parts: Sequence[Mapping[int, int]]) -> LieElem:
-    """sum p_i d_i from the numerators of p_1..p_n over den, one dict per
-    index keyed by packed keys of x1..xn; zero numerators are skipped.
-    Each p_i must use only x1..x_{i-1}: its keys lie below 2**(W(i-1))."""
+    """sum p_i d_i from the nonzero numerators of p_1..p_n over den, one
+    dict per index keyed by packed keys of x1..xn.  Each p_i must use only
+    x1..x_{i-1}: its keys lie below 2**(W(i-1))."""
     nums: dict[int, int] = {}
     for i, part in enumerate(parts, start=1):
-        bound = 1 << _W * (i - 1)
+        if part and max(part) >> _W * (i - 1):
+            raise DomainError(f"coefficient of d_{i} may only use x1..x{i - 1}")
         tag = _tag(n, i)
-        for key, c in part.items():
-            if c:
-                if key >= bound:
-                    raise DomainError(
-                        f"coefficient of d_{i} may only use x1..x{i - 1}")
-                nums[key + tag] = c
+        nums.update((key + tag, c) for key, c in part.items())
     return _new(n, *_lowest(den, nums))
 
 

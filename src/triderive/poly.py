@@ -452,19 +452,14 @@ def _mul_into(acc: dict[int, int], left: Iterable[tuple[int, int]],
               right: Iterable[tuple[int, int]]) -> dict[int, int]:
     """Add left x right into acc, zeros left in, and return acc: the one
     sparse product (right is iterated once per left term, so it must be a
-    list or a dict view).  A left term of key 0 is one constant c, which
-    adds c times each right term under that term's own key, the key the
-    sum would give: the diagonal 1/lambda_i of a conjugation always takes
-    this route, and every entry does when the map is affine."""
+    list or a dict view).  Keys are added as ints, so a left key may carry
+    more than exponents: a conjugation's entries carry the tag of their
+    derivation index, and its products land on derivation keys."""
     get = acc.get
     for e1, c1 in left:
-        if e1:
-            for e2, c2 in right:
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-        else:
-            for e2, c2 in right:
-                acc[e2] = get(e2, 0) + c1 * c2
+        for e2, c2 in right:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
     return acc
 
 

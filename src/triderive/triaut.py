@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .lie import LieElem, _derive, _join, _operator, _split, _tag, bracket
+from .lie import (LieElem, _derive, _new as _new_lie, _operator, _split, _tag,
+                  bracket)
 from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _check_limit,
                    _Images, _Keyed, _lowest, _mul_into, _new, _over_lcm,
                    _product, rat, rat_str, _substitute_ints, _sum_ints)
@@ -27,7 +28,7 @@ from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _check_limit,
 class TriAut(_Keyed):
     """Immutable triangular automorphism of the rank-n polynomial ring."""
 
-    __slots__ = ("n", "a", "lam", "_images", "_inv", "_jac_inv")
+    __slots__ = ("n", "a", "lam", "_images", "_inv", "_plan")
 
     def __init__(self, a: Sequence[Poly], lam: Sequence[RatLike] | None = None):
         n = len(a)
@@ -51,7 +52,7 @@ class TriAut(_Keyed):
         self.n = n
         self.a = tuple(polys)
         self.lam = lams
-        self._images = self._inv = self._jac_inv = self._key_cache = None
+        self._images = self._inv = self._plan = self._key_cache = None
 
     # -- constructors ---------------------------------------------------
 
@@ -141,14 +142,27 @@ class TriAut(_Keyed):
 
     def _inverse_jacobian(self) -> tuple[tuple[tuple[int, Poly, int], ...], ...]:
         """The inverse Jacobian M of this map, by columns, as
-        ``_lower_inverse`` gives them, built once.  Here M[j][i] =
-        sigma(d q_j / d x_i) with q_j = sigma^(-1)(x_j), and J M = 1 for
-        J the Jacobian of sigma: the lambdas, with d a_j / d x_i below."""
-        cached = self._jac_inv
-        if cached is None:
-            cached = self._jac_inv = _lower_inverse(self.n, self.lam, [
-                [a.diff(k + 1) for k in range(j)] for j, a in enumerate(self.a)])
-        return cached
+        ``_lower_inverse`` gives them.  Here M[j][i] = sigma(d q_j / d x_i)
+        with q_j = sigma^(-1)(x_j), and J M = 1 for J the Jacobian of
+        sigma: the lambdas, with d a_j / d x_i below."""
+        return _lower_inverse(self.n, self.lam, [
+            [a.diff(k + 1) for k in range(j)] for j, a in enumerate(self.a)])
+
+    def _conjugation_plan(self) -> list[tuple[int, list, list[int]]]:
+        """Per column i of the inverse Jacobian M, built once, as the map
+        never changes: (D_i, the entries M[j][i] as (packed key plus the
+        tag of d_j, numerator over D_i) pairs in the order of
+        ``_inverse_jacobian``, the positive degrees among them), with D_i
+        the lcm of the column's denominators."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = []
+            for column in self._inverse_jacobian():
+                den = math.lcm(*(m._den for _, m, _ in column))
+                plan.append((den, [(e + _tag(self.n, j), c * (den // m._den))
+                                   for j, m, _ in column for e, c in m._nums.items()],
+                             [deg for _, _, deg in column if deg]))
+        return plan
 
     def _fields(self) -> tuple:
         return self.n, self.lam, self.a
@@ -213,55 +227,48 @@ def conjugate_derivation(sigma: TriAut, u: LieElem) -> LieElem:
     the chain rule that is sum_{i <= j} M[j][i] sigma(p_i), where p_i is
     the d_i coefficient of u and M[j][i] = sigma(d q_j / d x_i) is the
     inverse Jacobian of sigma, a lower-triangular matrix with diagonal
-    1/lambda_j.  sigma caches M, next to its images and their powers, so
-    a conjugation substitutes only the nonzero coefficients of u and
-    multiplies each into one column of M, all on integer numerators.
+    1/lambda_j.  sigma keeps M as its conjugation plan, next to its images
+    and their powers, so a conjugation substitutes only the nonzero p_i
+    and multiplies each into one column of M, all on integer numerators
+    and into one dict of derivation keys.
     """
     if sigma.n != u.n:
         raise DomainError(f"mixed ranks: {sigma.n} vs {u.n}")
-    den, parts = _conjugate(sigma, u._den, u._parts())
-    try:
-        return _join(u.n, den, parts)
-    except DomainError as exc:
-        raise InternalError(f"conjugation left the triangular algebra: {exc}")
+    return _conjugated(sigma, u._den, u._parts())
 
 
-def _conjugate(sigma: TriAut, den: int, parts: Sequence[dict]
-               ) -> tuple[int, list[dict]]:
-    """The kernel of conjugation: the numerators of the d_1..d_n
-    coefficients of u over den in (one dict per index, keyed by packed
-    keys of x1..xn), those of sigma u sigma^(-1) out, over the returned
-    denominator and with zeros left in.
-
-    Each nonzero p_i is substituted through sigma's images, checked
-    against the degree limit term by term, and then each product
-    M[j][i] sigma(p_i) with j > i is checked, in that order, before the
-    next index, unless column i holds only constants, which cannot take
-    the image past the limit; sigma's cache gives column i of M with the
-    degree of each entry.  The products go straight into one dict per
-    index j, over one denominator, through ``poly._mul_into``.
-    """
-    images = sigma.images()
-    jac = sigma._inverse_jacobian()
-    columns = []
-    for part, column in zip(parts, jac):
+def _conjugated(sigma: TriAut, den: int, parts: Sequence[dict]) -> LieElem:
+    """The kernel of conjugation: sigma u sigma^(-1), for u given by the
+    numerators of its d_1..d_n coefficients over den, as ``LieElem._parts``
+    gives them.  Each nonzero p_i is substituted through sigma's images,
+    checked against the degree limit term by term, and must use only
+    x1..x_{i-1}; then the products M[j][i] sigma(p_i) of positive degree
+    are checked, in order, before the next index.  The products go into
+    one dict of derivation keys over one denominator through
+    ``poly._mul_into``: within each index, keys come in the order of
+    column-by-column sums."""
+    images, plan, used = sigma.images(), sigma._conjugation_plan(), []
+    for i, part in enumerate(parts):
         if not part:
             continue
         common, image = _substitute_ints(images, part.items())
-        if any(mdeg for _, _, mdeg in column[1:]):
+        if max(image) >> _W * i:
+            raise InternalError(f"conjugation left the triangular algebra: "
+                                f"coefficient of d_{i + 1} may only use x1..x{i}")
+        cden, entries, degs = plan[i]
+        if degs:
             deg = max(map(_FIELD.__rmod__, image))
-            for _, _, mdeg in column[1:]:
+            for mdeg in degs:
                 _check_limit(mdeg + deg, "product")
-        columns.append((common, image.items(), column))
-    lcm = math.lcm(*(common * m._den
-                     for common, _, column in columns for _, m, _ in column))
-    out: list[dict] = [{} for _ in range(sigma.n)]
-    for common, image, column in columns:
-        for j, m, _ in column:
-            scale = lcm // (common * m._den)
-            _mul_into(out[j - 1], [(e, c * scale) for e, c in m._nums.items()],
-                      image)
-    return den * lcm, out
+        used.append((common * cden, entries, image.items()))
+    lcm = used[0][0] if len(used) == 1 else math.lcm(*(d for d, *_ in used))
+    acc: dict[int, int] = {}
+    for d, entries, image in used:
+        scale = lcm // d
+        _mul_into(acc, entries if scale == 1 else
+                  [(e, c * scale) for e, c in entries], image)
+    return _new_lie(sigma.n, *_lowest(den * lcm,
+                                      {k: c for k, c in acc.items() if c}))
 
 
 def exp_map(delta: LieElem) -> TriAut:

@@ -399,7 +399,7 @@ class TestAction:
         g = gn(n, f=OpSeries("F", n - 1, None, {1: Fraction(1, 2), 3: 2}),
                e=[OpSeries("E", k + 1, None, {2: Fraction(-1, 3)})
                   for k in range(n - 2)])
-        monkeypatch.setattr("triderive.autgroup._conjugate", None)
+        monkeypatch.setattr("triderive.autgroup._conjugated", None)
         for u in standard_generators(n, 4):
             coeffs = _apply_feeds(g.e, _apply_unit_series(
                 g.f, u.coefficient_polys()))

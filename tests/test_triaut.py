@@ -249,9 +249,10 @@ def conjugate_by_exponent_sums(sigma: TriAut, den: int, parts: list
                                ) -> tuple[int, list[dict]]:
     """The conjugation kernel with one route for every entry of the
     inverse Jacobian: each product sums exponent tuples, constant entries
-    included, unpacked from the packed keys and packed back.  The
-    reference for the values of ``_conjugate`` and for the order of the
-    keys of each dict it returns."""
+    included, unpacked from the packed keys and packed back, into one
+    dict per index, with zeros left in.  The reference for the values of
+    ``_conjugated`` and for the order of the keys within each index of
+    the derivation it returns."""
     n = sigma.n
     columns = []
     for part, column in zip(parts, sigma._inverse_jacobian()):
@@ -366,6 +367,18 @@ class TestConjugationKernel:
         assert outcome(lambda: LieElem.from_coefficients(
             conjugate_by_polys(sigma, u.coefficient_polys()))) == want
 
+    def test_a_column_is_checked_down_its_entries(self):
+        """Column 2 of M under [0, x1, x2^2, x2^3] holds -2*x2 and then
+        -3*x2^2: with x1^65534 at the limit, the first of them names the
+        refusal."""
+        sigma = parse_triaut("[0, x1, x2^2, x2^3]")
+        u = parse_lie(f"x1^{_MAX_DEGREE}*d2", 4)
+        want = (DegreeCapError, "product would reach total degree 65535, "
+                "over the cap 65534")
+        assert outcome(conjugate_derivation, sigma, u) == want
+        assert outcome(lambda: LieElem.from_coefficients(
+            conjugate_by_polys(sigma, u.coefficient_polys()))) == want
+
     @pytest.mark.parametrize("text, want", [
         # column 2 of M: 1, -1, 1, all constants
         ("[0, x1, x2, x3]", f"x1^{_MAX_DEGREE}*d2 - x1^{_MAX_DEGREE}*d3"
@@ -391,12 +404,12 @@ class TestConjugationKernel:
     @given(data=st.data())
     def test_constant_and_other_entries_share_one_kernel(self, affine, data):
         """Frames whose inverse Jacobian is all constant, and frames with
-        an entry of positive degree too, both through ``poly._mul_into``,
-        which adds a constant entry's products under the image's own
-        keys: values, key order and degree-limit errors are those of the
-        kernel that sums exponent tuples for every entry, and values and
-        errors those of Poly arithmetic, with the bomb terms of
-        ``with_bombs`` added."""
+        an entry of positive degree too, both through the conjugation
+        plan and ``poly._mul_into`` into one dict of derivation keys:
+        split by index, the values and key order, and the degree-limit
+        errors, are those of the kernel that sums exponent tuples for
+        every entry into one dict per index, and values and errors those
+        of Poly arithmetic, with the bomb terms of ``with_bombs`` added."""
         sigma, u = data.draw(frames_and_derivations(affine))
         u = data.draw(with_bombs(sigma, u))
         degrees = [[mdeg for _, _, mdeg in column]
@@ -404,12 +417,17 @@ class TestConjugationKernel:
         assert all(column[0] == 0 for column in degrees)
         assert any(map(any, degrees)) is not affine
 
-        def kernel(fn):
-            den, parts = fn(sigma, u._den, u._parts())
-            return den, [list(part.items()) for part in parts]
+        def kernel():
+            w = triaut._conjugated(sigma, u._den, u._parts())
+            return w._den, [list(part.items()) for part in w._parts()]
 
-        assert outcome(kernel, triaut._conjugate) == outcome(
-            kernel, conjugate_by_exponent_sums)
+        def oracle():
+            den, parts = conjugate_by_exponent_sums(sigma, u._den, u._parts())
+            g = math.gcd(den, *(c for part in parts for c in part.values()))
+            return den // g, [[(e, c // g) for e, c in part.items() if c]
+                              for part in parts]
+
+        assert outcome(kernel) == outcome(oracle)
         assert outcome(conjugate_derivation, sigma, u) == outcome(
             lambda: LieElem.from_coefficients(
                 conjugate_by_polys(sigma, u.coefficient_polys())))
@@ -420,8 +438,9 @@ class TestConjugationKernel:
 
     def test_a_result_off_the_algebra_is_an_internal_error(self, monkeypatch):
         # a d_2 coefficient that uses x2 cannot come out of a conjugation
-        monkeypatch.setattr(triaut, "_conjugate",
-                            lambda sigma, den, parts: (1, [{}, {_pack((0, 1)): 1}]))
+        kernel = triaut._conjugated
+        monkeypatch.setattr(triaut, "_conjugated", lambda sigma, den, parts:
+                            kernel(sigma, 1, [{}, {_pack((0, 1)): 1}]))
         with pytest.raises(InternalError) as info:
             conjugate_derivation(TriAut.identity(2), LieElem.d(2, 1))
         assert str(info.value) == ("conjugation left the triangular algebra: "
@@ -456,13 +475,14 @@ class TestConjugationKernel:
         rng = random.Random(f"jacobian:{seed}")
         n = rng.randint(2, 4)
         sigma = rand_triaut(rng, n)
-        assert sigma._jac_inv is None
+        assert sigma._plan is None
         conjugate_derivation(sigma, rand_lie(rng, n))
-        jac = sigma._jac_inv
+        plan = sigma._plan
         for _ in range(3):
             u = rand_lie(rng, n)
             assert conjugate_derivation(sigma, u) == conjugate_by_substitution(sigma, u)
-            assert sigma._jac_inv is jac
+            assert sigma._plan is plan
+        jac = sigma._inverse_jacobian()
         # Column i lists (j, M[j][i], its degree) for the nonzero M[j][i]
         # with j >= i, where M[j][i] = sigma(d q_j / d x_i) and
         # q_j = sigma^(-1)(x_j).
