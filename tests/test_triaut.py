@@ -437,7 +437,8 @@ class TestConjugationKernel:
             conjugate_derivation(TriAut.identity(2), LieElem.d(3, 1))
 
     def test_a_result_off_the_algebra_is_an_internal_error(self, monkeypatch):
-        # a d_2 coefficient that uses x2 cannot come out of a conjugation
+        # the kernel fed a d_2 coefficient that uses x2, whose image does
+        # too: no conjugation of a derivation can give that
         kernel = triaut._conjugated
         monkeypatch.setattr(triaut, "_conjugated", lambda sigma, den, parts:
                             kernel(sigma, 1, [{}, {_pack((0, 1)): 1}]))
