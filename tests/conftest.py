@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, Phase, settings
 
 from triderive import (GnElem, LieElem, OpSeries, OrdinalCNF, Poly, TriAut,
                        TriderivError)
-from triderive.poly import _MAX_DEGREE
+from triderive.lie import _operator, _split
+from triderive.poly import (_FIELD, _MAX_DEGREE, _W, _check_limit, _lowest,
+                            _mul_into, _new)
+from triderive.triaut import _bernoulli_term
 
 # The explain phase would rerun a failing draw for minutes.
 settings.register_profile(
@@ -265,6 +268,80 @@ def inverse_jacobian_by_polys(sigma: TriAut) -> tuple:
     return tuple(tuple((j, m, m.total_degree())
                        for j in range(i, n + 1) if (m := rows[j - 1][i - 1]))
                  for i in range(1, n + 1))
+
+
+def derive_by_polys(den: int, operator, p: Poly) -> Poly:
+    """Oracle for ``lie._derive``: sum p_i d/dx_i applied to p, the
+    numerators of the p_i over den as ``lie._operator`` gives them, as
+    one Poly in lowest terms.  Each index is checked against the degree
+    limit as the product p_i * dp/dx_i before its keys are formed."""
+    acc: dict = {}
+    for k, part, deg in operator:
+        shift = _W * k
+        one = 1 << shift
+        dp = [(e - one, c * a) for e, c in p._nums.items()
+              if (a := e >> shift & _FIELD)]
+        if dp:
+            _check_limit(deg + max(e % _FIELD for e, _ in dp), "product")
+            _mul_into(acc, part.items(), dp)
+    return _new(p.nvars, *_lowest(den * p._den,
+                                  {e: c for e, c in acc.items() if c}))
+
+
+def exp_map_by_polys(delta: LieElem) -> list:
+    """Oracle for ``exp_map``: the images sum_k delta^k(x_i) / k!, each
+    term a reduced Poly, delta of the one before over k times delta's
+    den, added to the image by Poly addition."""
+    n = delta.n
+    den, parts = delta._den, _operator(delta._parts())
+    images = []
+    for i in range(1, n + 1):
+        term = acc = Poly.var(n, i)
+        k = 0
+        while term:
+            k += 1
+            term = derive_by_polys(den * k, parts, term)
+            acc = acc + term
+        images.append(acc)
+    return images
+
+
+def log_map_by_polys(sigma: TriAut) -> list:
+    """Oracle for ``log_map``: the coefficients b_j = sum_k (B_k/k!)
+    D^k(a_j), each D^k(a_j) a reduced Poly, scaled and added to b_j by
+    Poly arithmetic."""
+    coeffs: list = []
+    for a in sigma.a:
+        den, parts = _split(coeffs)
+        parts = _operator(parts)
+        b = term = a
+        k = 0
+        while term:
+            k += 1
+            term = derive_by_polys(den, parts, term)
+            if term and _bernoulli_term(k):
+                b = b + term.scale(_bernoulli_term(k))
+        coeffs.append(b)
+    return coeffs
+
+
+def invert_by_polys(sigma: TriAut) -> list:
+    """Oracle for ``TriAut.invert``: the inverse images q_i = (x_i -
+    a_i(q_1..q_{i-1})) / lambda_i, by Poly substitution, subtraction
+    and scaling."""
+    n = sigma.n
+    inverse_images: list = []
+    for i in range(1, n + 1):
+        images = inverse_images + [Poly.var(n, j) for j in range(i, n + 1)]
+        shifted = Poly.var(n, i) - sigma.a[i - 1].substitute(images)
+        inverse_images.append(shifted.scale(1 / sigma.lam[i - 1]))
+    return inverse_images
+
+
+def layouts(values) -> list:
+    """The stored form of each value: its denominator and its numerators
+    in key order, so that two equal lists also agree on key order."""
+    return [(v._den, list(v._nums.items())) for v in values]
 
 
 def series_product_by_fractions(a: dict, b: dict, limit: int) -> dict:

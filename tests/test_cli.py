@@ -271,6 +271,18 @@ class TestCommands:
             0, "[0, x1^2, x1*x2, x3^2 - x1, x2*x4, x1*x3 + x5^2 ; "
                "2, 1, 3, 1, -1, 1/2]\n", "")
 
+    @pytest.mark.filterwarnings("error")
+    def test_rank5_log_of_degree_66_round_trips_through_exp(self, capsys):
+        from triderive import exp_map
+        from triderive.dsl import parse_lie, parse_triaut
+        map_text = ("[-13/3, x1^3 - 3, -1/2*x1^2*x2^2 + 1/2*x1*x2^3, "
+                    "-3/2*x1*x3^3 + 1, -3*x1*x2*x4^2 + 2/3]")
+        code, out, err = run(capsys, "log", map_text)
+        assert (code, err) == (0, "")
+        delta = parse_lie(out, 5)
+        assert max(map(sum, (alpha for alpha, _ in delta.terms))) == 66
+        assert exp_map(delta) == parse_triaut(map_text)
+
     def test_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0

@@ -6,7 +6,8 @@ suite itself.
 
 The corpus covers every subcommand in both ``--format``s, truncation
 exits (4), degree-limit exits (2), parse errors (1), each refusal of
-``reconstruct`` (2), ``center`` at rank 6, and seeded Form A and Form B
+``reconstruct`` (2), ``center`` at rank 6, exp, log and inv at ranks
+5 and 6 and at the degree limit, and seeded Form A and Form B
 elements of ranks 2-4, some exact and some stored through orders 0-8,
 among them ``decompose`` asked beyond the stored order.  To rewrite
 it after an intended output change, run
@@ -212,6 +213,15 @@ def corpus_argvs() -> list[list[str]]:
         ["d1", "d2 + x1*d3", "d3"], ["d1"], ["d1", "x1*d3", "d3"],
         ["d1", "d2 + x1*d2", "d3"], ["d1", "d2"])]
     out.append(["--n", "6", "center"])
+    # exp, inv and log, whose series run on integer numerators: refusals
+    # at the degree limit, a rank-6 logarithm, and the inverse of a rank-5
+    # map with a torus part.
+    out += [["--n", "3", "exp", "x1^40000*d2 + x2^2*d3"],
+            ["inv", "[0, x1^40000, x2^2]"],
+            ["log", "[0, x1^2 - 1, x1*x2 + 2/3, x3^2 - x1, x2*x4 - 1/5, "
+                    "x5^2 + x1*x3]"],
+            ["inv", "[1/2, x1^2 - 1, x1*x2 + 2/3, x3^2 - x1, x2*x4 - 1/5; "
+                    "2, -1, 3, 1/2, -3]"]]
     return out
 
 

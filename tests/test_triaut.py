@@ -8,19 +8,21 @@ from operator import add
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import (bomb, conjugate_by_polys, inverse_jacobian_by_polys,
-                      lie_elems, outcome, polys, rand_poly, rand_triaut,
-                      rationals, sympy_terms, to_sympy, triangular_auts,
-                      unipotent_auts)
+from conftest import (bomb, conjugate_by_polys, derive_by_polys,
+                      exp_map_by_polys, inverse_jacobian_by_polys,
+                      invert_by_polys, layouts, lie_elems, log_map_by_polys,
+                      outcome, polys, rand_poly, rand_triaut, rationals,
+                      sympy_terms, to_sympy, triangular_auts, unipotent_auts)
 from triderive import (AutoAction, DegreeCapError, DomainError, InternalError,
                        LieElem, Poly, TriAut, act, bracket,
                        conjugate_derivation, decompose, exp_ad_apply, exp_map,
                        log_map, normalize_mod_shn, reconstruct_from_frames)
 from triderive import triaut
 from triderive.cli import main
-from triderive.dsl import parse_lie, parse_triaut
+from triderive.dsl import parse_lie, parse_poly, parse_triaut
+from triderive.lie import _operator
 from triderive.poly import (_MAX_DEGREE, _check_limit, _pack,
                             _substitute_ints, _unpack)
 from triderive.triaut import _bernoulli_term, format_triaut, split_ct_shift
@@ -38,6 +40,47 @@ class TestConstruction:
     def test_scales_must_be_nonzero(self):
         with pytest.raises(DomainError):
             TriAut.torus([1, 0])
+
+    @pytest.mark.parametrize("parts, lam, message", [
+        ([], None, "rank must be at least 1"),
+        ([Poly.zero(2), Poly.zero(2)], [1], "need one scale per variable"),
+        ([Poly.zero(2), Poly.zero(2)], [1, 0], "scales must be nonzero"),
+        ([Poly.zero(2), Poly.zero(3)], None,
+         "translation parts must live in the rank-n ring"),
+        ([Poly.zero(3), Poly.zero(3), Poly.var(3, 3)], [1, 2, 3],
+         "translation part of x3 may only use x1..x2"),
+        ([Poly.var(2, 1), Poly.zero(2)], None,
+         "translation part of x1 may only use x1..x0"),
+    ])
+    def test_the_constructor_refuses_with_the_pinned_message(self, parts, lam,
+                                                             message):
+        with pytest.raises(DomainError) as info:
+            TriAut(parts, lam)
+        assert str(info.value) == message
+
+    def test_apply_refuses_a_polynomial_of_another_rank(self):
+        for apply in (TriAut.identity(2).apply, LieElem.d(2, 1).apply_to):
+            with pytest.raises(DomainError) as info:
+                apply(Poly.var(3, 1))
+            assert str(info.value) == "polynomial must live in the rank-n ring"
+
+    def test_split_ct_shift_refuses_a_torus_part(self):
+        with pytest.raises(DomainError) as info:
+            split_ct_shift(parse_triaut("[1, x1; 1, 2]"))
+        assert str(info.value) == "factorization needs a unipotent automorphism"
+
+    @pytest.mark.parametrize("images, message", [
+        (["x1", "x1"], "image of x2 is not triangular: x1"),
+        (["x1 + x2", "x2"], "image of x1 is not triangular: x1 + x2"),
+        (["2*x1", "x1 - x2 + x3^2", "x3"],
+         "image of x2 is not triangular: x3^2 + x1 - x2"),
+    ])
+    def test_rebuilding_from_images_refuses_a_shape_off_the_group(
+            self, images, message):
+        n = len(images)
+        with pytest.raises(InternalError) as info:
+            triaut._from_images(n, [parse_poly(q, n) for q in images])
+        assert str(info.value) == message
 
     def test_predicates(self):
         assert TriAut.identity(3).is_identity()
@@ -229,6 +272,117 @@ class TestLogByBernoulliSeries:
         assert str(log_map(sigma)) == (
             "d1 + x1^2*d2 - x1*d2 + 1/6*d2 + x2*d3 - 1/2*x1^2*d3"
             " + 2/3*x1*d3 + 5/6*d3")
+
+
+# Exponents of x1 for the bombs below: near half the key limit, so that a
+# square passes it or not, and at the limit, so that any product does.
+BOMB_DEGREES = [_MAX_DEGREE // 2 - 1, _MAX_DEGREE // 2, _MAX_DEGREE // 2 + 1,
+                _MAX_DEGREE - 1, _MAX_DEGREE]
+
+
+@st.composite
+def bombs(draw, n: int, parts: list) -> list:
+    """The rank-n coefficient or translation parts, in some draws with a
+    bomb: c*x1^E added to part i and c'*x_i^m to a part j > i, for E in
+    BOMB_DEGREES and m in 1..2.  Part 1 is then zeroed, so that x1 stays
+    fixed and x1^E never enters a series E terms long."""
+    if n < 3 or not draw(st.booleans()):
+        return parts
+    i = draw(st.integers(2, n - 1))
+    j = draw(st.integers(i + 1, n))
+    top, square = [0] * n, [0] * n
+    top[0] = draw(st.sampled_from(BOMB_DEGREES))
+    square[i - 1] = draw(st.integers(1, 2))
+    parts = [Poly.zero(n), *parts[1:]]
+    parts[i - 1] = parts[i - 1] + Poly.monomial(n, top, draw(rationals(nonzero=True)))
+    parts[j - 1] = parts[j - 1] + Poly.monomial(n, square,
+                                                draw(rationals(nonzero=True)))
+    return parts
+
+
+@st.composite
+def bombed_derivations(draw, n: int) -> LieElem:
+    u = draw(lie_elems(n))
+    return LieElem.from_coefficients(draw(bombs(n, u.coefficient_polys())))
+
+
+@st.composite
+def bombed_auts(draw, n: int, torus: bool) -> TriAut:
+    sigma = draw(triangular_auts(n) if torus else with_first_shift(n))
+    return TriAut(draw(bombs(n, list(sigma.a))), sigma.lam)
+
+
+class TestSeriesOnIntegerNumerators:
+    """exp_map, log_map, TriAut.invert and LieElem.apply_to against the
+    Poly-level loops of conftest: equal values, denominators and key
+    order of every image and every b_j, or the same refusal."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_exp_map_matches_the_poly_loop(self, n, data):
+        u = data.draw(bombed_derivations(n))
+        assert outcome(lambda: layouts(exp_map(u).images())) == outcome(
+            lambda: layouts(exp_map_by_polys(u)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_log_map_matches_the_poly_loop(self, n, data):
+        sigma = data.draw(bombed_auts(n, torus=False))
+        assert outcome(lambda: layouts(log_map(sigma).coefficient_polys())) == (
+            outcome(lambda: layouts(log_map_by_polys(sigma))))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_invert_matches_the_poly_loop(self, n, data):
+        sigma = data.draw(bombed_auts(n, torus=True))
+        assert outcome(lambda: layouts(sigma.invert().images())) == outcome(
+            lambda: layouts(invert_by_polys(sigma)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_apply_to_matches_the_poly_derive(self, n, data):
+        """p gains x1^E * x_n, one below the limit; u's d_n coefficient
+        c*x1^s passes the limit by s - 1 in the product."""
+        u = data.draw(lie_elems(n, max_degree=3, max_terms=4))
+        p = data.draw(polys(n, max_total=4, max_terms=4))
+        if data.draw(st.booleans()):
+            exps = [0] * n
+            exps[0], exps[-1] = _MAX_DEGREE - 1, 1
+            p = p + Poly.monomial(n, exps, data.draw(rationals(nonzero=True)))
+            u = u + LieElem.basis(n, (data.draw(st.integers(0, 3)),)
+                                  + (0,) * (n - 2), n)
+        assert outcome(lambda: layouts([u.apply_to(p)])) == outcome(
+            lambda: layouts([derive_by_polys(u._den,
+                                             _operator(u._parts()), p)]))
+
+    @pytest.mark.parametrize("text, error", [
+        ("[0, x1^40000, x2^2]",
+         "substitution would reach total degree 80000, over the cap 65534"),
+        ("[0, x1^32767, x2^2; 3/4, -1, 2]", None),
+        ("[0, x1^65534, x2 + x1; -1/2, 1, 1]", None),
+    ])
+    def test_invert_near_the_limit(self, text, error):
+        sigma = parse_triaut(text)
+        got = outcome(lambda: layouts(sigma.invert().images()))
+        assert got == outcome(lambda: layouts(invert_by_polys(sigma)))
+        if error:
+            assert got == (DegreeCapError, error)
+        else:
+            assert sigma.compose(sigma.invert()).is_identity()
+
+    def test_a_negative_scale_keeps_the_denominator_positive(self):
+        sigma = parse_triaut("[1/3, x1^2 - 1; -2/5, -7]")
+        inverse = sigma.invert()
+        assert [q._den for q in inverse.images()] == [6, 252]
+        assert layouts(inverse.images()) == layouts(invert_by_polys(sigma))
+        assert inverse.lam == (Fraction(-5, 2), Fraction(-1, 7))
+        assert sigma.compose(inverse).is_identity()
 
 
 def conjugate_by_substitution(sigma: TriAut, u: LieElem) -> LieElem:
