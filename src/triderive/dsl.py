@@ -104,11 +104,8 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {found!r}",
-                             tok.start, tok.end)
+        if self.peek().kind != kind:
+            raise self.fail(what)
         return self.next()
 
     def fail(self, what: str) -> ParseError:

@@ -39,10 +39,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 from .ordinals import OrdinalCNF, ord_compare, ord_of_basis
-from .poly import (_FIELD, _MAX_DEGREE, _W, Poly, RatLike, _add_terms,
-                   _check_limit, _format_terms, _IntLayout,
-                   _lowest, _mul_into, _new as _new_poly, _over_lcm, _pack,
-                   _unpack, format_monomial, iter_exponents, rat)
+from .poly import (_FIELD, _MAX_DEGREE, _W, Poly, RatLike, _check_limit,
+                   _format_terms, _IntLayout, _lowest, _mul_into,
+                   _new as _new_poly, _over_lcm, _pack, _summed, _unpack,
+                   format_monomial, iter_exponents, rat)
 
 # A basis derivation x^alpha d_i is keyed by (alpha, i) in public.
 Key = tuple[tuple[int, ...], int]
@@ -173,10 +173,12 @@ class LieElem(_IntLayout):
     # -- as an operator on polynomials -------------------------------------
 
     def apply_to(self, p: Poly) -> Poly:
-        """Apply the derivation sum p_i d/dx_i to a polynomial."""
+        """Apply the derivation sum p_i d/dx_i to a polynomial: ``_derive``
+        on its numerators, then one gcd."""
         if p.nvars != self.n:
             raise DomainError("polynomial must live in the rank-n ring")
-        return _derive(self._den, _operator(self._parts()), p)
+        return _new_poly(p.nvars, *_lowest(self._den * p._den, _derive(
+            _operator(self._parts()), p._nums)))
 
     def __str__(self) -> str:
         return format_lie(self)
@@ -223,30 +225,28 @@ def _operator(parts: Sequence[dict[int, int]]
     """The numerators of p_1, p_2, ..., as ``_split`` or
     ``LieElem._parts`` gives them, in the form ``_derive`` takes: a triple
     (k, numerators of p_{k+1}, deg p_{k+1}) per nonzero p_{k+1}, so that
-    the degrees are taken once for every polynomial derived."""
+    the degrees are taken once for every series of derivatives."""
     return [(k, part, max(map(_FIELD.__rmod__, part)))
             for k, part in enumerate(parts) if part]
 
 
-def _derive(den: int, operator: Sequence[tuple[int, dict[int, int], int]],
-            p: Poly) -> Poly:
-    """Apply sum p_i d/dx_i to p, the numerators of the p_i over den given
-    as ``_operator`` gives them.  The products go over den * p._den into
-    one dict and end with one gcd, as in ``bracket``.  Each index is first
-    checked against the degree limit as the product p_i * dp/dx_i:
-    deg p_i + deg dp/dx_i."""
+def _derive(operator: Sequence[tuple[int, dict[int, int], int]],
+            nums: Mapping[int, int]) -> dict[int, int]:
+    """sum p_i d/dx_i applied to the numerators of a polynomial, the p_i
+    as ``_operator`` gives them: numerators over the product of the two
+    denominators, cancelled keys dropped, no gcd.  Each index is first
+    checked against the degree limit as the product p_i * dp/dx_i."""
     acc: dict[int, int] = {}
     for k, part, deg in operator:
         # d/dx_{k+1}: lowering one exponent is injective, so no terms meet
         shift = _W * k
         one = 1 << shift
-        dp = [(e - one, c * a) for e, c in p._nums.items()
+        dp = [(e - one, c * a) for e, c in nums.items()
               if (a := e >> shift & _FIELD)]
         if dp:
             _check_limit(deg + max(e % _FIELD for e, _ in dp), "product")
             _mul_into(acc, part.items(), dp)
-    return _new_poly(p.nvars, *_lowest(den * p._den,
-                                       {e: c for e, c in acc.items() if c}))
+    return {e: c for e, c in acc.items() if c}
 
 
 # -- basis order and ordinal degree -----------------------------------------
@@ -354,10 +354,10 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
     for k > top(v) + max_i w_i, where top(v) is the largest weight of a
     term of v.  Passing that bound is a bug and raises InternalError.
 
-    One integer series: T_k = (ad u)^k v stays the raw numerators of ``_ad``
-    over v._den u._den^k, with no gcd and no 1/k!.  With T_K the last
-    nonzero term, T_0..T_K are added into one dict, ascending, each times
-    (K!/k!) u._den^(K-k), over v._den u._den^K K!, and reduced once.
+    One integer series: T_k = (ad u)^k v / k! stays the raw numerators of
+    ``_ad`` over v._den u._den^k k!, with no gcd.  With T_K the last
+    nonzero term, ``_summed`` adds T_0..T_K over the next denominator,
+    which they all divide, and reduces once.
     """
     u._require_same_rank(v)
     n = u.n
@@ -368,18 +368,14 @@ def exp_ad_apply(u: LieElem, v: LieElem) -> LieElem:
         w[i - 1] = max(w[i - 1], 1 + _weigh(key, w))
     cap = max([_weigh(key, w) - w[n - 1 - (key >> top)] for key in v._nums],
               default=0) + max(w) + 1
-    terms, nums, acc = [], v._nums, {}
+    terms, nums, den = [], v._nums, v._den
     while nums:
-        terms.append(nums)
+        terms.append((den, nums))
         if len(terms) > cap:
             raise InternalError("exp(ad u) failed to terminate within its bound")
+        den *= len(terms) * u._den
         nums = _ad(u, nums)
-    weights = [1]  # of T_K, T_{K-1}, ..., T_0
-    for k in range(len(terms) - 1, 0, -1):
-        weights.append(weights[-1] * k * u._den)
-    for nums, m in zip(terms, reversed(weights)):
-        _add_terms(acc, [(key, c * m) for key, c in nums.items()])
-    return _new(n, *_lowest(v._den * weights[-1], acc))
+    return _new(n, *_summed(terms, den))
 
 
 # -- generators and the center ------------------------------------------------

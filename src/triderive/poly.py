@@ -164,11 +164,17 @@ def _sum_ints(d1: int, n1: Mapping[_K, int], d2: int, n2: Mapping[_K, int]
     return _lowest(den, _add_terms(acc, items))
 
 
-def _scale_ints(den: int, nums: Mapping[_K, int], f: Fraction
-                ) -> tuple[int, dict[_K, int]]:
-    """nums/den times the nonzero rational f, in lowest terms."""
-    num = f.numerator
-    return _lowest(den * f.denominator, {k: c * num for k, c in nums.items()})
+def _summed(terms: Sequence[tuple[int, Mapping[_K, int]]], den: int = 0
+            ) -> tuple[int, dict[_K, int]]:
+    """The sum of the values nums / d of terms, in lowest terms, added in
+    order by ``_add_terms`` over den: a multiple of each d, or their lcm."""
+    den = den or math.lcm(*(d for d, _ in terms))
+    acc: dict[_K, int] = {}
+    for d, nums in terms:
+        m = den // d
+        _add_terms(acc, nums.items() if m == 1 else
+                   [(e, c * m) for e, c in nums.items()])
+    return _lowest(den, acc)
 
 
 def _fractions(den: int, nums: Iterable[int]) -> list[Fraction]:
@@ -280,7 +286,9 @@ class _IntLayout:
             return self
         if not f:
             return self._with(1, {})
-        return self._with(*_scale_ints(self._den, self._nums, f))
+        num = f.numerator
+        return self._with(*_lowest(self._den * f.denominator,
+                                   {k: c * num for k, c in self._nums.items()}))
 
 
 class Poly(_IntLayout):

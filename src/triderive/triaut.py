@@ -22,7 +22,7 @@ from .lie import (LieElem, _derive, _new as _new_lie, _operator, _split, _tag,
                   bracket)
 from .poly import (_FIELD, _W, Poly, RatLike, _add_terms, _check_limit,
                    _Images, _Keyed, _lowest, _mul_into, _new, _over_lcm,
-                   _product, rat, rat_str, _substitute_ints, _sum_ints)
+                   _product, rat, rat_str, _substitute_ints, _sum_ints, _summed)
 
 
 class TriAut(_Keyed):
@@ -34,23 +34,18 @@ class TriAut(_Keyed):
         n = len(a)
         if n < 1:
             raise DomainError("rank must be at least 1")
-        if lam is None:
-            lams = tuple(Fraction(1) for _ in range(n))
-        else:
-            if len(lam) != n:
-                raise DomainError("need one scale per variable")
-            lams = tuple(rat(c) for c in lam)
+        if lam is not None and len(lam) != n:
+            raise DomainError("need one scale per variable")
+        lams = (Fraction(1),) * n if lam is None else tuple(map(rat, lam))
         if any(not c for c in lams):
             raise DomainError("scales must be nonzero")
-        polys = []
         for i, p in enumerate(a, start=1):
             if p.nvars != n:
                 raise DomainError("translation parts must live in the rank-n ring")
             if not p.uses_only(i - 1):
                 raise DomainError(f"translation part of x{i} may only use x1..x{i - 1}")
-            polys.append(p)
         self.n = n
-        self.a = tuple(polys)
+        self.a = tuple(a)
         self.lam = lams
         self._images = self._inv = self._plan = self._key_cache = None
 
@@ -121,20 +116,24 @@ class TriAut(_Keyed):
         return _from_images(self.n, [self.apply(q) for q in other.images()])
 
     def invert(self) -> TriAut:
-        """Group inverse, built coordinate by coordinate.  Cached both ways
-        (the inverse keeps this map as its own), since the instance is
-        immutable: repeated calls, such as inverting a map and inverting
-        back, build nothing new.  Conjugation never inverts."""
+        """Group inverse: q_i = (x_i - a_i(q_1..q_{i-1})) / lambda_i from
+        the numerators of a_i(q) over D, x_i's key first, with one gcd.
+        Cached both ways (the inverse keeps this map as its own), since
+        the instance is immutable.  Conjugation never inverts."""
         cached = self._inv
         if cached is not None:
             return cached
         n = self.n
+        xs = [Poly.var(n, j) for j in range(1, n + 1)]
         inverse_images: list[Poly] = []
-        for i in range(1, n + 1):
+        for i, (lam, a) in enumerate(zip(self.lam, self.a)):
             # a_i only uses x1..x_{i-1}, whose inverse images are known.
-            images = inverse_images + [Poly.var(n, j) for j in range(i, n + 1)]
-            shifted = Poly.var(n, i) - self.a[i - 1].substitute(images)
-            inverse_images.append(shifted.scale(1 / self.lam[i - 1]))
+            common, acc = _substitute_ints(_Images(inverse_images + xs[i:]),
+                                           a._nums.items())
+            den = a._den * common
+            g, h = (1 / lam).as_integer_ratio()  # h > 0
+            inverse_images.append(_new(n, *_lowest(den * h, {
+                1 << _W * i: g * den, **{e: -g * c for e, c in acc.items()}})))
         inv = _from_images(n, inverse_images)
         self._inv = inv
         inv._inv = self
@@ -201,18 +200,19 @@ def _lower_inverse(n: int, diag: Sequence[Fraction], below: Sequence[Sequence[Po
 
 
 def _from_images(n: int, images: Sequence[Poly]) -> TriAut:
-    """Rebuild a TriAut from raw images, checking the triangular shape.
-    The images are x_i * lambda_i + a_i in canonical form: the map's own."""
-    lams = []
-    parts = []
-    for i, q in enumerate(images, start=1):
+    """A TriAut from the canonical images of a group operation, kept as its
+    own: once their shape is checked, built without ``TriAut.__init__``."""
+    lams, parts = [], []
+    for i, q in enumerate(images):
         rest = dict(q._nums)
-        lam = Fraction(rest.pop(1 << _W * (i - 1), 0), q._den)
-        parts.append(_new(n, *_lowest(q._den, rest)))
-        if not lam or not parts[-1].uses_only(i - 1):
-            raise InternalError(f"image of x{i} is not triangular: {q}")
+        lam = Fraction(rest.pop(1 << _W * i, 0), q._den)
+        if not lam or max(rest, default=0) >> _W * i:
+            raise InternalError(f"image of x{i + 1} is not triangular: {q}")
         lams.append(lam)
-    sigma = TriAut(parts, lams)
+        parts.append(_new(n, *_lowest(q._den, rest)))
+    sigma = TriAut.__new__(TriAut)
+    sigma.n, sigma.a, sigma.lam = n, tuple(parts), tuple(lams)
+    sigma._inv = sigma._plan = sigma._key_cache = None
     sigma._images = _Images(images)
     return sigma
 
@@ -275,19 +275,17 @@ def exp_map(delta: LieElem) -> TriAut:
     """The automorphism exp(delta): x_i -> sum_k delta^k(x_i) / k!.
 
     Terminates because triangular derivations act locally nilpotently on
-    polynomials.  Term k is delta of term k-1 over k times delta's den.
+    polynomials.  Term k is ``_derive`` of term k-1 over k times its den
+    times delta's den, in lowest terms; ``_summed`` adds an image's terms.
     """
-    n = delta.n
-    den, parts = delta._den, _operator(delta._parts())
+    n, den, operator = delta.n, delta._den, _operator(delta._parts())
     images = []
-    for i in range(1, n + 1):
-        term = acc = Poly.var(n, i)
-        k = 0
-        while term:
-            k += 1
-            term = _derive(den * k, parts, term)
-            acc = acc + term
-        images.append(acc)
+    for i in range(n):
+        terms = [(1, {1 << _W * i: 1})]
+        while terms[-1][1]:
+            d, nums = terms[-1]
+            terms.append(_lowest(den * len(terms) * d, _derive(operator, nums)))
+        images.append(_new(n, *_summed(terms)))
     return _from_images(n, images)
 
 
@@ -314,22 +312,23 @@ def log_map(sigma: TriAut) -> LieElem:
     phi(z) = (e^z - 1)/z.  D is triangular, so locally nilpotent: power
     series in D are finite sums on polynomials and compose as series do.
     As phi(z) * z/(e^z - 1) = 1, exp(delta) = sigma exactly when
-    b_j = sum_k (B_k/k!) D^k(a_j), solved for j = 1..n in order.
+    b_j = sum_k (B_k/k!) D^k(a_j), solved for j = 1..n in order, each
+    D^k(a_j) in lowest terms and b_j summed once by ``_summed``.
     """
     if not sigma.is_unipotent():
         raise DomainError("logarithm needs a unipotent automorphism")
     coeffs: list[Poly] = []
     for a in sigma.a:
         den, parts = _split(coeffs)
-        parts = _operator(parts)
-        b = term = a
-        k = 0
-        while term:
-            k += 1
-            term = _derive(den, parts, term)
-            if term and _bernoulli_term(k):
-                b = b + term.scale(_bernoulli_term(k))
-        coeffs.append(b)
+        operator = _operator(parts)
+        powers = [(a._den, a._nums)]  # D^k(a_j), k = 0, 1, ...
+        while powers[-1][1]:
+            d, nums = powers[-1]
+            powers.append(_lowest(den * d, _derive(operator, nums)))
+        coeffs.append(_new(sigma.n, *_summed([
+            (d * b.denominator, {e: c * b.numerator for e, c in nums.items()})
+            for k, (d, nums) in enumerate(powers)
+            if nums and (b := _bernoulli_term(k))])))
     return LieElem.from_coefficients(coeffs)
 
 
