@@ -131,7 +131,7 @@ class TriAut(_Keyed):
             common, acc = _substitute_ints(_Images(inverse_images + xs[i:]),
                                            a._nums.items())
             den = a._den * common
-            g, h = (1 / lam).as_integer_ratio()  # h > 0
+            g, h = (1 / lam).as_integer_ratio()  # h > 0, so den stays positive
             inverse_images.append(_new(n, *_lowest(den * h, {
                 1 << _W * i: g * den, **{e: -g * c for e, c in acc.items()}})))
         inv = _from_images(n, inverse_images)

@@ -271,10 +271,11 @@ def inverse_jacobian_by_polys(sigma: TriAut) -> tuple:
 
 
 def derive_by_polys(den: int, operator, p: Poly) -> Poly:
-    """Oracle for ``lie._derive``: sum p_i d/dx_i applied to p, the
-    numerators of the p_i over den as ``lie._operator`` gives them, as
-    one Poly in lowest terms.  Each index is checked against the degree
-    limit as the product p_i * dp/dx_i before its keys are formed."""
+    """Oracle for ``LieElem.apply_to``, and the step of the Poly-level
+    loops below: sum p_i d/dx_i applied to p, the numerators of the p_i
+    over den as ``lie._operator`` gives them, as one Poly in lowest
+    terms.  Each index is checked against the degree limit as the
+    product p_i * dp/dx_i before its keys are formed."""
     acc: dict = {}
     for k, part, deg in operator:
         shift = _W * k
